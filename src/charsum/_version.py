@@ -1,6 +1,2 @@
-from importlib import metadata
-
-try:
-    __version__ = metadata.version("charsum")
-except metadata.PackageNotFoundError:
-    __version__ = "0+unknown"
+# The single source of the version: pyproject.toml reads it from here.
+__version__ = "0.1.0"

@@ -1,9 +1,11 @@
 """Roots of univariate polynomials over finite fields.
 
-Small fields (q <= 2^16) are handled by an exhaustive scan, vectorized in
-the prime-field case.  Larger fields go through gcd with x^q - x followed
-by equal-degree splitting down to linear factors; the splitting randomness
-is seeded from (p, f) so repeated runs and parallel sweeps agree.
+Over F_p every prime takes one path: degrees 1 and 2 in closed form,
+higher degrees by gcd with x^p - x and equal-degree splitting
+(Cantor-Zassenhaus).  Over a proper extension F_q, fields with
+q <= 2^16 are scanned and larger ones take the same gcd-and-split path.
+The splitting randomness is seeded from (p, f) so repeated runs and
+parallel sweeps agree.
 """
 
 from __future__ import annotations
@@ -50,22 +52,31 @@ def _multiplicities(f, roots, p):
     return out
 
 
+def _quadratic_roots(b, c, p):
+    """Sorted roots (with multiplicity) of x^2 + bx + c over F_p."""
+    if p == 2:
+        # x^2 = x * x, x^2 + 1 = (x + 1)^2, x^2 + x = x(x + 1), x^2 + x + 1
+        if b == 0:
+            return [c, c]
+        return [0, 1] if c == 0 else []
+    s = sqrt_mod(b * b - 4 * c, p)
+    if s is None:
+        return []
+    inv2 = (p + 1) // 2
+    return sorted([(-b + s) * inv2 % p, (-b - s) * inv2 % p])
+
+
 def _split_linear(g, p, rng):
-    """Distinct roots of a monic product of distinct linear factors."""
+    """Roots of a monic g: in closed form up to degree 2 (a double root
+    comes back twice), else g must be a product of distinct linear
+    factors."""
     d = fppoly.degree(g)
     if d <= 0:
         return []
     if d == 1:
-        return [(-g[0]) * pow(g[1], -1, p) % p]
+        return [-g[0] % p]
     if d == 2:
-        # x^2 + bx + c after normalization; p is odd on this path
-        b, c = g[1], g[0]
-        disc = (b * b - 4 * c) % p
-        s = sqrt_mod(disc, p)
-        inv2 = pow(2, -1, p)
-        r1 = (-b + s) * inv2 % p
-        r2 = (-b - s) * inv2 % p
-        return [r1, r2]
+        return _quadratic_roots(g[1], g[0], p)
     while True:
         a = rng.randrange(p)
         h = fppoly.powmod([a, 1], (p - 1) // 2, g, p)
@@ -86,16 +97,9 @@ def roots_mod_p(coeffs, p) -> list:
     f = fppoly.trim([c % p for c in coeffs])
     if not f:
         raise CharsumError("zero polynomial")
-    if fppoly.degree(f) == 0:
-        return []
-    if p <= SCAN_LIMIT:
-        xs = np.arange(p, dtype=np.int64)
-        vals = eval_many(f, p, xs)
-        hits = [int(r) for r in xs[vals == 0]]
-        if fppoly.degree(f) == 1:
-            return hits
-        return sorted(_multiplicities(f, hits, p))
     fm = fppoly.monic(f, p)
+    if fppoly.degree(fm) <= 2:
+        return _split_linear(fm, p, None)
     xp = fppoly.powmod([0, 1], p, fm, p)
     g = fppoly.gcd(fppoly.sub(xp, [0, 1], p), fm, p)
     if fppoly.degree(g) <= 0:

@@ -82,10 +82,14 @@ def exp_sum(system, f: MPoly, char: CharacterDesc, box=None,
     return exp_sum_points(pts, f, char)
 
 
-def _exp_sum_line(f, p, char, budget):
+def _check_line_budget(p, budget):
     if p > budget:
         raise CharsumError("enumeration budget exceeded: %d > %d"
                            % (p, budget))
+
+
+def _exp_sum_line(f, p, char, budget):
+    _check_line_budget(p, budget)
     twist = char.twist.residue()
     xs = np.arange(p, dtype=np.int64)
     vals = f.eval_mod_arrays(p, [xs])
@@ -100,7 +104,8 @@ def weil_check(f, p, char=None) -> WeilRecord:
 
     f: univariate MPoly or little-endian rational coefficient list.  The
     degree is taken after reduction mod p; a degree sharing a factor with
-    p is outside the bound's hypotheses and is an error.
+    p, or a trivial character, is outside the bound's hypotheses and is an
+    error.
     """
     if not isinstance(f, MPoly):
         f = MPoly.from_univariate(f)
@@ -118,6 +123,10 @@ def weil_check(f, p, char=None) -> WeilRecord:
         raise CharsumError("wild degree %d at p = %d; bound not applicable"
                            % (d, p))
     twist = char.twist.residue()
+    if twist == 0:
+        raise CharsumError("trivial character (twist = 0 mod %d); bound "
+                           "not applicable" % p)
+    _check_line_budget(p, DEFAULT_BUDGET)
     xs = np.arange(p, dtype=np.int64)
     vals = eval_many(red, p, xs) * twist % p
     counts = np.bincount(vals, minlength=p)

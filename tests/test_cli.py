@@ -51,6 +51,31 @@ def test_weil_sweep_skips_wild_primes(tmp_path):
     assert all(rec["passed"] for rec in doc["records"])
 
 
+def test_weil_trivial_character_single_prime_is_usage_error():
+    r = run("weil", "--poly", "x^3 + x", "--prime", "7", "--twist", "0")
+    assert r.returncode == 2
+    assert "trivial character" in r.stderr
+
+
+def test_weil_sweep_skips_primes_dividing_the_twist(tmp_path):
+    out = tmp_path / "weil.json"
+    r = run("weil", "--poly", "x^3 + x", "--xlimit", "50", "--twist", "7",
+            "--json", str(out))
+    assert r.returncode == 0
+    doc = json.loads(out.read_text())
+    skipped = dict(doc["skipped"])
+    assert "trivial character" in skipped[7]
+    assert 7 not in {rec["p"] for rec in doc["records"]}
+    assert doc["aggregate"]["all_passed"] is True
+
+
+def test_weil_prime_over_budget_is_usage_error():
+    r = run("weil", "--poly", "x^3 + x", "--prime", "1000000000000037")
+    assert r.returncode == 2
+    assert "budget exceeded" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
 def test_parse_error_is_exit_2():
     r = run("weil", "--poly", "2x", "--prime", "7")
     assert r.returncode == 2

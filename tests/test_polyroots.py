@@ -1,7 +1,13 @@
 import random
 
-from charsum import build_extension, next_prime, poly_roots_fq, prime_field
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from charsum import (build_extension, next_prime, poly_roots_fq, prime_field,
+                     primes_in)
 from charsum.polyroots import roots_mod_p
+
+SMALL_PRIMES = primes_in(199)
 
 
 def brute_roots(coeffs, p):
@@ -35,6 +41,11 @@ def test_small_cases():
     assert roots_mod_p([0, 0, 1], 5) == [0, 0]
     assert roots_mod_p([3], 5) == []                # nonzero constant
     assert roots_mod_p([1, 1], 2) == [1]
+    # the four monic quadratics over F_2
+    assert roots_mod_p([0, 0, 1], 2) == [0, 0]
+    assert roots_mod_p([1, 0, 1], 2) == [1, 1]
+    assert roots_mod_p([0, 1, 1], 2) == [0, 1]
+    assert roots_mod_p([1, 1, 1], 2) == []
 
 
 def test_random_polynomials_against_brute_force():
@@ -46,6 +57,43 @@ def test_random_polynomials_against_brute_force():
         assert roots_mod_p(coeffs, p) == brute_roots(coeffs, p)
 
 
+@st.composite
+def polys_mod_small_p(draw):
+    """(coeffs, p): arbitrary integer coefficients, or a scaled product of
+    linear factors so that repeated roots are common."""
+    p = draw(st.sampled_from([2, 3]) | st.sampled_from(SMALL_PRIMES))
+    if draw(st.booleans()):
+        coeffs = draw(st.lists(st.integers(-3 * p, 3 * p), min_size=1,
+                               max_size=9))
+    else:
+        coeffs = [draw(st.integers(-3 * p, 3 * p))]
+        for r in draw(st.lists(st.integers(0, p - 1), min_size=1,
+                               max_size=8)):
+            # times (x - r)
+            coeffs = [a - r * b for a, b in zip([0] + coeffs, coeffs + [0])]
+    if all(c % p == 0 for c in coeffs):
+        coeffs[0] += 1
+    return coeffs, p
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(polys_mod_small_p())
+def test_roots_match_the_scan_oracle(case):
+    coeffs, p = case
+    assert roots_mod_p(coeffs, p) == brute_roots(coeffs, p)
+
+
+@pytest.mark.parametrize("p", [13, 11, next_prime(1 << 17)])
+def test_quadratic_discriminants(p):
+    # p = 1 and 3 (mod 4), and a prime above 2^16
+    r = 5
+    assert roots_mod_p([r * r, -2 * r, 1], p) == [r, r]
+    assert roots_mod_p([3 * r * r, -6 * r, 3], p) == [r, r]
+    n = next(a for a in range(2, p) if pow(a, (p - 1) // 2, p) == p - 1)
+    assert roots_mod_p([-n, 0, 1], p) == []
+    assert roots_mod_p([3 * (1 - n), 6, 3], p) == []  # 3((x + 1)^2 - n)
+
+
 def test_non_monic_and_degree_drop():
     # leading coefficient divisible by p: the reduction has lower degree
     assert roots_mod_p([1, 1, 5], 5) == [4]
@@ -54,7 +102,7 @@ def test_non_monic_and_degree_drop():
 
 
 def test_large_prime_paths():
-    # above the full-scan threshold the gcd-with-x^p-minus-x path runs
+    # primes above 2^16
     p = next_prime(1 << 17)
     a = 12345
     r = pow(a, 2, p)
