@@ -9,7 +9,7 @@ turn); complex floats appear only when angles are finally summed.
 from ._version import __version__
 from .angles import (Angle, CharacterDesc, angle_to_complex, psi_p, psi_q,
                      standard_character, trivial_character,
-                     twisted_character)
+                     twisted_character, unit_roots)
 from .equidist import (SPReport, SweepReport, dfi_extended_sweep, dfi_sweep,
                        ks_statistic, multi_weyl, sample_histogram, sp_check,
                        weyl_sum)
@@ -33,12 +33,14 @@ from .rootsums import (PsiSymTerm, kappa_eval, make_term, psisym_add,
                        term_from_rational_coeffs)
 from .weil import (BoxCountResult, HyperplaneResult, SupResult, WeilRecord,
                    axiom3_sup, box_count, exp_sum, exp_sum_points,
-                   hyperplane_height_test, weil_check, weil_check_curve)
+                   hyperplane_height_test, weil_check, weil_check_curve,
+                   weil_sweep)
 
 __all__ = [
     "__version__",
     "Angle", "CharacterDesc", "angle_to_complex", "psi_p", "psi_q",
     "standard_character", "trivial_character", "twisted_character",
+    "unit_roots",
     "SPReport", "SweepReport", "dfi_extended_sweep", "dfi_sweep",
     "ks_statistic", "multi_weyl", "sample_histogram", "sp_check", "weyl_sum",
     "BadPrimeError", "BudgetError", "CharsumError", "ParseError",
@@ -60,5 +62,5 @@ __all__ = [
     "term_from_rational_coeffs",
     "BoxCountResult", "HyperplaneResult", "SupResult", "WeilRecord",
     "axiom3_sup", "box_count", "exp_sum", "exp_sum_points",
-    "hyperplane_height_test", "weil_check", "weil_check_curve",
+    "hyperplane_height_test", "weil_check", "weil_check_curve", "weil_sweep",
 ]

@@ -1,15 +1,22 @@
-"""Exact angles on the circle and additive characters.
+"""Exact angles on the circle, additive characters, and the table of
+p-th roots of unity.
 
 An Angle is a reduced fraction a/b taken mod 1, standing for the point
 exp(2*pi*i*a/b).  All character values are produced as Angles; complex
-doubles appear only when a caller asks for them.
+doubles appear only when a caller asks for them.  Vectorized kernels
+read the values e(k/p) = exp(2*pi*i*k/p) from `unit_roots(p)`, the one
+place that computes them as an array.
 """
 
 from __future__ import annotations
 
 import cmath
+import math
+from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
 
 from .errors import CharsumError
 from .ffield import ExtFieldDesc, FqElem, fq_trace
@@ -123,3 +130,41 @@ def trivial_character(field: ExtFieldDesc) -> CharacterDesc:
 def psi_q(x, char: CharacterDesc) -> Angle:
     """Character value at x as an exact angle."""
     return char.psi(x)
+
+
+# Bytes of root tables kept between calls.  A sweep over the 303 primes
+# up to 2000 needs 4.4 MB; one table near p = 10^6 (16 MB) is larger and
+# is returned without being kept, so it does not outlive its operation.
+UNIT_ROOTS_CAP = 8 << 20
+
+_roots_cache = OrderedDict()    # p -> (table, bytes held), LRU first
+_roots_cache_bytes = 0
+
+
+def unit_roots(p: int) -> np.ndarray:
+    """The read-only complex array exp(2*pi*i*k/p), k = 0..p-1.
+
+    Built as the outer product of e(a*m/p) and e(b/p) with m = ceil(sqrt p),
+    cut to its first p entries: 2 sqrt(p) exponentials instead of p, and
+    every entry within 2e-15 of np.exp's.  Tables are kept in an LRU
+    cache bounded by UNIT_ROOTS_CAP bytes.
+    """
+    global _roots_cache_bytes
+    hit = _roots_cache.get(p)
+    if hit is not None:
+        _roots_cache.move_to_end(p)
+        return hit[0]
+    m = math.isqrt(p - 1) + 1       # ceil(sqrt(p))
+    rows = -(-p // m)               # ceil(p / m)
+    coarse = np.exp(2j * np.pi * (np.arange(rows) * m) / p)
+    fine = np.exp(2j * np.pi * np.arange(m) / p)
+    full = np.multiply.outer(coarse, fine).reshape(-1)
+    table = full[:p]
+    table.setflags(write=False)
+    if full.nbytes <= UNIT_ROOTS_CAP:
+        _roots_cache[p] = (table, full.nbytes)
+        _roots_cache_bytes += full.nbytes
+        while _roots_cache_bytes > UNIT_ROOTS_CAP:
+            _, (_, nbytes) = _roots_cache.popitem(last=False)
+            _roots_cache_bytes -= nbytes
+    return table

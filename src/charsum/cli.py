@@ -10,6 +10,7 @@ written to a report, so reruns diff clean.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 from fractions import Fraction
@@ -32,7 +33,7 @@ from .primes import primes_in
 from .report import build_report, write_csv, write_json
 from .rootsums import (kappa_eval, make_term, psisym_add, psisym_conj,
                        psisym_eval, psisym_mul, rational_roots)
-from .weil import HEIGHT_CAP, axiom3_sup, box_count, weil_check
+from .weil import HEIGHT_CAP, axiom3_sup, box_count, weil_check, weil_sweep
 from ._version import __version__
 
 CSV_TABLE_CAP = 10 ** 6
@@ -124,22 +125,16 @@ def cmd_weil(args):
     pe = parse_polynomial(args.poly)
     poly = pe.poly
     if args.prime is not None:
-        primes = [args.prime]
-    elif args.xlimit is not None:
-        primes = primes_in(args.xlimit, _congruence(args))
-    else:
-        raise CharsumError("need --prime or --xlimit")
-    records, skipped = [], []
-    for p in primes:
         char = None
         if args.twist is not None:
-            char = twisted_character(prime_field(p), args.twist)
-        try:
-            records.append(weil_check(poly, p, char=char))
-        except CharsumError as exc:
-            if len(primes) == 1:
-                raise
-            skipped.append((p, str(exc)))
+            char = twisted_character(prime_field(args.prime), args.twist)
+        records, skipped = [weil_check(poly, args.prime, char=char)], []
+    elif args.xlimit is not None:
+        records, skipped = weil_sweep(
+            poly, primes_in(args.xlimit, _congruence(args)),
+            1 if args.twist is None else args.twist)
+    else:
+        raise CharsumError("need --prime or --xlimit")
     all_passed = all(r.passed for r in records)
     worst = max((r.normalized for r in records), default=0.0)
     print("polynomial: %s" % print_polynomial(pe))
@@ -646,7 +641,10 @@ def cmd_valueset(args):
 # -- parser ------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser():
+    """The argument parser, built once per process; parse_args leaves it
+    unchanged, so every main() call can share it."""
     parser = argparse.ArgumentParser(
         prog="charsum",
         description="Verification and experiments for additive character "

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .angles import Angle
+from .angles import Angle, unit_roots
 from .errors import CharsumError
 from .parser import parse_polynomial
 
@@ -83,7 +83,7 @@ class LaurentPoly:
         vectorized; requires real mode."""
         if not self.is_real_mode():
             raise CharsumError("Laurent polynomial is not real-valued")
-        table = np.exp(2j * np.pi * np.arange(p) / p)
+        table = unit_roots(p)
         total = np.zeros(len(mat), dtype=np.complex128)
         for m, (re, im) in self.sorted_terms():
             dots = np.zeros(len(mat), dtype=np.int64)

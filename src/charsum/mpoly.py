@@ -238,8 +238,7 @@ class MPoly:
 
         Requires p < 2^31 so products of residues stay inside int64.
         """
-        if p >= 1 << 31:
-            raise CharsumError("vectorized evaluation requires p < 2^31")
+        check_int64_modulus(p)
         shape = np.broadcast(*arrays).shape if arrays else ()
         total = np.zeros(shape, dtype=np.int64)
         for e, c in self.sorted_terms():
@@ -267,6 +266,13 @@ class MPoly:
                     t = t * Fraction(x) ** k
             total += t
         return total
+
+
+def check_int64_modulus(p):
+    """Vectorized mod-p kernels multiply two residues in int64; p < 2^31
+    keeps every product below 2^62."""
+    if p >= 1 << 31:
+        raise CharsumError("vectorized evaluation requires p < 2^31")
 
 
 def frac_mod(c, p):

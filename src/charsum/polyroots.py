@@ -18,6 +18,7 @@ import numpy as np
 from . import fppoly
 from .errors import CharsumError
 from .ffield import ExtFieldDesc, FqElem, sqrt_mod
+from .mpoly import check_int64_modulus
 
 SCAN_LIMIT = 1 << 16
 
@@ -28,10 +29,14 @@ def _splitting_rng(p, coeffs):
 
 
 def eval_many(coeffs, p, xs):
-    """Horner evaluation of an int coefficient list over an int64 array."""
+    """Horner evaluation of an int coefficient list over an int64 array
+    of residues mod p, in place on one accumulator; requires p < 2^31."""
+    check_int64_modulus(p)
     acc = np.zeros_like(xs)
     for c in reversed(coeffs):
-        acc = (acc * xs + c % p) % p
+        acc *= xs
+        acc += c % p
+        acc %= p
     return acc
 
 

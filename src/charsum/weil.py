@@ -1,18 +1,24 @@
 """Exponential sums, Weil-bound records, the curve sup test, hyperplane
-detection, and box counts."""
+detection, and box counts.
+
+Every sum over the affine line F_p goes through `_line_sum`: Horner
+evaluation of the reduced polynomial at all of F_p, a histogram of the
+values, and its dot product with `angles.unit_roots(p)`.  `weil_check`
+makes one Weil record at one prime; `weil_sweep` makes them along a
+prime list, reading the polynomial's coefficients once.
+"""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import product as iproduct
 from math import gcd
 
 import numpy as np
 
-from .angles import CharacterDesc, standard_character
+from .angles import CharacterDesc, standard_character, unit_roots
 from .errors import BadPrimeError, CharsumError
 from .ffield import ExtFieldDesc, prime_field
 from .laurent import LaurentPoly
@@ -23,13 +29,6 @@ from .primes import next_prime
 
 PASS_SLACK = 1e-6
 HEIGHT_CAP = 20
-
-
-@lru_cache(maxsize=64)
-def _exp_table(p):
-    t = np.exp(2j * np.pi * np.arange(p) / p)
-    t.setflags(write=False)
-    return t
 
 
 @dataclass(frozen=True)
@@ -88,14 +87,51 @@ def _check_line_budget(p, budget):
                            % (p, budget))
 
 
+def _line_sum(red, p):
+    """Sum of e(g(x)/p) over x in F_p, where red holds the residues of
+    g's coefficients, little-endian."""
+    counts = np.bincount(eval_many(red, p, np.arange(p, dtype=np.int64)),
+                         minlength=p)
+    return complex(counts @ unit_roots(p))
+
+
 def _exp_sum_line(f, p, char, budget):
     _check_line_budget(p, budget)
     twist = char.twist.residue()
-    xs = np.arange(p, dtype=np.int64)
-    vals = f.eval_mod_arrays(p, [xs])
-    vals = vals * twist % p
-    counts = np.bincount(vals, minlength=p)
-    return complex(counts @ _exp_table(p))
+    return _line_sum([frac_mod(c, p) * twist % p
+                      for c in f.univariate_coeffs()], p)
+
+
+def _weil_record(coeffs, p, twist) -> WeilRecord:
+    """The Weil record of sum_x Psi_p(twist * f(x)) for f with rational
+    little-endian coefficients `coeffs`, at a prime p the caller vouches
+    for."""
+    red = [frac_mod(c, p) for c in coeffs]
+    while red and red[-1] == 0:
+        red.pop()
+    d = len(red) - 1
+    if d < 1:
+        raise CharsumError("degree mod %d is %d; need >= 1" % (p, d))
+    if gcd(d, p) != 1:
+        raise CharsumError("wild degree %d at p = %d; bound not applicable"
+                           % (d, p))
+    twist %= p
+    if twist == 0:
+        raise CharsumError("trivial character (twist = 0 mod %d); bound "
+                           "not applicable" % p)
+    _check_line_budget(p, DEFAULT_BUDGET)
+    value = _line_sum([c * twist % p for c in red], p)
+    magnitude = abs(value)
+    bound = (d - 1) * math.sqrt(p)
+    return WeilRecord(p=p, degree=d, value=value, magnitude=magnitude,
+                      bound=bound, normalized=magnitude / math.sqrt(p),
+                      passed=magnitude <= bound + PASS_SLACK)
+
+
+def _univariate(f):
+    if not isinstance(f, MPoly):
+        f = MPoly.from_univariate(f)
+    return f.univariate_coeffs()
 
 
 def weil_check(f, p, char=None) -> WeilRecord:
@@ -107,35 +143,28 @@ def weil_check(f, p, char=None) -> WeilRecord:
     p, or a trivial character, is outside the bound's hypotheses and is an
     error.
     """
-    if not isinstance(f, MPoly):
-        f = MPoly.from_univariate(f)
     field = prime_field(p)
-    if char is None:
-        char = standard_character(field)
-    coeffs = [c for c in f.univariate_coeffs()]
-    red = [_coeff_elem(c, field) for c in coeffs]
-    while red and red[-1] == 0:
-        red.pop()
-    d = len(red) - 1
-    if d < 1:
-        raise CharsumError("degree mod %d is %d; need >= 1" % (p, d))
-    if gcd(d, p) != 1:
-        raise CharsumError("wild degree %d at p = %d; bound not applicable"
-                           % (d, p))
-    twist = char.twist.residue()
-    if twist == 0:
-        raise CharsumError("trivial character (twist = 0 mod %d); bound "
-                           "not applicable" % p)
-    _check_line_budget(p, DEFAULT_BUDGET)
-    xs = np.arange(p, dtype=np.int64)
-    vals = eval_many(red, p, xs) * twist % p
-    counts = np.bincount(vals, minlength=p)
-    value = complex(counts @ _exp_table(p))
-    magnitude = abs(value)
-    bound = (d - 1) * math.sqrt(p)
-    return WeilRecord(p=p, degree=d, value=value, magnitude=magnitude,
-                      bound=bound, normalized=magnitude / math.sqrt(p),
-                      passed=magnitude <= bound + PASS_SLACK)
+    twist = 1 if char is None else char.twist.residue()
+    return _weil_record(_univariate(f), field.p, twist)
+
+
+def weil_sweep(f, primes, twist=1):
+    """Weil records of f along a list of primes, as (records, skipped).
+
+    The character at each p is Psi_p(twist * .).  A prime where the bound
+    does not apply (bad reduction, degree drop, wild degree, trivial
+    character, budget) is skipped with the message `weil_check` would
+    raise there.  The primes are trusted to be prime (they come from
+    `primes_in`), so no field is built per prime.
+    """
+    coeffs = _univariate(f)
+    records, skipped = [], []
+    for p in primes:
+        try:
+            records.append(_weil_record(coeffs, p, twist))
+        except CharsumError as exc:
+            skipped.append((p, str(exc)))
+    return records, skipped
 
 
 def weil_check_curve(system, f, p, constant=None,

@@ -1,11 +1,13 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from charsum import (Angle, build_extension, prime_field, psi_p, psi_q,
-                     standard_character, trivial_character,
-                     twisted_character)
+from charsum import (Angle, build_extension, next_prime, prime_field,
+                     primes_in, psi_p, psi_q, standard_character,
+                     trivial_character, twisted_character, unit_roots)
+from charsum import angles
 from charsum.errors import CharsumError
 
 
@@ -110,3 +112,32 @@ def test_psi_q_prime_field_reduces_to_psi_p():
     char = standard_character(F)
     for a in range(7):
         assert psi_q(a, char) == psi_p(a, 7)
+
+
+def test_unit_roots_match_numpy_and_are_read_only():
+    for p in (2, 3, 997, 1000003):
+        table = unit_roots(p)
+        assert table.shape == (p,)
+        assert table.flags.writeable is False
+        expect = np.exp(2j * np.pi * np.arange(p) / p)
+        assert np.max(np.abs(table - expect)) < 1e-14
+
+
+def test_unit_roots_cache_is_bounded_by_bytes():
+    # the primes to 4000 need about 15 MB of tables, past the cap
+    primes = primes_in(4000)
+    for p in primes:
+        unit_roots(p)
+    cache = angles._roots_cache
+    held = [nbytes for _, nbytes in cache.values()]
+    assert angles._roots_cache_bytes == sum(held)
+    assert sum(t.nbytes for t, _ in cache.values()) <= sum(held)
+    assert sum(held) <= angles.UNIT_ROOTS_CAP
+    assert primes[-1] in cache and 2 not in cache  # least recent go first
+    assert unit_roots(primes[-1]) is unit_roots(primes[-1])
+
+    big = next_prime(angles.UNIT_ROOTS_CAP // 16)
+    table = unit_roots(big)
+    assert table.shape == (big,)
+    assert big not in cache
+    assert angles._roots_cache_bytes <= angles.UNIT_ROOTS_CAP

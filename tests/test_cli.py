@@ -207,6 +207,48 @@ def test_fourier_csv_round_trip(tmp_path):
     assert r2.returncode == 0
 
 
+def test_fourier_large_prime_const_runs(tmp_path):
+    # p^n is inside the transform budget; no p x p kernel is built
+    out = tmp_path / "f.json"
+    r = run("fourier", "--prime", "1000003", "--nvars", "1", "--const", "1",
+            "--json", str(out))
+    assert r.returncode == 0, r.stderr
+    agg = json.loads(out.read_text())["aggregate"]
+    assert abs(agg["plancherel_lhs"] - 1) < 1e-9
+    assert abs(agg["plancherel_rhs"] - 1) < 1e-9
+
+
+def test_fourier_large_prime_delta_verify(tmp_path):
+    p = 100003
+    out = tmp_path / "f.json"
+    r = run("fourier", "--prime", str(p), "--nvars", "1", "--delta",
+            "--verify", "--json", str(out))
+    assert r.returncode == 0, r.stderr
+    agg = json.loads(out.read_text())["aggregate"]
+    assert abs(agg["plancherel_lhs"] - 1 / p) <= 1e-9 / p
+    assert abs(agg["plancherel_rhs"] - 1 / p) <= 1e-9 / p
+    assert agg["inversion_error"] <= 1e-9
+
+
+def test_main_calls_share_a_parser_without_leaking_arguments(tmp_path,
+                                                             capsys):
+    from charsum.cli import _build_parser, main
+    paths = [tmp_path / ("%d.json" % i) for i in range(3)]
+    assert main(["weil", "--poly", "x^4 + x", "--xlimit", "30",
+                 "--twist", "3", "--seed", "9", "--json",
+                 str(paths[0])]) == 0
+    assert main(["fourier", "--prime", "11", "--const", "1",
+                 "--json", str(paths[1])]) == 0
+    assert main(["weil", "--poly", "x^4 + x", "--xlimit", "30",
+                 "--json", str(paths[2])]) == 0
+    assert _build_parser() is _build_parser()
+    first, _, last = (json.loads(p.read_text()) for p in paths)
+    assert first["params"]["twist"] == 3 and first["seed"] == 9
+    assert last["params"]["twist"] is None and last["seed"] == 0
+    assert [p for p, _ in first["skipped"]] == [2, 3]  # 3 divides twist
+    assert [p for p, _ in last["skipped"]] == [2]
+
+
 def test_fourier_needs_exactly_one_source():
     r = run("fourier", "--prime", "11", "--const", "1", "--delta")
     assert r.returncode == 2

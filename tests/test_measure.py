@@ -137,6 +137,27 @@ def test_fourier_of_shifted_delta_is_a_character():
         assert abs(out[y] - expect) < 1e-12
 
 
+def defining_sum(values, p, n):
+    """p^{-n} sum_x e(x.y/p) phi(x) read off the definition: the p x p
+    kernel applied axis by axis, O(p^{n+1}) time and O(p^2) memory."""
+    r = np.arange(p)
+    kernel = np.exp(2j * np.pi * np.outer(r, r) / p)
+    out = values
+    for axis in range(n):
+        out = np.moveaxis(np.tensordot(kernel, out, axes=([1], [axis])),
+                          0, axis)
+    return out / p ** n
+
+
+def test_fourier_table_matches_the_defining_sum():
+    rng = np.random.default_rng(2718)
+    for p, n in ((97, 1), (13, 2), (7, 3)):
+        vals = rng.standard_normal((p,) * n) \
+            + 1j * rng.standard_normal((p,) * n)
+        out = fourier_table(ValueTable(p, n, vals))
+        assert np.max(np.abs(out.values - defining_sum(vals, p, n))) < 1e-12
+
+
 def test_plancherel_identity():
     rng = np.random.default_rng(12345)
     for p, n in ((97, 1), (13, 2), (7, 3)):

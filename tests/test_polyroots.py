@@ -1,11 +1,13 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from charsum import (build_extension, next_prime, poly_roots_fq, prime_field,
                      primes_in)
-from charsum.polyroots import roots_mod_p
+from charsum.errors import CharsumError
+from charsum.polyroots import eval_many, roots_mod_p
 
 SMALL_PRIMES = primes_in(199)
 
@@ -156,3 +158,15 @@ def test_fq_repeated_roots():
     for r in (g, g, F.one()):
         poly = times(poly, r)
     assert poly_roots_fq(poly, F) == sorted([g, g, F.one()])
+
+
+def test_eval_many_stays_inside_int64():
+    coeffs = [5, -3, 0, 1]
+    p = (1 << 31) - 1  # the largest prime it accepts
+    xs = np.array([0, 1, p - 1, p - 2, 123456789], dtype=np.int64)
+    expect = [sum(c * pow(int(x), k, p) for k, c in enumerate(coeffs)) % p
+              for x in xs]
+    assert eval_many(coeffs, p, xs).tolist() == expect
+    big = next_prime(1 << 31)
+    with pytest.raises(CharsumError):
+        eval_many(coeffs, big, np.array([big - 1], dtype=np.int64))

@@ -1,3 +1,4 @@
+import cmath
 import math
 import random
 
@@ -7,7 +8,7 @@ from charsum import (axiom3_sup, box_count, exp_sum, exp_sum_points,
                      hyperplane_height_test, laurent_from_expression,
                      parse_polynomial, prime_field, primes_in,
                      standard_character, twisted_character, weil_check,
-                     weil_check_curve)
+                     weil_check_curve, weil_sweep)
 from charsum.errors import CharsumError
 from charsum.weil import _candidate_vectors
 
@@ -217,3 +218,34 @@ def test_box_count_flags_contained_line():
     assert res.hyperplane.vector == (1, 0)
     res2 = box_count(system, p, [(0, p), (0, p)], 1, flag_height=0)
     assert res2.hyperplane is None
+
+
+def test_weil_sweep_matches_per_prime_checks():
+    primes = primes_in(60)
+    cases = (("x^5 + 3*x + 1", 1, "wild degree 5 at p = 5"),
+             ("7*x^3 + 7*x", 1, "degree mod 7 is -1"),
+             ("1/3*x^4 + x", 2, "bad prime 3"),
+             ("x^3 + 2*x", 11, "trivial character (twist = 0 mod 11)"),
+             ("x^4 - 2*x + 5", -3, "trivial character (twist = 0 mod 3)"))
+    for text, twist, reason in cases:
+        f = poly(text)
+        records, skipped = weil_sweep(f, primes, twist)
+        expect_records, expect_skipped = [], []
+        for p in primes:
+            char = twisted_character(prime_field(p), twist)
+            try:
+                expect_records.append(weil_check(f, p, char=char))
+            except CharsumError as exc:
+                expect_skipped.append((p, str(exc)))
+        assert records == expect_records
+        assert skipped == expect_skipped
+        assert any(reason in why for _, why in skipped), (text, skipped)
+
+
+def test_quadratic_gauss_sum_near_a_million():
+    # x^2 + 14x + 18 = (x + 7)^2 - 31 and p = 1 mod 4, so the sum is
+    # e(-31/p) sqrt(p) exactly
+    p = 1094881
+    rec = weil_check(poly("x^2 + 14*x + 18"), p)
+    expect = cmath.exp(-2j * cmath.pi * 31 / p) * math.sqrt(p)
+    assert abs(rec.value - expect) < 1e-8
