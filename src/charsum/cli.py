@@ -1,10 +1,15 @@
 """Command line front end.
 
-Every subcommand prints a short human summary to stdout and optionally
-writes a canonical JSON report (--json) and a CSV table (--csv).  Exit
-codes: 0 for success, 1 when a checked inequality or law fails, 2 for
-usage, parsing, and budget errors.  Wall-clock time is printed but never
-written to a report, so reruns diff clean.
+Each `cmd_*` subcommand computes, prints a short human summary and
+returns an `Outcome`: the report's params, records, aggregate and
+skips, a CSV header with a rows function that only --csv calls, and
+whether a checked property failed.  `main` is the one runner: it times
+the command, writes the JSON report (--json) and CSV table (--csv),
+prints the wall-clock time (never written to a file, so reruns diff
+clean) and returns the exit code: 0 for success, 1 when a checked
+inequality or law fails, 2 for usage, parsing, budget and file errors.
+Library functions are looked up in this module's globals at call time,
+so a tracer that rebinds those names sees every call.
 """
 
 from __future__ import annotations
@@ -13,13 +18,15 @@ import argparse
 import functools
 import sys
 import time
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .angles import standard_character, twisted_character
-from .equidist import (dfi_extended_sweep, dfi_sweep, multi_weyl,
-                       sample_histogram, sp_check)
+from .equidist import (_as_rational_coeffs, dfi_extended_sweep, dfi_sweep,
+                       multi_weyl, sample_histogram, sp_check)
 from .errors import CharsumError
 from .ffield import build_extension, prime_field
 from .laurent import laurent_from_expression
@@ -39,19 +46,38 @@ from ._version import __version__
 CSV_TABLE_CAP = 10 ** 6
 
 
-def _parse_system(text, variables=None):
-    """Semicolon-separated polynomial system over one sorted variable
-    universe.  Returns (list of MPoly, variable names)."""
-    parts = [s.strip() for s in text.split(";") if s.strip()]
-    if not parts:
-        return [], list(variables or [])
-    if variables is None:
-        names = set()
-        for s in parts:
-            names.update(parse_polynomial(s).variables)
-        variables = sorted(names)
-    polys = [parse_polynomial(s, variables=variables).poly for s in parts]
-    return polys, list(variables)
+@dataclass(frozen=True)
+class Outcome:
+    """What a subcommand hands to `main`."""
+    params: dict
+    csv_header: list
+    csv_rows: Callable[[], list]
+    records: Sequence = ()
+    aggregate: dict | None = None
+    skipped: Sequence = ()
+    failed: bool = False
+
+
+def _parse_system(*texts):
+    """Semicolon-separated polynomial systems over one sorted variable
+    universe, so "y" next to a system in x and y means the plane curve
+    y = 0, not a point on a line.  Returns (one list of MPoly per text,
+    variable names)."""
+    parts = [[s.strip() for s in text.split(";") if s.strip()]
+             for text in texts]
+    names = sorted({v for ps in parts for s in ps
+                    for v in parse_polynomial(s).variables})
+    return ([[parse_polynomial(s, variables=names).poly for s in ps]
+             for ps in parts], names)
+
+
+def _systems_nvars(args, *texts):
+    """The systems of `texts` and --nvars, else the size of their universe."""
+    systems, names = _parse_system(*texts)
+    nvars = args.nvars or len(names)
+    if not nvars:
+        raise CharsumError("empty system needs --nvars")
+    return systems, nvars
 
 
 def _parse_box(text):
@@ -65,13 +91,11 @@ def _parse_box(text):
 
 
 def _congruence(args):
-    mod = getattr(args, "mod", None)
-    res = getattr(args, "res", None)
-    if (mod is None) != (res is None):
+    if (args.mod is None) != (args.res is None):
         raise CharsumError("--mod and --res go together")
-    if mod is None:
+    if args.mod is None:
         return None
-    return (mod, res)
+    return (args.mod, args.res)
 
 
 def _int_list(text, what):
@@ -81,60 +105,26 @@ def _int_list(text, what):
         raise CharsumError("cannot read %s from %r" % (what, text))
 
 
-def _univariate_coeffs_of(text):
-    """Parse a one-variable polynomial (or a bare rational) to a
-    little-endian Fraction coefficient list."""
-    poly = parse_polynomial(text).poly
-    if not poly.variables_used():
-        return [poly.constant_value()]
-    reduced, _ = poly.drop_unused_variables()
-    return reduced.univariate_coeffs(0)
-
-
-def _field(args):
-    ext = getattr(args, "ext", 1) or 1
-    if ext > 1:
-        return build_extension(args.prime, ext)
-    return prime_field(args.prime)
-
-
 def _fq_repr(x):
     if x.field.e == 1:
         return x.coeffs[0]
     return list(x.coeffs)
 
 
-def _maybe_outputs(args, doc, csv_header=None, csv_rows=None):
-    if args.json:
-        write_json(args.json, doc)
-    if args.csv:
-        if csv_header is None:
-            raise CharsumError("this subcommand has no CSV table")
-        write_csv(args.csv, csv_header, csv_rows)
-
-
-def _print_wall(t0):
-    print("wall time: %.3f s" % (time.perf_counter() - t0))
-
-
 # -- subcommands -------------------------------------------------------
 
 
 def cmd_weil(args):
-    t0 = time.perf_counter()
     pe = parse_polynomial(args.poly)
-    poly = pe.poly
     if args.prime is not None:
         char = None
         if args.twist is not None:
             char = twisted_character(prime_field(args.prime), args.twist)
-        records, skipped = [weil_check(poly, args.prime, char=char)], []
-    elif args.xlimit is not None:
-        records, skipped = weil_sweep(
-            poly, primes_in(args.xlimit, _congruence(args)),
-            1 if args.twist is None else args.twist)
+        records, skipped = [weil_check(pe.poly, args.prime, char=char)], []
     else:
-        raise CharsumError("need --prime or --xlimit")
+        records, skipped = weil_sweep(
+            pe.poly, primes_in(args.xlimit, _congruence(args)),
+            1 if args.twist is None else args.twist)
     all_passed = all(r.passed for r in records)
     worst = max((r.normalized for r in records), default=0.0)
     print("polynomial: %s" % print_polynomial(pe))
@@ -145,49 +135,36 @@ def cmd_weil(args):
             print("VIOLATION at p = %d: |sum| = %.12g > bound %.12g"
                   % (r.p, r.magnitude, r.bound))
     print("bound check: %s" % ("PASS" if all_passed else "FAIL"))
-    doc = build_report(
-        "weil",
+    return Outcome(
         {"poly": args.poly, "twist": args.twist, "prime": args.prime,
          "xlimit": args.xlimit},
+        ["p", "degree", "magnitude", "bound", "normalized", "passed"],
+        lambda: [(r.p, r.degree, r.magnitude, r.bound, r.normalized,
+                  r.passed) for r in records],
         records=records,
         aggregate={"max_normalized": worst, "all_passed": all_passed},
-        skipped=skipped, seed=args.seed)
-    _maybe_outputs(args, doc,
-                   ["p", "degree", "magnitude", "bound", "normalized",
-                    "passed"],
-                   [(r.p, r.degree, r.magnitude, r.bound, r.normalized,
-                     r.passed) for r in records])
-    _print_wall(t0)
-    return 0 if all_passed else 1
+        skipped=skipped, failed=not all_passed)
 
 
 def cmd_axiom3(args):
-    t0 = time.perf_counter()
-    system, names = _parse_system(args.system)
-    nvars = args.nvars or (len(names) if names else None)
-    if nvars is None:
-        raise CharsumError("empty system needs --nvars")
+    (system,), nvars = _systems_nvars(args, args.system)
     h = laurent_from_expression(args.laurent, nvars=nvars)
     res = axiom3_sup(system, h, args.prime, nvars=nvars, budget=args.budget)
     print("points on curve mod %d: %d" % (args.prime, res.npoints))
     print("sup of h on character image: %.12g" % res.sup)
     print("tolerance -b' sqrt(p) / N:   %.12g" % -res.tolerance)
     print("positivity check: %s" % ("PASS" if res.passed else "FAIL"))
-    doc = build_report(
-        "axiom3",
+    return Outcome(
         {"system": args.system, "laurent": args.laurent,
          "prime": args.prime, "nvars": nvars},
-        records=[res], aggregate={"passed": res.passed}, seed=args.seed)
-    _maybe_outputs(args, doc,
-                   ["sup", "tolerance", "npoints", "passed"],
-                   [(res.sup, res.tolerance, res.npoints, res.passed)])
-    _print_wall(t0)
-    return 0 if res.passed else 1
+        ["sup", "tolerance", "npoints", "passed"],
+        lambda: [(res.sup, res.tolerance, res.npoints, res.passed)],
+        records=[res], aggregate={"passed": res.passed},
+        failed=not res.passed)
 
 
 def cmd_psisym(args):
-    t0 = time.perf_counter()
-    field = _field(args)
+    field = build_extension(args.prime, args.ext)
     char = (twisted_character(field, args.twist)
             if args.twist is not None else standard_character(field))
     t1 = make_term(field, _int_list(args.coeffs, "coefficients"))
@@ -197,14 +174,17 @@ def cmd_psisym(args):
     if args.op in ("add", "mul") and t2 is None:
         raise CharsumError("--op %s needs --coeffs2" % args.op)
 
+    # each operation, and the value identity --verify checks it against
     if args.op == "eval":
-        result = t1
+        result, expect = t1, None
     elif args.op == "conj":
-        result = psisym_conj(t1)
+        result, expect = psisym_conj(t1), lambda v1: v1.conjugate()
     elif args.op == "add":
         result = psisym_add(t1, t2)
+        expect = lambda v1: v1 + psisym_eval(t2, char)
     else:
         result = psisym_mul(t1, t2)
+        expect = lambda v1: v1 * psisym_eval(t2, char)
 
     value = psisym_eval(result, char)
     nroots = len(rational_roots(result))
@@ -213,41 +193,26 @@ def cmd_psisym(args):
     print("value: %.12g %+.12gi" % (value.real, value.imag))
 
     verified = None
-    if args.verify and args.op != "eval":
-        v1 = psisym_eval(t1, char)
-        if args.op == "conj":
-            expect = v1.conjugate()
-        elif args.op == "add":
-            expect = v1 + psisym_eval(t2, char)
-        else:
-            expect = v1 * psisym_eval(t2, char)
-        err = abs(value - expect)
+    if args.verify and expect:
+        err = abs(value - expect(psisym_eval(t1, char)))
         verified = err <= 1e-9
         print("identity error: %.3g -> %s"
               % (err, "PASS" if verified else "FAIL"))
-    doc = build_report(
-        "psisym",
+    return Outcome(
         {"prime": args.prime, "ext": args.ext, "twist": args.twist,
          "op": args.op, "coeffs": args.coeffs, "coeffs2": args.coeffs2},
+        ["nroots", "re", "im"],
+        lambda: [(nroots, value.real, value.imag)],
         records=[{"coeffs": [_fq_repr(c) for c in result.coeffs],
                   "nroots": nroots, "value": value}],
-        aggregate={"verified": verified}, seed=args.seed)
-    _maybe_outputs(args, doc, ["nroots", "re", "im"],
-                   [(nroots, value.real, value.imag)])
-    _print_wall(t0)
-    if verified is False:
-        return 1
-    return 0
+        aggregate={"verified": verified}, failed=verified is False)
 
 
 def cmd_kappa(args):
-    t0 = time.perf_counter()
-    names = set(parse_polynomial(args.p_poly).variables)
-    names.update(parse_polynomial(args.q_poly).variables)
-    names = sorted(names)
+    _, names = _parse_system(args.p_poly, args.q_poly)
     P = parse_polynomial(args.p_poly, variables=names).poly
     Q = parse_polynomial(args.q_poly, variables=names).poly
-    field = _field(args)
+    field = build_extension(args.prime, args.ext)
     b = _int_list(args.point, "the parameter point") if args.point else []
     root_var = None
     if args.root_var is not None:
@@ -262,25 +227,17 @@ def cmd_kappa(args):
              names[root_var if root_var is not None else len(names) - 1]))
     print("common value: %s" % (_fq_repr(value),))
     print("character angle: %s" % char.psi(value))
-    doc = build_report(
-        "kappa",
+    return Outcome(
         {"p_poly": args.p_poly, "q_poly": args.q_poly, "point": args.point,
          "prime": args.prime, "ext": args.ext, "root_var": args.root_var},
+        ["value", "angle"],
+        lambda: [(_fq_repr(value), char.psi(value))],
         records=[{"value": _fq_repr(value),
-                  "angle": str(char.psi(value))}],
-        seed=args.seed)
-    _maybe_outputs(args, doc, ["value", "angle"],
-                   [(_fq_repr(value), char.psi(value))])
-    _print_wall(t0)
-    return 0
+                  "angle": str(char.psi(value))}])
 
 
 def cmd_boxcount(args):
-    t0 = time.perf_counter()
-    system, names = _parse_system(args.system)
-    nvars = args.nvars or (len(names) if names else None)
-    if nvars is None:
-        raise CharsumError("empty system needs --nvars")
+    (system,), nvars = _systems_nvars(args, args.system)
     box = _parse_box(args.box)
     res = box_count(system, args.prime, box, args.dim, nvars=nvars,
                     flag_height=args.flag_height, budget=args.budget)
@@ -294,19 +251,15 @@ def cmd_boxcount(args):
         print("WARNING: variety lies in the hyperplane %s . x = %s (%s)"
               % (list(hp.vector), hp.constant,
                  "exact" if hp.exact else "sampled over 3 large primes"))
-    doc = build_report(
-        "boxcount",
+    return Outcome(
         {"system": args.system, "prime": args.prime, "box": args.box,
          "dim": args.dim, "nvars": nvars, "flag_height": args.flag_height},
-        records=[res], seed=args.seed)
-    _maybe_outputs(args, doc,
-                   ["count", "fraction", "expected"],
-                   [(res.count, res.fraction, res.expected)])
-    _print_wall(t0)
-    return 0
+        ["count", "fraction", "expected"],
+        lambda: [(res.count, res.fraction, res.expected)],
+        records=[res])
 
 
-def _print_series(series, label):
+def _series_outcome(series, label, params, csv_header):
     print("%s records: %d (skipped %d)"
           % (label, len(series.records), len(series.skipped)))
     if series.records:
@@ -318,67 +271,41 @@ def _print_series(series, label):
     if series.dim_warning:
         print("WARNING: dimension estimate is off by >= 0.25; the declared "
               "dimension looks wrong")
+    return Outcome(params, csv_header, lambda: series.records,
+                   records=series.records,
+                   aggregate={"dim_estimate": series.dim_estimate,
+                              "dim_warning": series.dim_warning},
+                   skipped=series.skipped)
 
 
 def cmd_mu0(args):
-    t0 = time.perf_counter()
-    system, names = _parse_system(args.system)
-    nvars = args.nvars or (len(names) if names else None)
-    if nvars is None:
-        raise CharsumError("empty system needs --nvars")
+    (system,), nvars = _systems_nvars(args, args.system)
     primes = primes_in(args.xlimit, _congruence(args))
     series = mu0_sweep(system, args.dim, primes, nvars=nvars,
                        budget=args.budget, jobs=args.jobs)
-    _print_series(series, "leading-order measure")
-    doc = build_report(
-        "mu0",
+    return _series_outcome(
+        series, "leading-order measure",
         {"system": args.system, "dim": args.dim, "xlimit": args.xlimit,
          "nvars": nvars},
-        records=series.records,
-        aggregate={"dim_estimate": series.dim_estimate,
-                   "dim_warning": series.dim_warning},
-        skipped=series.skipped, seed=args.seed)
-    _maybe_outputs(args, doc, ["p", "count", "normalized"],
-                   list(series.records))
-    _print_wall(t0)
-    return 0
+        ["p", "count", "normalized"])
 
 
 def cmd_mu1(args):
-    t0 = time.perf_counter()
-    # both systems share one variable universe, so "y" next to a system
-    # in x and y means the plane curve y = 0, not a point on a line
-    names = set()
-    for text in (args.system, args.system2):
-        for part in text.split(";"):
-            if part.strip():
-                names.update(parse_polynomial(part.strip()).variables)
-    names = sorted(names)
-    system_x, _ = _parse_system(args.system, variables=names)
-    system_xp, _ = _parse_system(args.system2, variables=names)
-    nvars = args.nvars or (len(names) if names else None)
-    if nvars is None:
-        raise CharsumError("empty system needs --nvars")
+    (system_x, system_xp), nvars = _systems_nvars(args, args.system,
+                                                  args.system2)
     primes = primes_in(args.xlimit, _congruence(args))
     series = mu1_sweep(system_x, system_xp, args.dim, primes,
                        nvars_x=nvars, nvars_xp=nvars,
                        budget=args.budget, jobs=args.jobs)
-    _print_series(series, "signed sqrt-scale comparison")
+    out = _series_outcome(
+        series, "signed sqrt-scale comparison",
+        {"system": args.system, "system2": args.system2, "dim": args.dim,
+         "xlimit": args.xlimit},
+        ["p", "count_x", "count_xp", "normalized"])
     if series.records:
         peak = max(abs(r[-1]) for r in series.records)
         print("max |normalized|: %.12g" % peak)
-    doc = build_report(
-        "mu1",
-        {"system": args.system, "system2": args.system2, "dim": args.dim,
-         "xlimit": args.xlimit},
-        records=series.records,
-        aggregate={"dim_estimate": series.dim_estimate,
-                   "dim_warning": series.dim_warning},
-        skipped=series.skipped, seed=args.seed)
-    _maybe_outputs(args, doc, ["p", "count_x", "count_xp", "normalized"],
-                   list(series.records))
-    _print_wall(t0)
-    return 0
+    return out
 
 
 def _read_table_csv(path, p, n):
@@ -386,31 +313,23 @@ def _read_table_csv(path, p, n):
     arr = np.zeros((p,) * n, dtype=np.complex128)
     with open(path, newline="") as fh:
         for row in _csv.reader(fh):
-            if not row:
-                continue
             try:
                 idx = tuple(int(v) % p for v in row[:n])
                 re, im = float(row[n]), float(row[n + 1])
             except (ValueError, IndexError):
-                continue  # header or ragged line
+                continue  # header, blank or ragged line
             arr[idx] = complex(re, im)
     return ValueTable(p, n, arr)
 
 
 def cmd_fourier(args):
-    t0 = time.perf_counter()
     p, n = args.prime, args.nvars
-    sources = [args.const is not None, args.delta, bool(args.indicator),
-               bool(args.input)]
-    if sum(sources) != 1:
-        raise CharsumError("need exactly one of --const, --delta, "
-                           "--indicator, --input")
     if args.const is not None:
         table = constant_table(p, n, complex(args.const))
     elif args.delta:
         table = delta_table(p, n)
-    elif args.indicator:
-        system, names = _parse_system(args.indicator)
+    elif args.indicator is not None:
+        (system,), _ = _parse_system(args.indicator)
         pts = enumerate_points(system, p, nvars=n, budget=args.budget)
         table = ValueTable.indicator(p, n, pts)
     else:
@@ -430,59 +349,42 @@ def cmd_fourier(args):
                                             - flipped / p ** n)))
         print("inversion error: %.3g -> %s"
               % (inversion_err, "PASS" if inversion_err <= 1e-9 else "FAIL"))
-    doc = build_report(
-        "fourier",
-        {"prime": p, "nvars": n, "const": args.const, "delta": args.delta,
-         "indicator": args.indicator, "input": args.input},
-        aggregate={"plancherel_lhs": lhs, "plancherel_rhs": rhs,
-                   "plancherel_diff": abs(lhs - rhs),
-                   "inversion_error": inversion_err},
-        seed=args.seed)
-    if args.json:
-        write_json(args.json, doc)
-    if args.csv:
+
+    def rows():
         if p ** n > CSV_TABLE_CAP:
             raise CharsumError("table too large for CSV: %d^%d > %d"
                                % (p, n, CSV_TABLE_CAP))
-        rows = []
-        for idx in np.ndindex(*out.values.shape):
-            v = out.values[idx]
-            rows.append(tuple(idx) + (v.real, v.imag))
-        write_csv(args.csv, ["x%d" % (i + 1) for i in range(n)]
-                  + ["re", "im"], rows)
-    _print_wall(t0)
-    if inversion_err is not None and inversion_err > 1e-9:
-        return 1
-    return 0
+        return [idx + (v.real, v.imag)
+                for idx, v in np.ndenumerate(out.values)]
+
+    return Outcome(
+        {"prime": p, "nvars": n, "const": args.const, "delta": args.delta,
+         "indicator": args.indicator, "input": args.input},
+        ["x%d" % (i + 1) for i in range(n)] + ["re", "im"], rows,
+        aggregate={"plancherel_lhs": lhs, "plancherel_rhs": rhs,
+                   "plancherel_diff": abs(lhs - rhs),
+                   "inversion_error": inversion_err},
+        failed=inversion_err is not None and inversion_err > 1e-9)
 
 
 def cmd_pushforward(args):
-    t0 = time.perf_counter()
-    system, names = _parse_system(args.system)
-    nvars = args.nvars or (len(names) if names else None)
-    if nvars is None:
-        raise CharsumError("empty system needs --nvars")
+    (system,), nvars = _systems_nvars(args, args.system)
     res = pushforward_weyl(system, args.prime, args.max_moment,
                            nvars=nvars, budget=args.budget)
     print("points: %d, moments: %d" % (res.npoints, len(res.moments)))
     peak = max((abs(v) for m, v in res.moments if any(m)), default=0.0)
     print("max |W_m| over nonzero m: %.12g" % peak)
-    doc = build_report(
-        "pushforward",
+    return Outcome(
         {"system": args.system, "prime": args.prime,
          "max_moment": args.max_moment, "nvars": nvars},
+        ["m", "re", "im", "abs"],
+        lambda: [(" ".join(str(c) for c in m), v.real, v.imag, abs(v))
+                 for m, v in res.moments],
         records=[{"m": list(m), "value": v} for m, v in res.moments],
-        aggregate={"npoints": res.npoints, "max_nonzero": peak},
-        seed=args.seed)
-    _maybe_outputs(args, doc,
-                   ["m", "re", "im", "abs"],
-                   [(" ".join(str(c) for c in m), v.real, v.imag, abs(v))
-                    for m, v in res.moments])
-    _print_wall(t0)
-    return 0
+        aggregate={"npoints": res.npoints, "max_nonzero": peak})
 
 
-def _emit_sweep(args, rep, aggregate_extra=None):
+def _sweep_outcome(args, rep):
     print("samples: %d over %d primes (%d skipped)"
           % (rep.nsamples, len({p for p, _, _ in rep.samples}),
              len(rep.skipped)))
@@ -498,44 +400,37 @@ def _emit_sweep(args, rep, aggregate_extra=None):
     if bins and not rep.empty:
         hist = sample_histogram(rep.samples, bins)
         print("histogram (%d cells): %s" % (bins, hist))
-    aggregate = {"nsamples": rep.nsamples, "ks": rep.ks,
-                 "weyl": [{"h": h, "value": w} for h, w in rep.weyl],
-                 "empty": rep.empty, "hist": hist}
-    if aggregate_extra:
-        aggregate.update(aggregate_extra)
     records = []
-    if getattr(args, "dump_samples", False):
+    if args.dump_samples:
         records = [{"p": p, "residue": r, "angle": a}
                    for p, r, a in rep.samples]
-    doc = build_report(rep.command, rep.params, records=records,
-                       aggregate=aggregate, skipped=rep.skipped,
-                       seed=args.seed)
-    _maybe_outputs(args, doc, ["p", "residue", "angle"],
-                   [(p, r, a) for p, r, a in rep.samples])
-    print("wall time: %.3f s" % rep.wall_time)
+    return Outcome(
+        rep.params, ["p", "residue", "angle"], lambda: rep.samples,
+        records=records,
+        aggregate={"nsamples": rep.nsamples, "ks": rep.ks,
+                   "weyl": [{"h": h, "value": w} for h, w in rep.weyl],
+                   "empty": rep.empty, "hist": hist},
+        skipped=rep.skipped)
 
 
 def cmd_dfi(args):
     rep = dfi_sweep(args.poly, args.xlimit, _congruence(args),
                     weyl_depth=args.weyl_depth, jobs=args.jobs)
-    _emit_sweep(args, rep)
-    return 0
+    return _sweep_outcome(args, rep)
 
 
 def cmd_dfiext(args):
     rep = dfi_extended_sweep(args.poly, args.g, args.xlimit,
                              _congruence(args), split_only=args.split_only,
                              weyl_depth=args.weyl_depth, jobs=args.jobs)
-    _emit_sweep(args, rep)
-    return 0
+    return _sweep_outcome(args, rep)
 
 
 def cmd_multiweyl(args):
     hvec = _int_list(args.h, "the exponent vector")
     rep = multi_weyl(args.poly, args.xlimit, hvec, _congruence(args),
                      split_only=args.split_only, jobs=args.jobs)
-    _emit_sweep(args, rep)
-    return 0
+    return _sweep_outcome(args, rep)
 
 
 def cmd_spcheck(args):
@@ -547,40 +442,36 @@ def cmd_spcheck(args):
         print("VIOLATION at p = %d: t = %d, dist = %s"
               % (r.p, r.t, r.dist))
     print("reciprocal-angle law: %s" % ("PASS" if rep.all_ok else "FAIL"))
-    doc = build_report(
-        "spcheck", {"n": rep.n, "xlimit": rep.xlimit},
+    return Outcome(
+        {"n": rep.n, "xlimit": rep.xlimit},
+        ["p", "k", "residue", "angle", "t", "dist", "law_ok", "pairing_ok"],
+        lambda: [(r.p, r.k, r.residue, r.angle, r.t, r.dist, r.law_ok,
+                  r.pairing_ok) for r in rep.records],
         records=rep.records,
         aggregate={"all_ok": rep.all_ok, "violations": len(bad)},
-        skipped=rep.skipped, seed=args.seed)
-    _maybe_outputs(args, doc,
-                   ["p", "k", "residue", "angle", "t", "dist", "law_ok",
-                    "pairing_ok"],
-                   [(r.p, r.k, r.residue, r.angle, r.t, r.dist,
-                     r.law_ok, r.pairing_ok) for r in rep.records])
-    print("wall time: %.3f s" % rep.wall_time)
-    return 0 if rep.all_ok else 1
+        skipped=rep.skipped, failed=not rep.all_ok)
 
 
-def _parse_elements(text, desc):
+def _parse_elements(args):
+    """The number field of --poly and the elements of --elems in it."""
+    desc = nf_build(_as_rational_coeffs(args.poly))
     elems = []
     fq = [Fraction(c) for c in desc.coeffs]
-    for part in text.split(";"):
+    for part in args.elems.split(";"):
         part = part.strip()
         if not part:
             continue
-        coeffs = _univariate_coeffs_of(part)
+        coeffs = _as_rational_coeffs(part)
         rem = poly_rem(coeffs, fq)
         rem = rem + [Fraction(0)] * (desc.degree - len(rem))
         elems.append(NFElem(desc, rem))
     if not elems:
         raise CharsumError("no elements given")
-    return elems
+    return desc, elems
 
 
 def cmd_latbasis(args):
-    t0 = time.perf_counter()
-    desc = nf_build(_univariate_coeffs_of(args.poly))
-    elems = _parse_elements(args.elems, desc)
+    desc, elems = _parse_elements(args)
     lat = lattice_basis(elems)
     print("field: %s" % (desc,))
     print("lattice rank: %d" % len(lat.basis))
@@ -588,26 +479,20 @@ def cmd_latbasis(args):
         print("basis[%d] = %s" % (i, [str(c) for c in b.coords]))
     for i, row in enumerate(lat.expression):
         print("elem[%d] = %s . basis" % (i, list(row)))
-    doc = build_report(
-        "latbasis", {"poly": args.poly, "elems": args.elems,
-                     "certificate": desc.certificate},
+    return Outcome(
+        {"poly": args.poly, "elems": args.elems,
+         "certificate": desc.certificate},
+        ["kind", "index", "coords"],
+        lambda: [("basis", i, " ".join(str(c) for c in b.coords))
+                 for i, b in enumerate(lat.basis)]
+        + [("expression", i, " ".join(str(c) for c in row))
+           for i, row in enumerate(lat.expression)],
         records=[{"basis": [[c for c in b.coords] for b in lat.basis],
-                  "expression": [list(r) for r in lat.expression]}],
-        seed=args.seed)
-    _maybe_outputs(args, doc,
-                   ["kind", "index", "coords"],
-                   [("basis", i, " ".join(str(c) for c in b.coords))
-                    for i, b in enumerate(lat.basis)]
-                   + [("expression", i, " ".join(str(c) for c in row))
-                      for i, row in enumerate(lat.expression)])
-    _print_wall(t0)
-    return 0
+                  "expression": [list(r) for r in lat.expression]}])
 
 
 def cmd_valueset(args):
-    t0 = time.perf_counter()
-    desc = nf_build(_univariate_coeffs_of(args.poly))
-    elems = _parse_elements(args.elems, desc)
+    desc, elems = _parse_elements(args)
     vs = value_set(elems, sp_mode=args.sp)
     lat = vs.lattice
     print("field: %s" % (desc,))
@@ -620,25 +505,28 @@ def cmd_valueset(args):
                           for a, k in ann.values)
         print("basis[%d] is rational %s; allowed values: %s"
               % (ann.index, ann.value, pairs))
-    doc = build_report(
-        "valueset", {"poly": args.poly, "elems": args.elems, "sp": args.sp,
-                     "certificate": desc.certificate},
+    return Outcome(
+        {"poly": args.poly, "elems": args.elems, "sp": args.sp,
+         "certificate": desc.certificate},
+        ["index", "exponents"],
+        lambda: [(i, " ".join(str(c) for c in row))
+                 for i, row in enumerate(vs.exponents)],
         records=[{
             "basis": [[c for c in b.coords] for b in lat.basis],
             "exponents": [list(r) for r in vs.exponents],
             "annotations": [{"index": a.index, "value": a.value,
                              "values": [[ang, k] for ang, k in a.values]}
-                            for a in vs.annotations]}],
-        seed=args.seed)
-    _maybe_outputs(args, doc,
-                   ["index", "exponents"],
-                   [(i, " ".join(str(c) for c in row))
-                    for i, row in enumerate(vs.exponents)])
-    _print_wall(t0)
-    return 0
+                            for a in vs.annotations]}])
 
 
-# -- parser ------------------------------------------------------------
+# -- parser and runner -------------------------------------------------
+
+
+def positive_int(text):
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError("must be at least 1, got %d" % n)
+    return n
 
 
 @functools.cache
@@ -659,42 +547,55 @@ def _build_parser():
     io.add_argument("--csv", metavar="PATH", help="write a CSV table")
     io.add_argument("--seed", type=int, default=0,
                     help="recorded in reports (all runs are deterministic)")
-    io.add_argument("--jobs", type=int, default=1,
-                    help="worker processes for sweeps")
 
     budget = argparse.ArgumentParser(add_help=False)
     budget.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                         help="point-enumeration budget")
 
-    sweep = argparse.ArgumentParser(add_help=False)
+    nvars = argparse.ArgumentParser(add_help=False)
+    nvars.add_argument("--nvars", type=positive_int)
+
+    congruence = argparse.ArgumentParser(add_help=False)
+    congruence.add_argument("--mod", type=int,
+                            help="congruence filter modulus")
+    congruence.add_argument("--res", type=int,
+                            help="congruence filter residue")
+
+    sweep = argparse.ArgumentParser(add_help=False, parents=[congruence])
     sweep.add_argument("--xlimit", type=int, required=True,
                        help="walk primes up to this bound")
-    sweep.add_argument("--mod", type=int, help="congruence filter modulus")
-    sweep.add_argument("--res", type=int, help="congruence filter residue")
+    sweep.add_argument("--jobs", type=int, default=1,
+                       help="worker processes for the sweep")
 
-    s = sub.add_parser("weil", parents=[io],
-                       help="bound check for a one-variable character sum")
+    roots = argparse.ArgumentParser(add_help=False, parents=[sweep])
+    roots.add_argument("--poly", required=True)
+    roots.add_argument("--dump-samples", dest="dump_samples",
+                       action="store_true",
+                       help="include every sample in the JSON report")
+
+    def command(func, help, parents=()):
+        s = sub.add_parser(func.__name__.removeprefix("cmd_"),
+                           parents=[io, *parents], help=help)
+        s.set_defaults(func=func)
+        return s
+
+    s = command(cmd_weil, "bound check for a one-variable character sum",
+                [congruence])
     s.add_argument("--poly", required=True)
-    s.add_argument("--prime", type=int)
-    s.add_argument("--xlimit", type=int)
-    s.add_argument("--mod", type=int)
-    s.add_argument("--res", type=int)
+    one_or_all = s.add_mutually_exclusive_group(required=True)
+    one_or_all.add_argument("--prime", type=int)
+    one_or_all.add_argument("--xlimit", type=int)
     s.add_argument("--twist", type=int)
-    s.set_defaults(func=cmd_weil)
 
-    s = sub.add_parser("axiom3", parents=[io, budget],
-                       help="positivity floor for a real Laurent polynomial "
-                            "on a curve's character image")
+    s = command(cmd_axiom3, "positivity floor for a real Laurent polynomial "
+                            "on a curve's character image", [budget, nvars])
     s.add_argument("--system", required=True)
     s.add_argument("--laurent", required=True)
     s.add_argument("--prime", type=int, required=True)
-    s.add_argument("--nvars", type=int)
-    s.set_defaults(func=cmd_axiom3)
 
-    s = sub.add_parser("psisym", parents=[io],
-                       help="root-sum terms: evaluate and combine")
+    s = command(cmd_psisym, "root-sum terms: evaluate and combine")
     s.add_argument("--prime", type=int, required=True)
-    s.add_argument("--ext", type=int, default=1)
+    s.add_argument("--ext", type=positive_int, default=1)
     s.add_argument("--twist", type=int)
     s.add_argument("--coeffs", required=True,
                    help="c1,...,cn of x^n + c1 x^(n-1) + ... + cn")
@@ -703,135 +604,108 @@ def _build_parser():
                    default="eval")
     s.add_argument("--verify", action="store_true",
                    help="check the value identity numerically")
-    s.set_defaults(func=cmd_psisym)
 
-    s = sub.add_parser("kappa", parents=[io],
-                       help="common value of Q over the roots of P at a "
-                            "parameter point")
+    s = command(cmd_kappa, "common value of Q over the roots of P at a "
+                           "parameter point")
     s.add_argument("--p-poly", required=True, dest="p_poly")
     s.add_argument("--q-poly", required=True, dest="q_poly")
     s.add_argument("--point", help="b1,...,bk parameter values")
     s.add_argument("--prime", type=int, required=True)
-    s.add_argument("--ext", type=int, default=1)
+    s.add_argument("--ext", type=positive_int, default=1)
     s.add_argument("--root-var", dest="root_var",
                    help="variable to solve for (default: last)")
-    s.set_defaults(func=cmd_kappa)
 
-    s = sub.add_parser("boxcount", parents=[io, budget],
-                       help="points of a variety in a residue box vs the "
-                            "random model")
+    s = command(cmd_boxcount, "points of a variety in a residue box vs the "
+                              "random model", [budget, nvars])
     s.add_argument("--system", required=True)
     s.add_argument("--prime", type=int, required=True)
     s.add_argument("--box", required=True, help="lo:hi,lo:hi,...")
     s.add_argument("--dim", type=int, required=True)
-    s.add_argument("--nvars", type=int)
     s.add_argument("--flag-height", dest="flag_height", type=int,
                    default=HEIGHT_CAP,
                    help="hyperplane search height (0 disables)")
-    s.set_defaults(func=cmd_boxcount)
 
-    s = sub.add_parser("mu0", parents=[io, budget, sweep],
-                       help="leading-order measure sweep |D| / p^dim")
+    s = command(cmd_mu0, "leading-order measure sweep |D| / p^dim",
+                [budget, nvars, sweep])
     s.add_argument("--system", required=True)
     s.add_argument("--dim", type=int, required=True)
-    s.add_argument("--nvars", type=int)
-    s.set_defaults(func=cmd_mu0)
 
-    s = sub.add_parser("mu1", parents=[io, budget, sweep],
-                       help="sqrt-scale signed comparison of two varieties")
+    s = command(cmd_mu1, "sqrt-scale signed comparison of two varieties",
+                [budget, nvars, sweep])
     s.add_argument("--system", required=True)
     s.add_argument("--system2", required=True)
     s.add_argument("--dim", type=int, required=True)
-    s.add_argument("--nvars", type=int)
-    s.set_defaults(func=cmd_mu1)
 
-    s = sub.add_parser("fourier", parents=[io, budget],
-                       help="finite Fourier transform of a table on F_p^n")
+    s = command(cmd_fourier, "finite Fourier transform of a table on F_p^n",
+                [budget])
     s.add_argument("--prime", type=int, required=True)
-    s.add_argument("--nvars", type=int, default=1)
-    s.add_argument("--const", type=float)
-    s.add_argument("--delta", action="store_true")
-    s.add_argument("--indicator", help="system whose zero set is the "
-                                       "indicator's support")
-    s.add_argument("--input", help="CSV of x1..xn,re,im rows")
+    s.add_argument("--nvars", type=positive_int, default=1)
+    source = s.add_mutually_exclusive_group(required=True)
+    source.add_argument("--const", type=float)
+    source.add_argument("--delta", action="store_true")
+    source.add_argument("--indicator", help="system whose zero set is the "
+                                            "indicator's support")
+    source.add_argument("--input", help="CSV of x1..xn,re,im rows")
     s.add_argument("--verify", action="store_true",
                    help="also check the inversion identity")
-    s.set_defaults(func=cmd_fourier)
 
-    s = sub.add_parser("pushforward", parents=[io, budget],
-                       help="torus moments of a variety's counting measure")
+    s = command(cmd_pushforward, "torus moments of a variety's counting "
+                                 "measure", [budget, nvars])
     s.add_argument("--system", required=True)
     s.add_argument("--prime", type=int, required=True)
     s.add_argument("--max-moment", dest="max_moment", type=int, default=3)
-    s.add_argument("--nvars", type=int)
-    s.set_defaults(func=cmd_pushforward)
 
-    s = sub.add_parser("dfi", parents=[io, sweep],
-                       help="root-angle equidistribution sweep")
-    s.add_argument("--poly", required=True)
+    s = command(cmd_dfi, "root-angle equidistribution sweep", [roots])
     s.add_argument("--weyl-depth", dest="weyl_depth", type=int, default=5)
     s.add_argument("--hist-bins", dest="hist_bins", type=int)
-    s.add_argument("--dump-samples", dest="dump_samples",
-                   action="store_true",
-                   help="include every sample in the JSON report")
-    s.set_defaults(func=cmd_dfi)
 
-    s = sub.add_parser("dfiext", parents=[io, sweep],
-                       help="equidistribution of a derived element g(root)")
-    s.add_argument("--poly", required=True)
+    s = command(cmd_dfiext, "equidistribution of a derived element g(root)",
+                [roots])
     s.add_argument("--g", required=True)
     s.add_argument("--split-only", dest="split_only", action="store_true")
     s.add_argument("--weyl-depth", dest="weyl_depth", type=int, default=5)
     s.add_argument("--hist-bins", dest="hist_bins", type=int)
-    s.add_argument("--dump-samples", dest="dump_samples",
-                   action="store_true")
-    s.set_defaults(func=cmd_dfiext)
 
-    s = sub.add_parser("multiweyl", parents=[io, sweep],
-                       help="joint Weyl sum over root powers")
-    s.add_argument("--poly", required=True)
+    s = command(cmd_multiweyl, "joint Weyl sum over root powers", [roots])
     s.add_argument("--h", required=True, help="h1,...,hk weighting r^1..r^k")
     s.add_argument("--split-only", dest="split_only", action="store_true")
-    s.add_argument("--dump-samples", dest="dump_samples",
-                   action="store_true")
-    s.set_defaults(func=cmd_multiweyl)
 
-    s = sub.add_parser("spcheck", parents=[io],
-                       help="exact reciprocal-angle law check")
+    s = command(cmd_spcheck, "exact reciprocal-angle law check")
     s.add_argument("--n", type=int, required=True)
     s.add_argument("--xlimit", type=int, required=True)
-    s.set_defaults(func=cmd_spcheck)
 
-    s = sub.add_parser("latbasis", parents=[io],
-                       help="integer lattice basis for number field "
-                            "elements")
+    s = command(cmd_latbasis, "integer lattice basis for number field "
+                              "elements")
     s.add_argument("--poly", required=True,
                    help="monic integer defining polynomial")
     s.add_argument("--elems", required=True,
                    help="semicolon-separated polynomials in the root")
-    s.set_defaults(func=cmd_latbasis)
 
-    s = sub.add_parser("valueset", parents=[io],
-                       help="multiplicative value-set description of "
-                            "character values")
+    s = command(cmd_valueset, "multiplicative value-set description of "
+                              "character values")
     s.add_argument("--poly", required=True)
     s.add_argument("--elems", required=True)
     s.add_argument("--sp", action="store_true",
                    help="annotate rational basis values with their allowed "
                         "angles and selecting residues")
-    s.set_defaults(func=cmd_valueset)
 
     return parser
 
 
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
+    t0 = time.perf_counter()
     try:
-        return args.func(args)
-    except CharsumError as exc:
+        out = args.func(args)
+        if args.json:
+            write_json(args.json, build_report(
+                args.command, out.params, records=out.records,
+                aggregate=out.aggregate, skipped=out.skipped,
+                seed=args.seed))
+        if args.csv:
+            write_csv(args.csv, out.csv_header, out.csv_rows())
+    except (CharsumError, ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
-    except ValueError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
+    print("wall time: %.3f s" % (time.perf_counter() - t0))
+    return 1 if out.failed else 0

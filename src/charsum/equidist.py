@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -82,7 +81,6 @@ class SweepReport:
     samples: tuple      # ((p, residue, Fraction(residue, p)), ...)
     skipped: tuple      # ((p, reason), ...)
     empty: bool
-    wall_time: float
 
 
 def _as_rational_coeffs(f, what="polynomial"):
@@ -208,7 +206,6 @@ def dfi_sweep(f, xlimit, congruence=None, weyl_depth=WEYL_DEPTH,
               jobs=1) -> SweepReport:
     """Distribution of the roots of an irreducible integer polynomial,
     normalized to [0, 1), over all usable primes up to xlimit."""
-    t0 = time.perf_counter()
     ints = _integer_form(_as_rational_coeffs(f))
     deg = len(ints) - 1
     if deg < 1:
@@ -230,8 +227,7 @@ def dfi_sweep(f, xlimit, congruence=None, weyl_depth=WEYL_DEPTH,
               "weyl_depth": weyl_depth, "certificate": cert.certificate}
     return SweepReport(command="dfi", params=params, nsamples=len(samples),
                        ks=ks, weyl=weyl, samples=tuple(samples),
-                       skipped=tuple(skipped), empty=not samples,
-                       wall_time=time.perf_counter() - t0)
+                       skipped=tuple(skipped), empty=not samples)
 
 
 def _value_worker(ints, gq, p):
@@ -242,7 +238,7 @@ def _value_worker(ints, gq, p):
 
 
 def _element_sweep(command, f, gq, xlimit, congruence, split_only,
-                   weyl_depth, jobs, params_extra, t0):
+                   weyl_depth, jobs, params_extra):
     """Shared body of the derived-element sweep and the joint Weyl sum:
     samples are g(root) mod p over the roots of f mod p."""
     ints = _integer_form(_as_rational_coeffs(f))
@@ -273,8 +269,7 @@ def _element_sweep(command, f, gq, xlimit, congruence, split_only,
     return SweepReport(command=command, params=params,
                        nsamples=len(samples), ks=ks, weyl=weyl,
                        samples=tuple(samples), skipped=tuple(skipped),
-                       empty=not samples,
-                       wall_time=time.perf_counter() - t0)
+                       empty=not samples)
 
 
 def dfi_extended_sweep(f, g, xlimit, congruence=None, split_only=False,
@@ -284,7 +279,6 @@ def dfi_extended_sweep(f, g, xlimit, congruence=None, split_only=False,
     g is a rational polynomial in the root; it must be non-constant
     modulo f, otherwise the values are forced and there is nothing to
     test."""
-    t0 = time.perf_counter()
     gq = _as_rational_coeffs(g, what="the derived element")
     ints = _integer_form(_as_rational_coeffs(f))
     rem = poly_rem(gq, [Fraction(c) for c in ints])
@@ -293,7 +287,7 @@ def dfi_extended_sweep(f, g, xlimit, congruence=None, split_only=False,
                            "does not apply")
     gshow = poly_to_string(MPoly.from_univariate(gq), ("x",))
     return _element_sweep("dfiext", f, gq, xlimit, congruence, split_only,
-                          weyl_depth, jobs, {"g": gshow}, t0)
+                          weyl_depth, jobs, {"g": gshow})
 
 
 def multi_weyl(f, xlimit, hvec, congruence=None, split_only=False,
@@ -305,21 +299,19 @@ def multi_weyl(f, xlimit, hvec, congruence=None, split_only=False,
     this identical, float for float, to the first Weyl sum of the
     derived-element sweep with g = sum h_i x^i.
     """
-    t0 = time.perf_counter()
     hvec = tuple(int(h) for h in hvec)
     if not hvec or all(h == 0 for h in hvec):
         raise CharsumError("h must be a nonzero integer vector")
     gq = [Fraction(0)] + [Fraction(h) for h in hvec]
     report = _element_sweep("multiweyl", f, gq, xlimit, congruence,
-                            split_only, 1, jobs, {"h": list(hvec)}, t0)
+                            split_only, 1, jobs, {"h": list(hvec)})
     weyl = ()
     if not report.empty:
         weyl = ((hvec, weyl_sum(_floats(report.samples), 1)),)
     return SweepReport(command=report.command, params=report.params,
                        nsamples=report.nsamples, ks=None, weyl=weyl,
                        samples=report.samples, skipped=report.skipped,
-                       empty=report.empty,
-                       wall_time=time.perf_counter() - t0)
+                       empty=report.empty)
 
 
 @dataclass(frozen=True)
@@ -341,14 +333,12 @@ class SPReport:
     records: tuple
     skipped: tuple
     all_ok: bool
-    wall_time: float
 
 
 def sp_check(n, xlimit) -> SPReport:
     """Exact check of the reciprocal-angle law: for p not dividing n, the
     angle of the inverse of n mod p sits at distance exactly 1/(n p) from
     the multiple t/n selected by t = -inverse(p) mod n."""
-    t0 = time.perf_counter()
     if not isinstance(n, int) or n < 1:
         raise CharsumError("n must be a positive integer")
     records, skipped = [], []
@@ -372,5 +362,4 @@ def sp_check(n, xlimit) -> SPReport:
                                 pairing_ok=pairing_ok))
     all_ok = all(r.law_ok and r.pairing_ok for r in records)
     return SPReport(n=n, xlimit=xlimit, records=tuple(records),
-                    skipped=tuple(skipped), all_ok=all_ok,
-                    wall_time=time.perf_counter() - t0)
+                    skipped=tuple(skipped), all_ok=all_ok)

@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 BASE = [sys.executable, "-m", "charsum"]
 
 
@@ -30,6 +32,15 @@ def test_weil_needs_a_prime_or_a_limit():
     r = run("weil", "--poly", "x^2")
     assert r.returncode == 2
     assert "error:" in r.stderr
+    both = run("weil", "--poly", "x^2", "--prime", "7", "--xlimit", "9")
+    assert both.returncode == 2
+    assert "not allowed with" in both.stderr
+
+
+def test_jobs_only_on_pool_sweeps():
+    r = run("weil", "--poly", "x", "--prime", "7", "--jobs", "2")
+    assert r.returncode == 2
+    assert "unrecognized arguments: --jobs" in r.stderr
 
 
 def test_weil_wild_degree_single_prime_is_usage_error():
@@ -326,3 +337,77 @@ def test_valueset_reducible_poly_rejected():
     r = run("valueset", "--poly", "x^2 - 1", "--elems", "x")
     assert r.returncode == 2
     assert "reducible" in r.stderr
+
+
+def test_file_errors_are_usage_errors(tmp_path):
+    missing = tmp_path / "no" / "such"
+    for args in (("weil", "--poly", "x^2 + 1", "--prime", "7",
+                  "--json", str(missing / "x.json")),
+                 ("weil", "--poly", "x^2 + 1", "--prime", "7",
+                  "--csv", str(missing / "x.csv")),
+                 ("fourier", "--prime", "7", "--input",
+                  str(missing / "t.csv"))):
+        r = run(*args)
+        assert r.returncode == 2, args
+        assert "error:" in r.stderr
+        assert "Traceback" not in r.stderr
+
+
+def test_counts_must_be_positive():
+    for args in (("fourier", "--prime", "7", "--nvars", "-1", "--const", "1"),
+                 ("fourier", "--prime", "7", "--nvars", "0", "--const", "1"),
+                 ("mu0", "--system", "x", "--dim", "1", "--xlimit", "20",
+                  "--nvars", "0"),
+                 ("psisym", "--prime", "7", "--ext", "0", "--coeffs", "1"),
+                 ("kappa", "--p-poly", "y^2 - b", "--q-poly", "y",
+                  "--point", "4", "--prime", "11", "--ext", "0")):
+        r = run(*args)
+        assert r.returncode == 2, args
+        assert "must be at least 1" in r.stderr
+        assert "Traceback" not in r.stderr
+
+
+# One invocation of every subcommand and the header row of its CSV table.
+CSV_CASES = [
+    (["weil", "--poly", "x^3 + x", "--xlimit", "30"],
+     "p,degree,magnitude,bound,normalized,passed"),
+    (["axiom3", "--system", "x*y - 1", "--laurent", "z1*zb2 + zb1*z2",
+      "--prime", "31"], "sup,tolerance,npoints,passed"),
+    (["psisym", "--prime", "13", "--coeffs", "1,5", "--op", "conj",
+      "--verify"], "nroots,re,im"),
+    (["kappa", "--p-poly", "y^2 - b", "--q-poly", "y^2", "--point", "4",
+      "--prime", "11"], "value,angle"),
+    (["boxcount", "--system", "y - x^2", "--prime", "31", "--box",
+      "0:16,0:16", "--dim", "1"], "count,fraction,expected"),
+    (["mu0", "--system", "x*y - 1", "--dim", "1", "--xlimit", "30"],
+     "p,count,normalized"),
+    (["mu1", "--system", "y^2 - x^3 - x", "--system2", "y", "--dim", "1",
+      "--xlimit", "30"], "p,count_x,count_xp,normalized"),
+    (["fourier", "--prime", "5", "--nvars", "2", "--delta"], "x1,x2,re,im"),
+    (["pushforward", "--system", "y - x - 5", "--prime", "31",
+      "--max-moment", "1"], "m,re,im,abs"),
+    (["dfi", "--poly", "x^2 + 1", "--xlimit", "100"], "p,residue,angle"),
+    (["dfiext", "--poly", "x^3 - 2", "--g", "2*x + 3*x^2",
+      "--xlimit", "100"], "p,residue,angle"),
+    (["multiweyl", "--poly", "x^3 - 2", "--h", "2,3", "--xlimit", "100"],
+     "p,residue,angle"),
+    (["spcheck", "--n", "3", "--xlimit", "50"],
+     "p,k,residue,angle,t,dist,law_ok,pairing_ok"),
+    (["latbasis", "--poly", "x^2 - 2", "--elems", "1 + x; 2*x"],
+     "kind,index,coords"),
+    (["valueset", "--poly", "x + 2", "--elems", "1/2; 1/3"],
+     "index,exponents"),
+]
+
+
+@pytest.mark.parametrize("argv,header", CSV_CASES,
+                         ids=[argv[0] for argv, _ in CSV_CASES])
+def test_every_subcommand_writes_json_and_csv(tmp_path, capsys, argv,
+                                              header):
+    from charsum.cli import main
+    json_path, csv_path = tmp_path / "r.json", tmp_path / "r.csv"
+    assert main(argv + ["--json", str(json_path),
+                        "--csv", str(csv_path)]) == 0
+    assert json.loads(json_path.read_text())["command"] == argv[0]
+    assert csv_path.read_text().splitlines()[0] == header
+    assert "wall time: " in capsys.readouterr().out
