@@ -38,8 +38,8 @@ from .parser import parse_polynomial, print_polynomial
 from .points import DEFAULT_BUDGET, enumerate_points
 from .primes import primes_in
 from .report import build_report, write_csv, write_json
-from .rootsums import (kappa_eval, make_term, psisym_add, psisym_conj,
-                       psisym_eval, psisym_mul, rational_roots)
+from .rootsums import (kappa_eval, make_term, psi_sum, psisym_add,
+                       psisym_conj, psisym_eval, psisym_mul, rational_roots)
 from .weil import HEIGHT_CAP, axiom3_sup, box_count, weil_check, weil_sweep
 from ._version import __version__
 
@@ -58,26 +58,33 @@ class Outcome:
     failed: bool = False
 
 
-def _parse_system(*texts):
+def _parse_system(*texts, nvars=None):
     """Semicolon-separated polynomial systems over one sorted variable
     universe, so "y" next to a system in x and y means the plane curve
-    y = 0, not a point on a line.  Returns (one list of MPoly per text,
-    variable names)."""
+    y = 0, not a point on a line.  `nvars` (--nvars) pads the universe
+    with free variables after the named ones.  Returns (one list of MPoly
+    per text, variable names)."""
     parts = [[s.strip() for s in text.split(";") if s.strip()]
              for text in texts]
     names = sorted({v for ps in parts for s in ps
                     for v in parse_polynomial(s).variables})
+    if nvars is not None:
+        if nvars < len(names):
+            raise CharsumError("--nvars %d is below the %d variables the "
+                               "system uses" % (nvars, len(names)))
+        # "_k" cannot be written in a polynomial, so it names no input
+        names += ["_%d" % k for k in range(len(names), nvars)]
     return ([[parse_polynomial(s, variables=names).poly for s in ps]
              for ps in parts], names)
 
 
 def _systems_nvars(args, *texts):
-    """The systems of `texts` and --nvars, else the size of their universe."""
-    systems, names = _parse_system(*texts)
-    nvars = args.nvars or len(names)
-    if not nvars:
+    """The systems of `texts` over --nvars variables, else over their
+    universe."""
+    systems, names = _parse_system(*texts, nvars=args.nvars)
+    if not names:
         raise CharsumError("empty system needs --nvars")
-    return systems, nvars
+    return systems, len(names)
 
 
 def _parse_box(text):
@@ -186,8 +193,9 @@ def cmd_psisym(args):
         result = psisym_mul(t1, t2)
         expect = lambda v1: v1 * psisym_eval(t2, char)
 
-    value = psisym_eval(result, char)
-    nroots = len(rational_roots(result))
+    roots = rational_roots(result)
+    value = psi_sum(roots, char)
+    nroots = len(roots)
     print("result coefficients: %s" % [_fq_repr(c) for c in result.coeffs])
     print("rational roots (with multiplicity): %d" % nroots)
     print("value: %.12g %+.12gi" % (value.real, value.imag))
@@ -329,7 +337,7 @@ def cmd_fourier(args):
     elif args.delta:
         table = delta_table(p, n)
     elif args.indicator is not None:
-        (system,), _ = _parse_system(args.indicator)
+        (system,), _ = _parse_system(args.indicator, nvars=n)
         pts = enumerate_points(system, p, nvars=n, budget=args.budget)
         table = ValueTable.indicator(p, n, pts)
     else:

@@ -1,23 +1,53 @@
-"""Finite fields F_{p^e}: descriptors, elements, trace, Frobenius.
+"""Finite fields F_{p^e}: descriptors, elements, trace, Frobenius, and
+packed tables for small fields.
 
 An extension is represented by its canonical modulus: the monic
 irreducible of degree e whose coefficient vector (read from the x^{e-1}
 coefficient down to the constant) is lexicographically smallest.  Elements
 are immutable coefficient vectors in the power basis of that modulus.
+
+For q <= TABLE_LIMIT (2^16), `packed_field` gives numpy tables on packed
+elements: the integer whose base-p digits are the coefficients, c_0 the
+most significant, so that integer order is the canonical element order.
+They hold the digits of every element (addition digit-wise mod p, XOR
+over F_2) and exp/log tables of a primitive element (multiplication).
+The trace is the F_p-linear form sum c_i Tr(x^i), with Tr(x^i) taken
+once per field from the modulus by Newton's identities.
 """
 
 from __future__ import annotations
 
+import functools
 from itertools import product
+
+import numpy as np
 
 from . import fppoly
 from .errors import CharsumError
 from .primes import is_prime
 
+# Largest field that gets packed tables: at q = 2^16 and e = 16 they
+# take about 7 MB.
+TABLE_LIMIT = 1 << 16
+
 
 def _check_prime(p):
     if not is_prime(p):
         raise CharsumError("%d is not prime" % p)
+
+
+def _prime_divisors(n):
+    divs = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            divs.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        divs.append(n)
+    return divs
 
 
 def _is_irreducible_mod(coeffs, p):
@@ -27,24 +57,12 @@ def _is_irreducible_mod(coeffs, p):
         return False
     f = [c % p for c in coeffs]
     x = [0, 1]
-    # distinct prime divisors of e
-    divs = []
-    m = e
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            divs.append(d)
-            while m % d == 0:
-                m //= d
-        d += 1
-    if m > 1:
-        divs.append(m)
-    for r in divs:
-        h = fppoly.powmod(x, p ** (e // r), f, p)
+    for r in _prime_divisors(e):
+        h = fppoly.powmod_x(p ** (e // r), f, p)
         g = fppoly.gcd(fppoly.sub(h, x, p), f, p)
         if fppoly.degree(g) != 0:
             return False
-    h = fppoly.powmod(x, p ** e, f, p)
+    h = fppoly.powmod_x(p ** e, f, p)
     return fppoly.sub(h, x, p) == []
 
 
@@ -119,8 +137,10 @@ def prime_field(p) -> ExtFieldDesc:
     return ExtFieldDesc(p, 1)
 
 
+@functools.lru_cache(maxsize=64)
 def build_extension(p, e) -> ExtFieldDesc:
-    """F_{p^e} on the canonical (smallest) irreducible modulus."""
+    """F_{p^e} on the canonical (smallest) irreducible modulus; one
+    descriptor per (p, e), so the tables cached per field are found again."""
     _check_prime(p)
     if e == 1:
         return prime_field(p)
@@ -259,14 +279,97 @@ def frobenius(x: FqElem) -> FqElem:
     return x ** x.field.p
 
 
+@functools.lru_cache(maxsize=256)
+def _trace_form(field):
+    """(Tr(x^0), ..., Tr(x^{e-1})): the power sums of the modulus's roots
+    (the conjugates of x), by Newton's identities."""
+    p, e, a = field.p, field.e, field.modulus
+    s = [e % p]
+    for k in range(1, e):
+        acc = k * a[e - k]
+        for j in range(1, k):
+            acc += a[e - j] * s[k - j]
+        s.append(-acc % p)
+    return tuple(s)
+
+
 def fq_trace(x: FqElem) -> int:
     """Trace down to F_p, returned as a residue in [0, p)."""
-    acc = x
-    term = x
-    for _ in range(x.field.e - 1):
-        term = frobenius(term)
-        acc = acc + term
-    return acc.residue()
+    return sum(c * t for c, t in zip(x.coeffs, _trace_form(x.field))) \
+        % x.field.p
+
+
+class PackedField:
+    """Numpy tables of F_q on packed elements (see the module docstring).
+
+    `digits[n]` are the coefficients of element n; `exp[k]` is g^k for a
+    primitive element g, and `log` inverts it.  log[0] is the sentinel 2n
+    (n = q - 1) and exp is zero from 2n on, so a product with a zero
+    factor needs no branch.
+    """
+
+    __slots__ = ("field", "weights", "digits", "exp", "log")
+
+    def __init__(self, field):
+        p, e, q = field.p, field.e, field.order
+        if q > TABLE_LIMIT:
+            raise CharsumError("packed tables need q <= %d" % TABLE_LIMIT)
+        n = q - 1
+        self.field = field
+        self.weights = p ** np.arange(e - 1, -1, -1, dtype=np.int64)
+        self.digits = (np.arange(q, dtype=np.int32)[:, None]
+                       // self.weights.astype(np.int32) % p)
+        # Powers of g by doubling: times g^m is an e x e matrix over F_p
+        # acting on digit rows, and block [g^m, g^2m) is block [1, g^m)
+        # times that matrix.
+        g = _primitive_element(field)
+        basis = [field.element((0,) * i + (1,)) for i in range(e)]
+        mat = np.array([(b * g).coeffs for b in basis], dtype=np.int64)
+        rows = np.zeros((1, e), dtype=np.int64)
+        rows[0, 0] = 1
+        while len(rows) < n:
+            rows = np.vstack((rows, rows @ mat % p))
+            mat = mat @ mat % p
+        powers = rows[:n] @ self.weights
+        self.exp = np.zeros(4 * n + 1, dtype=np.int64)
+        self.exp[:n] = powers
+        self.exp[n:2 * n] = powers
+        self.log = np.empty(q, dtype=np.int64)
+        self.log[powers] = np.arange(n)
+        self.log[0] = 2 * n
+
+    def pack(self, x: FqElem) -> int:
+        return sum(int(c) * int(w) for c, w in zip(x.coeffs, self.weights))
+
+    def unpack(self, ns) -> list:
+        """FqElems of an array of packed elements."""
+        return [FqElem(self.field, row) for row in self.digits[ns].tolist()]
+
+    def add(self, a, b):
+        if self.field.p == 2:
+            return a ^ b
+        return (self.digits[a] + self.digits[b]) % self.field.p @ self.weights
+
+    def mul(self, a, b):
+        return self.exp[self.log[a] + self.log[b]]
+
+
+def _primitive_element(field):
+    """The first element in canonical order that generates F_q^*; a
+    fraction phi(q-1)/(q-1) of the elements do, so few are tried."""
+    n = field.order - 1
+    divs = _prime_divisors(n)
+    for vec in product(range(field.p), repeat=field.e):
+        x = FqElem(field, vec)
+        if not x.is_zero() and all(x ** (n // r) != field.one()
+                                   for r in divs):
+            return x
+
+
+@functools.lru_cache(maxsize=8)
+def packed_field(field) -> PackedField:
+    """The tables of `field`, built once per descriptor."""
+    return PackedField(field)
 
 
 def sqrt_mod(a, p):

@@ -104,6 +104,17 @@ def powmod(f, e, m, p):
     return out
 
 
+def powmod_x(e, m, p):
+    """x^e mod (m, p), left to right: each step squares, and a set bit
+    multiplies by x, which is a shift and one reduction step."""
+    out = [1]
+    for bit in bin(e)[2:]:
+        out = mulmod(out, out, m, p)
+        if bit == "1" and out:
+            out = mod([0] + out, m, p)
+    return out
+
+
 def evaluate(f, x, p):
     acc = 0
     for c in reversed(f):

@@ -1,11 +1,14 @@
 """Roots of univariate polynomials over finite fields.
 
 Over F_p every prime takes one path: degrees 1 and 2 in closed form,
-higher degrees by gcd with x^p - x and equal-degree splitting
-(Cantor-Zassenhaus).  Over a proper extension F_q, fields with
-q <= 2^16 are scanned and larger ones take the same gcd-and-split path.
-The splitting randomness is seeded from (p, f) so repeated runs and
-parallel sweeps agree.
+higher degrees by gcd with x^p - x (x^p by shifting) and equal-degree
+splitting (Cantor-Zassenhaus).  Over a proper extension F_q with
+q <= TABLE_LIMIT (2^16) one numpy Horner pass over all q packed elements
+(`ffield.packed_field`) finds the roots, and one synthetic division over
+all of them at once per round gives their multiplicities.  Larger q take
+the gcd-and-split path on `FqElem` polynomials, with multiplicities from
+repeated gcds.  The splitting randomness is seeded from (p, f) so
+repeated runs and parallel sweeps agree.
 """
 
 from __future__ import annotations
@@ -17,10 +20,9 @@ import numpy as np
 
 from . import fppoly
 from .errors import CharsumError
-from .ffield import ExtFieldDesc, FqElem, sqrt_mod
+from .ffield import (TABLE_LIMIT, ExtFieldDesc, FqElem, packed_field,
+                     sqrt_mod)
 from .mpoly import check_int64_modulus
-
-SCAN_LIMIT = 1 << 16
 
 
 def _splitting_rng(p, coeffs):
@@ -105,7 +107,7 @@ def roots_mod_p(coeffs, p) -> list:
     fm = fppoly.monic(f, p)
     if fppoly.degree(fm) <= 2:
         return _split_linear(fm, p, None)
-    xp = fppoly.powmod([0, 1], p, fm, p)
+    xp = fppoly.powmod_x(p, fm, p)
     g = fppoly.gcd(fppoly.sub(xp, [0, 1], p), fm, p)
     if fppoly.degree(g) <= 0:
         return []
@@ -223,26 +225,31 @@ def _fq_split_linear(g, field, rng):
                     + _fq_split_linear(d2, field, rng))
 
 
-def _fq_multiplicities(f, roots, field):
-    out = []
-    for r in roots:
-        g = list(f)
-        m = 0
-        while g:
-            # synthetic division by (x - r)
-            acc = field.zero()
-            coeffs = []
-            for c in reversed(g):
-                acc = acc * r + c
-                coeffs.append(acc)
-            rem = coeffs.pop()
-            if not rem.is_zero():
-                break
-            m += 1
-            coeffs.reverse()
-            g = _fq_trim(coeffs)
-        out.extend([r] * m)
-    return out
+def _packed_roots(f, field):
+    """Sorted roots with multiplicity of f (degree >= 1) over F_q,
+    q <= TABLE_LIMIT: Horner over every packed element, then synthetic
+    division of f by (x - r) for all surviving roots r at once."""
+    F = packed_field(field)
+    coeffs = [F.pack(c) for c in f]
+    xs = np.arange(field.order, dtype=np.int64)
+    acc = np.full(field.order, coeffs[-1], dtype=np.int64)
+    for c in reversed(coeffs[:-1]):
+        acc = F.add(F.mul(acc, xs), c)
+    hits = np.flatnonzero(acc == 0)
+    mult = np.zeros(len(hits), dtype=np.int64)
+    live = np.arange(len(hits))
+    g = np.tile(np.array(coeffs, dtype=np.int64), (len(hits), 1))
+    while len(live) and g.shape[1] > 1:
+        r = hits[live]
+        quot = np.empty((len(live), g.shape[1] - 1), dtype=np.int64)
+        acc = g[:, -1]
+        for i in range(g.shape[1] - 2, -1, -1):
+            quot[:, i] = acc
+            acc = F.add(g[:, i], F.mul(acc, r))
+        divides = acc == 0
+        mult[live[divides]] += 1
+        live, g = live[divides], quot[divides]
+    return F.unpack(np.repeat(hits, mult))
 
 
 def poly_roots_fq(coeffs, field: ExtFieldDesc) -> list:
@@ -257,20 +264,20 @@ def poly_roots_fq(coeffs, field: ExtFieldDesc) -> list:
         return [field.element(r) for r in roots_mod_p(ints, field.p)]
     if len(f) == 1:
         return []
-    if field.order <= SCAN_LIMIT:
-        hits = []
-        for x in field.elements():
-            acc = field.zero()
-            for c in reversed(f):
-                acc = acc * x + c
-            if acc.is_zero():
-                hits.append(x)
-        return sorted(_fq_multiplicities(f, hits, field))
+    if field.order <= TABLE_LIMIT:
+        return _packed_roots(f, field)
     fm = _fq_monic(f, field)
     xq = _fq_powmod([field.zero(), field.one()], field.order, fm, field)
-    g = _fq_gcd(_fq_sub(xq, [field.zero(), field.one()], field), fm, field)
-    if len(g) - 1 <= 0:
-        return []
+    layer = _fq_gcd(_fq_sub(xq, [field.zero(), field.one()], field), fm,
+                    field)
     rng = _splitting_rng(field.p, tuple(c.coeffs for c in f))
-    roots = _fq_split_linear(g, field, rng)
-    return sorted(_fq_multiplicities(f, roots, field))
+    # layer k is the product of (x - r) over the roots r of multiplicity
+    # at least k; dividing it by the next layer leaves multiplicity k.
+    roots, rest, k = [], fm, 1
+    while len(layer) > 1:
+        rest = _fq_divmod(rest, layer, field)[0]
+        deeper = _fq_gcd(rest, layer, field)
+        exact = _fq_divmod(layer, deeper, field)[0]
+        roots += _fq_split_linear(exact, field, rng) * k
+        layer, k = deeper, k + 1
+    return sorted(roots)

@@ -57,15 +57,20 @@ def rational_roots(term: PsiSymTerm) -> list:
     return poly_roots_fq(term.monic_poly(), term.field)
 
 
-def psisym_eval(term: PsiSymTerm, char: CharacterDesc) -> complex:
-    if char.field != term.field:
-        raise CharsumError("character and term live over different fields")
+def psi_sum(roots, char: CharacterDesc) -> complex:
+    """Sum of Psi over a root multiset, each part summed exactly."""
     res, ims = [], []
-    for r in rational_roots(term):
+    for r in roots:
         z = char.psi(r).to_complex()
         res.append(z.real)
         ims.append(z.imag)
     return complex(math.fsum(res), math.fsum(ims))
+
+
+def psisym_eval(term: PsiSymTerm, char: CharacterDesc) -> complex:
+    if char.field != term.field:
+        raise CharsumError("character and term live over different fields")
+    return psi_sum(rational_roots(term), char)
 
 
 def psisym_conj(term: PsiSymTerm) -> PsiSymTerm:
@@ -101,7 +106,8 @@ def psisym_mul(t1: PsiSymTerm, t2: PsiSymTerm) -> PsiSymTerm:
     if t1.field != t2.field:
         raise CharsumError("terms live over different fields")
     field = t1.field
-    roots = [a + b for a in rational_roots(t1) for b in rational_roots(t2)]
+    roots1, roots2 = rational_roots(t1), rational_roots(t2)
+    roots = [a + b for a in roots1 for b in roots2]
     poly = [field.one()]
     for r in roots:
         # multiply by (x - r)

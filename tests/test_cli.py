@@ -4,6 +4,8 @@ import sys
 
 import pytest
 
+from charsum import primes_in
+
 BASE = [sys.executable, "-m", "charsum"]
 
 
@@ -411,3 +413,65 @@ def test_every_subcommand_writes_json_and_csv(tmp_path, capsys, argv,
     assert json.loads(json_path.read_text())["command"] == argv[0]
     assert csv_path.read_text().splitlines()[0] == header
     assert "wall time: " in capsys.readouterr().out
+
+
+# The line x = 1 given as a system in one named variable plus --nvars 2,
+# and where each subcommand reports its size.
+NVARS_CASES = [
+    (["mu0", "--system", "x - 1", "--dim", "1", "--xlimit", "30"],
+     lambda doc: [r[1] for r in doc["records"]] == primes_in(30)),
+    (["mu1", "--system", "x - 1", "--system2", "x", "--dim", "1",
+      "--xlimit", "30"],
+     lambda doc: [r[1] for r in doc["records"]] == primes_in(30)),
+    (["axiom3", "--system", "x - 1", "--laurent", "z1*zb2 + zb1*z2",
+      "--prime", "31"], lambda doc: doc["records"][0]["npoints"] == 31),
+    (["boxcount", "--system", "x - 1", "--prime", "31", "--box",
+      "0:16,0:16", "--dim", "1"],
+     lambda doc: doc["records"][0]["count"] == 16),
+    (["pushforward", "--system", "x - 1", "--prime", "31",
+      "--max-moment", "1"], lambda doc: len(doc["records"]) == 9),
+]
+
+
+@pytest.mark.parametrize("argv,check", NVARS_CASES,
+                         ids=[argv[0] for argv, _ in NVARS_CASES])
+def test_nvars_adds_free_variables(tmp_path, capsys, argv, check):
+    from charsum.cli import main
+    out = tmp_path / "r.json"
+    assert main(argv + ["--nvars", "2", "--json", str(out)]) == 0
+    assert check(json.loads(out.read_text()))
+    capsys.readouterr()
+    system = argv.index("--system") + 1
+    below = argv[:system] + ["x - y"] + argv[system + 1:]
+    assert main(below + ["--nvars", "1"]) == 2
+    assert "--nvars 1 is below the 2 variables" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("extra", [[], ["--op", "mul", "--coeffs2", "1,0",
+                                        "--verify"]], ids=["eval", "mul"])
+def test_psisym_over_f_2_15_matches_the_split_path(tmp_path, capsys, extra):
+    # x^3 + x^2 + 1 splits in F_8, a subfield of F_{2^15}; x^2 + x has
+    # the roots 0 and 1.  The field is below the table limit, so the
+    # command scans it, and the reference below splits instead.
+    from unittest import mock
+    from charsum import (build_extension, make_term, psisym_eval,
+                         psisym_mul, rational_roots, standard_character)
+    from charsum import polyroots
+    from charsum.cli import main
+    out = tmp_path / "r.json"
+    assert main(["psisym", "--prime", "2", "--ext", "15", "--coeffs",
+                 "1,0,1", "--json", str(out)] + extra) == 0
+    wall = float(capsys.readouterr().out.split("wall time: ")[1].split()[0])
+    assert wall < 2.0  # a scan in FqElem arithmetic took about 10 s
+    (record,) = json.loads(out.read_text())["records"]
+    field = build_extension(2, 15)
+    with mock.patch.object(polyroots, "TABLE_LIMIT", 0):
+        term = make_term(field, [1, 0, 1])
+        if extra:
+            term = psisym_mul(term, make_term(field, [1, 0]))
+        nroots = len(rational_roots(term))
+        value = psisym_eval(term, standard_character(field))
+    assert nroots == (6 if extra else 3) == record["nroots"]
+    assert record["coeffs"] == [list(c.coeffs) for c in term.coeffs]
+    assert abs(complex(record["value"]["re"], record["value"]["im"])
+               - value) < 1e-12

@@ -1,11 +1,24 @@
 import random
 
+import numpy as np
 import pytest
 
 from charsum import (build_extension, fq_trace, frobenius, prime_field,
                      sqrt_mod)
 from charsum.errors import CharsumError
-from charsum.ffield import ExtFieldDesc
+from charsum.ffield import ExtFieldDesc, packed_field
+
+PACKED_FIELDS = ((2, 2), (2, 3), (2, 6), (3, 2), (3, 4), (5, 2), (7, 2),
+                 (13, 2))
+
+
+def frobenius_trace(x):
+    """Reference trace: x + x^p + ... + x^(p^(e-1)), a residue."""
+    acc = term = x
+    for _ in range(x.field.e - 1):
+        term = frobenius(term)
+        acc = acc + term
+    return acc.residue()
 
 
 def test_prime_field_basics():
@@ -123,6 +136,41 @@ def test_trace_is_additive_surjection_onto_prime_field():
             assert fq_trace(frobenius(a)) == fq_trace(a)
 
 
+@pytest.mark.parametrize("p, e", PACKED_FIELDS + ((5, 3), (101, 2)))
+def test_trace_form_matches_the_frobenius_sum(p, e):
+    F = build_extension(p, e)
+    for a in F.elements():
+        assert fq_trace(a) == frobenius_trace(a)
+
+
+@pytest.mark.parametrize("p, e", PACKED_FIELDS + ((17, 1),))
+def test_packed_tables_match_element_arithmetic(p, e):
+    F = build_extension(p, e)
+    T = packed_field(F)
+    q = F.order
+    elems = list(F.elements())
+    # integer order is the canonical element order, both ways
+    assert [T.pack(a) for a in elems] == list(range(q))
+    assert T.unpack(np.arange(q)) == elems
+    # exp/log round trip over all of F_q^*
+    assert sorted(T.exp[:q - 1].tolist()) == list(range(1, q))
+    assert (T.exp[T.log[1:]] == np.arange(1, q)).all()
+    assert (T.log[T.exp[:q - 1]] == np.arange(q - 1)).all()
+    rng = random.Random(7)
+    for _ in range(200):
+        a, b = rng.choice(elems), rng.choice(elems)
+        ia, ib = np.array([T.pack(a)]), np.array([T.pack(b)])
+        assert T.unpack(T.add(ia, ib)) == [a + b]
+        assert T.unpack(T.mul(ia, ib)) == [a * b]
+    zero = np.zeros(q, dtype=np.int64)
+    assert (T.mul(np.arange(q), zero) == 0).all()
+
+
+def test_packed_tables_refuse_large_fields():
+    with pytest.raises(CharsumError):
+        packed_field(build_extension(2, 17))
+
+
 def test_trace_on_prime_field_is_identity():
     F = prime_field(11)
     for r in range(11):
@@ -178,5 +226,6 @@ def test_sqrt_mod_two():
 
 def test_ext_field_equality():
     assert build_extension(3, 2) == build_extension(3, 2)
+    assert build_extension(3, 2) is build_extension(3, 2)
     assert build_extension(3, 2) != build_extension(3, 3)
     assert ExtFieldDesc(5, 1) == prime_field(5)

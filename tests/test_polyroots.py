@@ -1,4 +1,5 @@
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from charsum import (build_extension, next_prime, poly_roots_fq, prime_field,
                      primes_in)
+from charsum import polyroots
 from charsum.errors import CharsumError
 from charsum.polyroots import eval_many, roots_mod_p
 
@@ -119,6 +121,81 @@ def test_large_prime_paths():
     assert roots_mod_p(prod, p) == [3, 7]
 
 
+def fq_multiplicities(f, roots, field):
+    """Reference multiplicities: repeated synthetic division by (x - r)."""
+    out = []
+    for r in roots:
+        g = list(f)
+        m = 0
+        while len(g) > 1:
+            acc = field.zero()
+            coeffs = []
+            for c in reversed(g):
+                acc = acc * r + c
+                coeffs.append(acc)
+            if not coeffs.pop().is_zero():
+                break
+            m += 1
+            g = coeffs[::-1]
+        out.extend([r] * m)
+    return out
+
+
+def fq_scan_roots(coeffs, field):
+    """Reference root finder over F_q: FqElem Horner at every element."""
+    f = [field.element(c) for c in coeffs]
+    while f and f[-1].is_zero():
+        f.pop()
+    hits = []
+    for x in field.elements():
+        acc = field.zero()
+        for c in reversed(f):
+            acc = acc * x + c
+        if acc.is_zero():
+            hits.append(x)
+    return sorted(fq_multiplicities(f, hits, field))
+
+
+def split_roots(coeffs, field):
+    """poly_roots_fq with the tables switched off: Cantor-Zassenhaus."""
+    with mock.patch.object(polyroots, "TABLE_LIMIT", 0):
+        return poly_roots_fq(coeffs, field)
+
+
+ORACLE_FIELDS = ([(2, e) for e in range(2, 9)] + [(3, e) for e in range(2, 6)]
+                 + [(5, 2), (5, 3), (7, 2), (13, 2)])
+
+
+@st.composite
+def polys_over_fq(draw):
+    """(coeffs, field): random coefficient vectors, or a scaled product of
+    linear factors so that repeated roots are common; leading
+    coefficients are arbitrary."""
+    p, e = draw(st.sampled_from(ORACLE_FIELDS))
+    field = build_extension(p, e)
+    elem = st.tuples(*[st.integers(0, p - 1)] * e).map(field.element)
+    if draw(st.booleans()):
+        coeffs = draw(st.lists(elem, min_size=2, max_size=8))
+    else:
+        coeffs = [draw(elem)]
+        for r in draw(st.lists(elem, min_size=1, max_size=6)):
+            # times (x - r)
+            coeffs = [a - r * b for a, b in zip([field.zero()] + coeffs,
+                                                coeffs + [field.zero()])]
+    if all(c.is_zero() for c in coeffs):
+        coeffs[0] = field.one()
+    return coeffs, field
+
+
+@settings(derandomize=True, max_examples=250, deadline=None)
+@given(polys_over_fq())
+def test_fq_roots_match_the_scan_oracle(case):
+    coeffs, field = case
+    expect = fq_scan_roots(coeffs, field)
+    assert poly_roots_fq(coeffs, field) == expect
+    assert split_roots(coeffs, field) == expect
+
+
 def test_fq_roots_against_brute_force():
     rng = random.Random(43)
     for F in (build_extension(2, 3), build_extension(3, 2), prime_field(13)):
@@ -126,21 +203,7 @@ def test_fq_roots_against_brute_force():
         for _ in range(40):
             deg = rng.randint(1, 4)
             coeffs = [rng.choice(elems) for _ in range(deg)] + [F.one()]
-            got = poly_roots_fq(coeffs, F)
-            expect = []
-            for x in elems:
-                g = list(coeffs)
-                while len(g) > 1:
-                    q = [F.zero()] * (len(g) - 1)
-                    acc = F.zero()
-                    for k in range(len(g) - 1, 0, -1):
-                        acc = acc * x + g[k]
-                        q[k - 1] = acc
-                    if not (acc * x + g[0]).is_zero():
-                        break
-                    expect.append(x)
-                    g = q
-            assert got == sorted(expect)
+            assert poly_roots_fq(coeffs, F) == fq_scan_roots(coeffs, F)
 
 
 def test_fq_repeated_roots():
