@@ -295,8 +295,8 @@ def _trace_form(field):
 
 def fq_trace(x: FqElem) -> int:
     """Trace down to F_p, returned as a residue in [0, p)."""
-    return sum(c * t for c, t in zip(x.coeffs, _trace_form(x.field))) \
-        % x.field.p
+    form = _trace_form(x.field)
+    return sum(c * t for c, t in zip(x.coeffs, form)) % x.field.p
 
 
 class PackedField:
@@ -359,8 +359,7 @@ def _primitive_element(field):
     fraction phi(q-1)/(q-1) of the elements do, so few are tried."""
     n = field.order - 1
     divs = _prime_divisors(n)
-    for vec in product(range(field.p), repeat=field.e):
-        x = FqElem(field, vec)
+    for x in field.elements():
         if not x.is_zero() and all(x ** (n // r) != field.one()
                                    for r in divs):
             return x
