@@ -46,64 +46,52 @@ def _slope(points):
     return sxy / sxx
 
 
-def _count_worker(system, nvars, budget, p):
+def _count_worker(systems, budget, p):
+    """(p, counts, None) with one count per (system, nvars) pair, or
+    (p, None, reason) when p is skipped."""
     try:
-        return p, count_points(system, p, nvars=nvars, budget=budget), None
+        counts = tuple(count_points(system, p, nvars=nvars, budget=budget)
+                       for system, nvars in systems)
+        return p, counts, None
     except BadPrimeError:
         return p, None, "bad prime"
     except BudgetError:
         return p, None, "budget exceeded"
 
 
-def mu0_sweep(system, declared_dim, primes, nvars=None,
-              budget=DEFAULT_BUDGET, jobs=1) -> MeasureSeries:
-    """|D(F_p)| / p^dim along the prime list; bad or over-budget primes are
-    recorded as skipped, not silently dropped."""
-    worker = partial(_count_worker, system, nvars, budget)
-    results = pmap(worker, list(primes), jobs)
+def _count_series(systems, declared_dim, primes, budget, jobs, normalize):
+    """Records (p, counts..., normalize(p, counts...)) along the primes;
+    the dimension slope is taken from the first count."""
+    worker = partial(_count_worker, tuple(systems), budget)
     records, skipped = [], []
-    for p, count, reason in sorted(results):
+    for p, counts, reason in sorted(pmap(worker, list(primes), jobs)):
         if reason is not None:
             skipped.append((p, reason))
             continue
-        records.append((p, count, count / p ** declared_dim))
-    slope = _slope([(p, c) for p, c, _ in records])
+        records.append((p, *counts, normalize(p, *counts)))
+    slope = _slope([rec[:2] for rec in records])
     warn = slope is not None and abs(slope - declared_dim) >= 0.25
     return MeasureSeries(declared_dim=declared_dim, records=tuple(records),
                          skipped=tuple(skipped), dim_estimate=slope,
                          dim_warning=warn)
 
 
-def _pair_count_worker(sys_x, sys_xp, nvars_x, nvars_xp, budget, p):
-    try:
-        cx = count_points(sys_x, p, nvars=nvars_x, budget=budget)
-        cxp = count_points(sys_xp, p, nvars=nvars_xp, budget=budget)
-        return p, cx, cxp, None
-    except BadPrimeError:
-        return p, None, None, "bad prime"
-    except BudgetError:
-        return p, None, None, "budget exceeded"
+def mu0_sweep(system, declared_dim, primes, nvars=None,
+              budget=DEFAULT_BUDGET, jobs=1) -> MeasureSeries:
+    """|D(F_p)| / p^dim along the prime list; bad or over-budget primes are
+    recorded as skipped, not silently dropped."""
+    return _count_series([(system, nvars)], declared_dim, primes, budget,
+                         jobs, lambda p, count: count / p ** declared_dim)
 
 
 def mu1_sweep(system_x, system_xp, declared_dim, primes, nvars_x=None,
               nvars_xp=None, budget=DEFAULT_BUDGET, jobs=1) -> MeasureSeries:
     """p^(1/2 - dim) (|X| - |X'|): the sqrt-scale signed comparison of two
     varieties whose leading-order counts agree."""
-    worker = partial(_pair_count_worker, system_x, system_xp,
-                     nvars_x, nvars_xp, budget)
-    results = pmap(worker, list(primes), jobs)
-    records, skipped = [], []
-    for p, cx, cxp, reason in sorted(results):
-        if reason is not None:
-            skipped.append((p, reason))
-            continue
-        normalized = p ** (0.5 - declared_dim) * (cx - cxp)
-        records.append((p, cx, cxp, normalized))
-    slope = _slope([(p, c) for p, c, _, _ in records])
-    warn = slope is not None and abs(slope - declared_dim) >= 0.25
-    return MeasureSeries(declared_dim=declared_dim, records=tuple(records),
-                         skipped=tuple(skipped), dim_estimate=slope,
-                         dim_warning=warn)
+    return _count_series([(system_x, nvars_x), (system_xp, nvars_xp)],
+                         declared_dim, primes, budget, jobs,
+                         lambda p, cx, cxp: p ** (0.5 - declared_dim)
+                         * (cx - cxp))
 
 
 class ValueTable:

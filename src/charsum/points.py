@@ -1,16 +1,20 @@
 """Point enumeration and counting for polynomial systems over F_q.
 
 The contract is brute force with a q^n candidate budget.  Within that
-budget three elementary shortcuts keep desk-scale sweeps fast without any
+budget two elementary shortcuts keep desk-scale sweeps fast without any
 point-counting machinery:
 
   * variables that occur linearly with a unit (constant, invertible)
     coefficient are eliminated by substitution, so graphs, lines and
     diagonals cost p instead of p^n;
-  * a single remaining equation of degree <= 2 in its last free variable
-    is solved by the quadratic formula, vectorized over the other one;
-  * everything else is a chunked vectorized scan of the full grid.
+  * one remaining equation of degree 1 or 2 in some free variable y is
+    solved for y by the quadratic formula, vectorized over the grid of
+    the other free variables (p odd); the other equations filter those
+    solutions, and counting needs only whether each discriminant is a
+    square.
 
+Without such an equation (or at p = 2) the grid over all free variables
+is scanned in chunks; a single free variable takes the root finder.
 Extension fields take the plain object scan (small q only).
 """
 
@@ -29,7 +33,6 @@ from .polyroots import roots_mod_p
 
 DEFAULT_BUDGET = 10 ** 9
 _CHUNK = 1 << 19
-_DENSE_ROW_CAP = 5 * 10 ** 6
 
 
 def _system_nvars(system, nvars):
@@ -126,20 +129,19 @@ def _eliminate(system, n, p):
 
 
 @lru_cache(maxsize=16)
-def _sq_count_table(p):
-    """t[c] = number of y in F_p with y^2 = c."""
-    ys = np.arange(p, dtype=np.int64)
-    return np.bincount(ys * ys % p, minlength=p)
-
-
-@lru_cache(maxsize=16)
 def _sqrt_table(p):
-    """t[c] = the smaller square root of c, or -1."""
-    ys = np.arange(p, dtype=np.int64)
+    """t[c] = the smaller square root of c, or -1 (p odd)."""
+    ys = np.arange((p + 1) // 2, dtype=np.int64)
     tbl = np.full(p, -1, dtype=np.int64)
-    idx = ys * ys % p
-    tbl[idx[::-1]] = ys[::-1]
+    tbl[ys * ys % p] = ys
     return tbl
+
+
+def _disc(a, b, c, p):
+    """b^2 - 4ac mod p on residue arrays.  For p < 2^31, b^2 < 2^62 and
+    4 (ac mod p) < 2^33, so reducing ac first keeps the difference inside
+    int64 (4ac itself can pass 2^63)."""
+    return (b * b - 4 * (a * c % p)) % p
 
 
 def _pow_mod_array(a, e, p):
@@ -159,13 +161,13 @@ def _inv_mod_array(a, p):
 
 def _free_grid(free_count, p, flat):
     """Columns of the lex-ordered grid over the free variables for the
-    given flat indices."""
+    given flat indices (all below p^free_count)."""
     cols = []
-    div = p ** (free_count - 1)
-    for _ in range(free_count):
-        cols.append(flat // div % p)
-        div //= p
-    return cols
+    for _ in range(free_count - 1):
+        flat, rem = np.divmod(flat, p)
+        cols.append(rem)
+    cols.append(flat)
+    return cols[::-1]
 
 
 def _eval_on(f, p, n, assign):
@@ -175,21 +177,76 @@ def _eval_on(f, p, n, assign):
     return f.eval_mod_arrays(p, arrays)
 
 
-def _solve_residual(residual, free, n, p, budget):
+def _fibre_equation(residual, free, p):
+    """(f, y): a residual equation of degree 1 or 2 in the free variable
+    y, whose fibres over the other free variables the quadratic formula
+    solves; (None, None) when there is none or p = 2 (the grid is
+    scanned)."""
+    if p > 2 and len(free) > 1:
+        for f in residual:
+            for y in reversed(free):
+                if 1 <= f.degree_in(y) <= 2:
+                    return f, y
+    return None, None
+
+
+def _fibre_count(c0, c1, c2, p):
+    """Number of (row, y) with c2 y^2 + c1 y + c0 = 0 over all rows.  A
+    quadratic row has 1 + (disc != 0) roots when disc is a square, that is
+    (s >= 0) + (s > 0) for its smaller root s."""
+    quad = c2 != 0
+    count = 0
+    if quad.any():
+        s = _sqrt_table(p)[_disc(c2, c1, c0, p)]
+        count = (np.count_nonzero(quad & (s >= 0))
+                 + np.count_nonzero(quad & (s > 0)))
+    flat = ~quad
+    lin = np.count_nonzero(flat & (c1 != 0))
+    full = np.count_nonzero(flat & (c1 == 0) & (c0 == 0))
+    return int(count + lin + full * p)
+
+
+def _fibre_points(c0, c1, c2, p):
+    """(rows, ys) pieces, aligned: the roots y of c2 y^2 + c1 y + c0 over
+    each row.  A degenerate row, all three coefficients zero, has every y;
+    those come in pieces of about _CHUNK points."""
+    pieces = []
+    quad = np.flatnonzero(c2)
+    if len(quad):
+        a, b = c2[quad], c1[quad]
+        s = _sqrt_table(p)[_disc(a, b, c0[quad], p)]
+        inv2a = _inv_mod_array(2 * a % p, p)
+        has, two = s >= 0, s > 0
+        pieces.append((quad[has], ((s - b) % p * inv2a % p)[has]))
+        pieces.append((quad[two], ((-s - b) % p * inv2a % p)[two]))
+    flat = c2 == 0
+    lin = np.flatnonzero(flat & (c1 != 0))
+    if len(lin):
+        pieces.append((lin, -c0[lin] % p * _inv_mod_array(c1[lin], p) % p))
+    full = np.flatnonzero(flat & (c1 == 0) & (c0 == 0))
+    step = max(1, _CHUNK // p)
+    for i in range(0, len(full), step):
+        part = full[i:i + step]
+        pieces.append((np.repeat(part, p),
+                       np.tile(np.arange(p, dtype=np.int64), len(part))))
+    return pieces
+
+
+def _solve_residual(residual, free, n, p, count_only=False):
     """Solutions of the residual system over the free variables.
 
-    Returns a dict var -> int64 array (aligned solution columns).
+    Returns (columns, count): columns maps var -> aligned int64 array of
+    solutions, and is left empty when count_only.  With a fibre equation
+    the grid runs over the other free variables and each row's y values
+    come from the quadratic formula; otherwise the grid runs over all of
+    them.  Either way the remaining equations filter the candidates.
     """
     k = len(free)
     if k == 0:
         return {}, 1  # the empty assignment
-    if not residual:
-        total = p ** k
-        flat = np.arange(total, dtype=np.int64)
-        cols = _free_grid(k, p, flat)
-        return dict(zip(free, cols)), total
-
-    if k == 1:
+    if count_only and not residual:
+        return {}, p ** k
+    if k == 1 and residual:
         v = free[0]
         base = residual[0].as_univariate_in(v)
         coeffs = [int(c.constant_value()) for c in base]
@@ -198,107 +255,44 @@ def _solve_residual(residual, free, n, p, budget):
         for g in residual[1:]:
             vals = _eval_on(g, p, n, {v: arr})
             arr = arr[vals == 0]
-        return {v: arr}, len(arr)
+        return ({} if count_only else {v: arr}), len(arr)
 
-    if k == 2 and len(residual) == 1 and p > 2:
-        f = residual[0]
-        for xv, yv in ((free[0], free[1]), (free[1], free[0])):
-            if 1 <= f.degree_in(yv) <= 2:
-                sol = _solve_plane_quadratic(f, xv, yv, n, p)
-                if sol is not None:
-                    return sol
-                break
-
-    # chunked scan of the full grid over the free variables
-    total = p ** k
-    keep = {v: [] for v in free}
+    f, y = _fibre_equation(residual, free, p)
+    grid = [v for v in free if v != y]
+    filters = [g for g in residual if g is not f]
+    if f is not None:
+        coeffs = f.as_univariate_in(y)
+        while len(coeffs) < 3:
+            coeffs.append(MPoly(n, {}))
+    total = p ** len(grid)
+    keep = {v: [np.zeros(0, np.int64)] for v in free}
     count = 0
-    start = 0
-    while start < total:
-        stop = min(start + _CHUNK, total)
-        flat = np.arange(start, stop, dtype=np.int64)
-        cols = dict(zip(free, _free_grid(k, p, flat)))
-        mask = np.ones(stop - start, dtype=bool)
-        for g in residual:
-            mask &= _eval_on(g, p, n, cols) == 0
-        for v in free:
-            keep[v].append(cols[v][mask])
-        count += int(mask.sum())
-        start = stop
+    for start in range(0, total, _CHUNK):
+        flat = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
+        cols = dict(zip(grid, _free_grid(len(grid), p, flat)))
+        if f is None:
+            pieces = [cols]
+        else:
+            c0, c1, c2 = (_eval_on(c, p, n, cols) for c in coeffs)
+            if count_only and not filters:
+                count += _fibre_count(c0, c1, c2, p)
+                continue
+            pieces = []
+            for rows, ys in _fibre_points(c0, c1, c2, p):
+                piece = {v: col[rows] for v, col in cols.items()}
+                piece[y] = ys
+                pieces.append(piece)
+        for piece in pieces:
+            for g in filters:
+                ok = _eval_on(g, p, n, piece) == 0
+                piece = {v: col[ok] for v, col in piece.items()}
+            count += len(piece[free[0]])
+            if not count_only:
+                for v in free:
+                    keep[v].append(piece[v])
+    if count_only:
+        return {}, count
     return {v: np.concatenate(keep[v]) for v in free}, count
-
-
-def _solve_plane_quadratic(f, xv, yv, n, p):
-    """Vectorized roots of c2(x) y^2 + c1(x) y + c0(x) = 0 over all x.
-    Returns None when the degenerate all-y locus is too large to
-    materialize (caller falls back to the scan)."""
-    coeffs = f.as_univariate_in(yv)
-    while len(coeffs) < 3:
-        coeffs.append(MPoly(f.nvars, {}))
-    xs = np.arange(p, dtype=np.int64)
-    c0 = _eval_on(coeffs[0], p, n, {xv: xs})
-    c1 = _eval_on(coeffs[1], p, n, {xv: xs})
-    c2 = _eval_on(coeffs[2], p, n, {xv: xs})
-
-    xs_out = []
-    ys_out = []
-
-    quad = c2 != 0
-    if quad.any():
-        xq, aq, bq, cq = xs[quad], c2[quad], c1[quad], c0[quad]
-        disc = (bq * bq - 4 * aq * cq) % p
-        s = _sqrt_table(p)[disc]
-        has = s >= 0
-        double = (disc == 0) & has
-        inv2a = _inv_mod_array(2 * aq % p, p)
-        y1 = (p - bq + s) * inv2a % p
-        y2 = (2 * p - bq - s) * inv2a % p
-        xs_out.append(xq[has])
-        ys_out.append(y1[has])
-        second = has & ~double
-        xs_out.append(xq[second])
-        ys_out.append(y2[second])
-
-    lin = (c2 == 0) & (c1 != 0)
-    if lin.any():
-        xl = xs[lin]
-        yl = (p - c0[lin]) * _inv_mod_array(c1[lin], p) % p
-        xs_out.append(xl)
-        ys_out.append(yl)
-
-    full = (c2 == 0) & (c1 == 0) & (c0 == 0)
-    nfull = int(full.sum())
-    if nfull:
-        if nfull * p > _DENSE_ROW_CAP:
-            return None
-        xf = np.repeat(xs[full], p)
-        yf = np.tile(np.arange(p, dtype=np.int64), nfull)
-        xs_out.append(xf)
-        ys_out.append(yf)
-
-    xcol = np.concatenate(xs_out) if xs_out else np.zeros(0, np.int64)
-    ycol = np.concatenate(ys_out) if ys_out else np.zeros(0, np.int64)
-    return {xv: xcol, yv: ycol}, len(xcol)
-
-
-def _count_plane_quadratic(f, xv, yv, n, p):
-    coeffs = f.as_univariate_in(yv)
-    while len(coeffs) < 3:
-        coeffs.append(MPoly(f.nvars, {}))
-    xs = np.arange(p, dtype=np.int64)
-    c0 = _eval_on(coeffs[0], p, n, {xv: xs})
-    c1 = _eval_on(coeffs[1], p, n, {xv: xs})
-    c2 = _eval_on(coeffs[2], p, n, {xv: xs})
-    count = 0
-    quad = c2 != 0
-    if quad.any():
-        disc = (c1[quad] ** 2 - 4 * c2[quad] * c0[quad]) % p
-        count += int(_sq_count_table(p)[disc].sum())
-    lin = (c2 == 0) & (c1 != 0)
-    count += int(lin.sum())
-    full = (c2 == 0) & (c1 == 0) & (c0 == 0)
-    count += int(full.sum()) * p
-    return count
 
 
 def _reconstruct(subs, columns, n, p, length):
@@ -348,10 +342,7 @@ def enumerate_points(system, field, nvars=None, box=None,
     subs, residual, free, empty = _eliminate(reduced, n, p)
     if empty:
         return []
-    columns, _ = _solve_residual(residual, free, n, p, budget)
-    columns = {v: np.asarray(col, dtype=np.int64)
-               for v, col in columns.items()}
-    length = len(columns[free[0]]) if free else 1
+    columns, length = _solve_residual(residual, free, n, p)
     _reconstruct(subs, columns, n, p, length)
     return _assemble(columns, n, length, box, p)
 
@@ -370,19 +361,10 @@ def count_points(system, field, nvars=None, box=None, budget=DEFAULT_BUDGET):
     reduced, empty = _prepare(system, p)
     if empty:
         return 0
-    subs, residual, free, empty = _eliminate(reduced, n, p)
+    _, residual, free, empty = _eliminate(reduced, n, p)
     if empty:
         return 0
-    k = len(free)
-    if not residual:
-        return p ** k
-    if k == 2 and len(residual) == 1 and p > 2:
-        f = residual[0]
-        for xv, yv in ((free[0], free[1]), (free[1], free[0])):
-            if 1 <= f.degree_in(yv) <= 2:
-                return _count_plane_quadratic(f, xv, yv, n, p)
-    _, count = _solve_residual(residual, free, n, p, budget)
-    return count
+    return _solve_residual(residual, free, n, p, count_only=True)[1]
 
 
 def _enumerate_fq(system, field, n):

@@ -23,7 +23,8 @@ from .errors import BadPrimeError, CharsumError
 from .ffield import ExtFieldDesc, prime_field
 from .laurent import LaurentPoly
 from .mpoly import MPoly, frac_mod
-from .points import DEFAULT_BUDGET, enumerate_points, sample_points
+from .points import (DEFAULT_BUDGET, _system_nvars, enumerate_points,
+                     sample_points)
 from .polyroots import eval_many
 from .primes import next_prime
 
@@ -288,7 +289,7 @@ def hyperplane_height_test(system, m, nvars=None, primes=None,
     graph systems get an exact symbolic confirmation.  Returns None when
     nothing is found (a probabilistic answer), else a HyperplaneResult.
     """
-    n = _system_nvars_local(system, nvars)
+    n = _system_nvars(system, nvars)
     if m < 1 or m > HEIGHT_CAP:
         raise CharsumError("height bound must be in [1, %d]" % HEIGHT_CAP)
     deg = max((g.total_degree() for g in system), default=1)
@@ -350,14 +351,6 @@ def _consistent_constant(consts, primes):
     return None
 
 
-def _system_nvars_local(system, nvars):
-    if nvars is None:
-        if not system:
-            raise CharsumError("empty system needs an explicit nvars")
-        nvars = system[0].nvars
-    return nvars
-
-
 @dataclass(frozen=True)
 class BoxCountResult:
     count: int
@@ -371,7 +364,7 @@ def box_count(system, p, box, declared_dim, nvars=None, flag_height=None,
     """Points of the variety inside a product of residue ranges, with the
     random-model expectation p^dim * prod(box fractions) and a contained-
     in-a-hyperplane flag (the one caveat to that model)."""
-    n = _system_nvars_local(system, nvars)
+    n = _system_nvars(system, nvars)
     pts = enumerate_points(system, p, nvars=n, box=box, budget=budget)
     count = len(pts)
     fraction = count / p ** declared_dim

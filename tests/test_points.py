@@ -1,12 +1,15 @@
 import random
 from itertools import product
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from charsum import (MPoly, build_extension, count_points, enumerate_points,
-                     parse_polynomial, prime_field, sample_points)
+                     parse_polynomial, prime_field, primes_in, sample_points)
 from charsum.errors import BudgetError, CharsumError
 from charsum.mpoly import frac_mod
+from charsum.points import _disc
 
 
 def system_of(texts, names):
@@ -90,6 +93,93 @@ def test_count_shortcut_agrees_with_enumeration_on_curves():
         for p in (3, 5, 7, 11, 13, 17, 19, 23):
             assert count_points(system, p) == \
                 len(enumerate_points(system, p))
+
+
+def test_discriminant_stays_inside_int64():
+    p = (1 << 31) - 1  # the largest prime vectorized evaluation accepts
+    residues = [0, 1, 2, 123456789, (p - 1) // 2, p - 2, p - 1]
+    a, b, c = (np.array(col, dtype=np.int64)
+               for col in zip(*product(residues, repeat=3)))
+    expect = [(int(y) ** 2 - 4 * int(x) * int(z)) % p
+              for x, y, z in zip(a, b, c)]
+    assert _disc(a, b, c, p).tolist() == expect
+
+
+# (n, p) with p^n small enough for the brute-force oracle
+FIBRE_CASES = [(n, p) for n in (2, 3, 4) for p in (2, 3, 5, 7, 11, 13)
+               if p ** n <= 2401]
+
+
+@st.composite
+def fibre_systems(draw):
+    """(system, n, p): f = h * (c2 y^2 + c1 y + c0) + r in the last
+    variable y, with h, c_i and r random polynomials in the others, so the
+    fibres over h = 0 are degenerate whenever r vanishes there; often a
+    second equation in all variables, filtered on the fibres."""
+    n, p = draw(st.sampled_from(FIBRE_CASES))
+    exps = st.tuples(*[st.integers(0, 2)] * (n - 1))
+    coeff = st.integers(-6, 6)
+
+    def poly_in_others(max_terms):
+        terms = draw(st.dictionaries(exps, coeff, max_size=max_terms))
+        return MPoly(n, {e + (0,): c for e, c in terms.items()})
+
+    y = MPoly.variable(n - 1, n)
+    fibre = sum((poly_in_others(3) * y ** k for k in range(3)), MPoly(n, {}))
+    if draw(st.booleans()):
+        fibre = fibre * poly_in_others(2)
+    f = fibre + poly_in_others(2)
+    system = [f] if not f.is_zero() else []
+    if draw(st.booleans()):
+        g = MPoly(n, draw(st.dictionaries(
+            st.tuples(*[st.integers(0, 2)] * n), coeff, max_size=4)))
+        if not g.is_zero():
+            system.append(g)
+    return system, n, p
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(fibre_systems())
+def test_fibre_kernel_matches_brute_force(case):
+    system, n, p = case
+    expect = brute_points(system, p, n)
+    assert enumerate_points(system, p, nvars=n) == expect
+    assert count_points(system, p, nvars=n) == len(expect)
+
+
+def legendre(a, p):
+    return {0: 0, 1: 1}.get(pow(a, (p - 1) // 2, p), -1)
+
+
+def diagonal_quadric_count(a, b, p):
+    """|{x in F_p^n : sum a_i x_i^2 = b}| for odd p and units a_i, in
+    closed form (Lidl & Niederreiter, Finite Fields, Thms 6.26-6.27)."""
+    n = len(a)
+    prod_a = 1
+    for ai in a:
+        prod_a = prod_a * ai % p
+    if n % 2:
+        return p ** (n - 1) + p ** ((n - 1) // 2) * legendre(
+            (-1) ** ((n - 1) // 2) * b * prod_a % p, p)
+    v = p - 1 if b % p == 0 else -1
+    return p ** (n - 1) + v * p ** ((n - 2) // 2) * legendre(
+        (-1) ** (n // 2) * prod_a % p, p)
+
+
+def test_diagonal_quadrics_match_the_closed_count():
+    rng = random.Random(61)
+    for p in primes_in(120)[1:]:
+        for n in (2, 3, 4):
+            forms = [((1,) * n, 1)]  # the unit sphere
+            if n < 4 or p < 40:  # p^3 grid rows per 4-variable form
+                forms.append((tuple(rng.randrange(1, p) for _ in range(n)),
+                              rng.randrange(p)))
+            for a, b in forms:
+                terms = {(0,) * n: -b}
+                for i, ai in enumerate(a):
+                    terms[tuple(2 * (j == i) for j in range(n))] = ai
+                assert count_points([MPoly(n, terms)], p) == \
+                    diagonal_quadric_count(a, b, p), (a, b, p)
 
 
 def test_budget_enforced():
