@@ -236,7 +236,7 @@ def _solve_residual(residual, free, n, p, count_only=False):
     """Solutions of the residual system over the free variables.
 
     Returns (columns, count): columns maps var -> aligned int64 array of
-    solutions, and is left empty when count_only.  With a fibre equation
+    solutions; a count_only call may leave it empty.  With a fibre equation
     the grid runs over the other free variables and each row's y values
     come from the quadratic formula; otherwise the grid runs over all of
     them.  Either way the remaining equations filter the candidates.
@@ -255,7 +255,7 @@ def _solve_residual(residual, free, n, p, count_only=False):
         for g in residual[1:]:
             vals = _eval_on(g, p, n, {v: arr})
             arr = arr[vals == 0]
-        return ({} if count_only else {v: arr}), len(arr)
+        return {v: arr}, len(arr)
 
     f, y = _fibre_equation(residual, free, p)
     grid = [v for v in free if v != y]
