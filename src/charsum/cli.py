@@ -30,8 +30,9 @@ from .equidist import (_as_rational_coeffs, dfi_extended_sweep, dfi_sweep,
 from .errors import CharsumError
 from .ffield import build_extension, prime_field
 from .laurent import laurent_from_expression
-from .measure import (ValueTable, constant_table, delta_table,
-                      fourier_table, mu0_sweep, mu1_sweep, pushforward_weyl)
+from .measure import (ValueTable, _check_table_size, _table_array,
+                      constant_table, delta_table, fourier_table, mu0_sweep,
+                      mu1_sweep, pushforward_weyl)
 from .mpoly import poly_rem
 from .nfield import NFElem, lattice_basis, nf_build, value_set
 from .parser import parse_polynomial, print_polynomial
@@ -318,7 +319,7 @@ def cmd_mu1(args):
 
 def _read_table_csv(path, p, n):
     import csv as _csv
-    arr = np.zeros((p,) * n, dtype=np.complex128)
+    arr = _table_array(p, n)
     with open(path, newline="") as fh:
         for row in _csv.reader(fh):
             try:
@@ -338,6 +339,7 @@ def cmd_fourier(args):
         table = delta_table(p, n)
     elif args.indicator is not None:
         (system,), _ = _parse_system(args.indicator, nvars=n)
+        _check_table_size(p, n)
         pts = enumerate_points(system, p, nvars=n, budget=args.budget)
         table = ValueTable.indicator(p, n, pts)
     else:

@@ -1,10 +1,12 @@
 """Equidistribution experiments for root angles mod p.
 
 A sweep takes an irreducible integer polynomial, walks the primes up to a
-limit, collects the normalized roots r/p (or g(r)/p for a derived
-element), and summarizes them with a Kolmogorov-Smirnov distance and a
-ladder of Weyl sums.  Primes are only ever skipped for a stated reason;
-the skip list is part of the report.
+limit, collects the normalized values g(r)/p of a derived element g at
+the roots r mod p, and summarizes them with a Kolmogorov-Smirnov distance
+and a ladder of Weyl sums.  All three sweeps share that one body: dfi is
+the sweep with g = x, and multiweyl relabels its first Weyl sum.  Primes
+are only ever skipped for a stated reason; the skip list is part of the
+report.
 
 Angles enter the float world exactly once, as residue / p.  Joint Weyl
 sums reduce the integer dot product mod p before that division, so a
@@ -16,7 +18,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import partial
 from math import gcd, lcm
@@ -26,10 +28,10 @@ import numpy as np
 from .angles import Angle
 from .errors import CharsumError
 from .fppoly import evaluate
-from .mpoly import MPoly, discriminant, frac_mod, poly_rem, poly_trim
-from .nfield import nf_build
+from .mpoly import MPoly, discriminant, poly_rem, poly_trim
+from .nfield import _poly_str, _refuse_rational_root, nf_build
 from .parallel import pmap
-from .parser import PolyExpr, parse_polynomial, poly_to_string
+from .parser import PolyExpr, parse_polynomial
 from .polyroots import roots_mod_p
 from .primes import primes_in
 
@@ -118,59 +120,20 @@ def _integer_form(coeffs):
     return ints
 
 
-def _divisors(n):
-    n = abs(n)
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            out.append(n // d)
-        d += 1
-    return sorted(set(out))
-
-
-def _rational_roots(ints):
-    """Rational roots of a primitive integer polynomial, by the usual
-    numerator-divides-constant, denominator-divides-leading test."""
-    if ints[0] == 0:
-        return [Fraction(0)]
-    roots = []
-    for u in _divisors(ints[0]):
-        for v in _divisors(ints[-1]):
-            if gcd(u, v) != 1:
-                continue
-            for r in (Fraction(u, v), Fraction(-u, v)):
-                val = Fraction(0)
-                for c in reversed(ints):
-                    val = val * r + c
-                if val == 0:
-                    roots.append(r)
-    return sorted(set(roots))
-
-
 def _certify_irreducible(ints):
     """Irreducibility certificate for a primitive integer polynomial of
     degree >= 2, via its monic companion lc^(d-1) f(y / lc)."""
     deg = len(ints) - 1
-    roots = _rational_roots(ints)
-    if roots:
-        r = roots[0]
-        factor = ("x" if r == 0 else
-                  "x - %s" % r if r > 0 else "x + %s" % -r)
-        raise CharsumError("reducible: divisible by %s" % factor)
+    _refuse_rational_root(ints)
     lc = ints[-1]
     monic = [ints[i] * lc ** (deg - 1 - i) for i in range(deg)] + [1]
     return nf_build(monic)
 
 
-def _poly_string(ints):
-    return poly_to_string(MPoly.from_univariate(ints), ("x",))
-
-
-def _good_primes(ints, xlimit, congruence, extra_bad=()):
+def _good_primes(ints, xlimit, congruence, den):
     """Primes up to xlimit in the congruence class, split into usable
-    primes and (prime, reason) skips."""
+    primes and (prime, reason) skips; den is the common denominator of
+    the derived element's coefficients."""
     lc = ints[-1]
     disc = discriminant(ints)
     good, skipped = [], []
@@ -179,24 +142,17 @@ def _good_primes(ints, xlimit, congruence, extra_bad=()):
             skipped.append((p, "bad prime: divides leading coefficient"))
         elif disc.numerator % p == 0:
             skipped.append((p, "bad prime: divides discriminant"))
-        elif any(b % p == 0 for b in extra_bad):
+        elif den % p == 0:
             skipped.append((p, "bad prime: divides a coefficient denominator"))
         else:
             good.append(p)
     return good, skipped
 
 
-def _roots_worker(ints, p):
-    return p, tuple(roots_mod_p([c % p for c in ints], p))
-
-
-def _floats(samples):
-    return [r / p for p, r, _ in samples]
-
-
-def _summarize(floats, weyl_depth):
-    if not floats:
+def _summarize(samples, weyl_depth):
+    if not samples:
         return None, ()
+    floats = [r / p for p, r, _ in samples]
     ks = ks_statistic(floats)
     weyl = tuple((h, weyl_sum(floats, h)) for h in range(1, weyl_depth + 1))
     return ks, weyl
@@ -205,7 +161,8 @@ def _summarize(floats, weyl_depth):
 def dfi_sweep(f, xlimit, congruence=None, weyl_depth=WEYL_DEPTH,
               jobs=1) -> SweepReport:
     """Distribution of the roots of an irreducible integer polynomial,
-    normalized to [0, 1), over all usable primes up to xlimit."""
+    normalized to [0, 1), over all usable primes up to xlimit: the
+    derived-element sweep with g = x."""
     ints = _integer_form(_as_rational_coeffs(f))
     deg = len(ints) - 1
     if deg < 1:
@@ -213,59 +170,43 @@ def dfi_sweep(f, xlimit, congruence=None, weyl_depth=WEYL_DEPTH,
     if deg == 1:
         raise CharsumError("degenerate: a degree 1 polynomial has a single "
                            "forced root mod every prime")
-    cert = _certify_irreducible(ints)
-    good, skipped = _good_primes(ints, xlimit, congruence)
-    results = pmap(partial(_roots_worker, ints), good, jobs)
-    samples = []
-    for p, roots in results:
-        for r in roots:
-            samples.append((p, r, Fraction(r, p)))
-    floats = _floats(samples)
-    ks, weyl = _summarize(floats, weyl_depth)
-    params = {"poly": _poly_string(ints), "xlimit": xlimit,
-              "congruence": list(congruence) if congruence else None,
-              "weyl_depth": weyl_depth, "certificate": cert.certificate}
-    return SweepReport(command="dfi", params=params, nsamples=len(samples),
-                       ks=ks, weyl=weyl, samples=tuple(samples),
-                       skipped=tuple(skipped), empty=not samples)
+    return _element_sweep("dfi", ints, [0, 1], xlimit, congruence, False,
+                          weyl_depth, jobs, {})
 
 
-def _value_worker(ints, gq, p):
-    gp = [frac_mod(c, p) for c in gq]
-    roots = roots_mod_p([c % p for c in ints], p)
-    values = tuple(evaluate(gp, r, p) for r in roots)
-    return p, len(roots), values
+def _value_worker(ints, gnum, den, p):
+    """(p, [g(r) mod p for each root r of f mod p]), with g = gnum / den."""
+    inv = pow(den, -1, p)
+    return p, [evaluate(gnum, r, p) * inv % p for r in roots_mod_p(ints, p)]
 
 
-def _element_sweep(command, f, gq, xlimit, congruence, split_only,
+def _element_sweep(command, ints, gq, xlimit, congruence, split_only,
                    weyl_depth, jobs, params_extra):
-    """Shared body of the derived-element sweep and the joint Weyl sum:
-    samples are g(root) mod p over the roots of f mod p."""
-    ints = _integer_form(_as_rational_coeffs(f))
+    """The one body of every root-angle sweep: samples are g(root) mod p
+    over the roots of f mod p, for f in `_integer_form` and g given by
+    rational coefficients."""
     deg = len(ints) - 1
     if deg < 2:
         raise CharsumError("degenerate: need an irreducible polynomial of "
                            "degree at least 2")
     cert = _certify_irreducible(ints)
-    denoms = sorted({c.denominator for c in gq if c.denominator != 1})
-    good, skipped = _good_primes(ints, xlimit, congruence, extra_bad=denoms)
-    skipped = list(skipped)
-    results = pmap(partial(_value_worker, ints, gq), good, jobs)
+    den = lcm(*[Fraction(c).denominator for c in gq])
+    gnum = [int(c * den) for c in gq]
+    good, skipped = _good_primes(ints, xlimit, congruence, den)
     samples = []
-    for p, nroots, values in results:
-        if split_only and nroots != deg:
+    for p, values in pmap(partial(_value_worker, ints, gnum, den), good,
+                          jobs):
+        if split_only and len(values) != deg:
             skipped.append((p, "not split"))
             continue
         for v in values:
             samples.append((p, v, Fraction(v, p)))
     skipped.sort()
-    floats = _floats(samples)
-    ks, weyl = _summarize(floats, weyl_depth)
-    params = {"poly": _poly_string(ints), "xlimit": xlimit,
+    ks, weyl = _summarize(samples, weyl_depth)
+    params = {"poly": _poly_str(ints), "xlimit": xlimit,
               "congruence": list(congruence) if congruence else None,
-              "split_only": split_only, "weyl_depth": weyl_depth,
-              "certificate": cert.certificate}
-    params.update(params_extra)
+              "weyl_depth": weyl_depth, "certificate": cert.certificate,
+              **params_extra}
     return SweepReport(command=command, params=params,
                        nsamples=len(samples), ks=ks, weyl=weyl,
                        samples=tuple(samples), skipped=tuple(skipped),
@@ -285,9 +226,9 @@ def dfi_extended_sweep(f, g, xlimit, congruence=None, split_only=False,
     if len(rem) <= 1:
         raise CharsumError("element is rational; equidistribution claim "
                            "does not apply")
-    gshow = poly_to_string(MPoly.from_univariate(gq), ("x",))
-    return _element_sweep("dfiext", f, gq, xlimit, congruence, split_only,
-                          weyl_depth, jobs, {"g": gshow})
+    return _element_sweep("dfiext", ints, gq, xlimit, congruence, split_only,
+                          weyl_depth, jobs,
+                          {"split_only": split_only, "g": _poly_str(gq)})
 
 
 def multi_weyl(f, xlimit, hvec, congruence=None, split_only=False,
@@ -303,15 +244,12 @@ def multi_weyl(f, xlimit, hvec, congruence=None, split_only=False,
     if not hvec or all(h == 0 for h in hvec):
         raise CharsumError("h must be a nonzero integer vector")
     gq = [Fraction(0)] + [Fraction(h) for h in hvec]
-    report = _element_sweep("multiweyl", f, gq, xlimit, congruence,
-                            split_only, 1, jobs, {"h": list(hvec)})
-    weyl = ()
-    if not report.empty:
-        weyl = ((hvec, weyl_sum(_floats(report.samples), 1)),)
-    return SweepReport(command=report.command, params=report.params,
-                       nsamples=report.nsamples, ks=None, weyl=weyl,
-                       samples=report.samples, skipped=report.skipped,
-                       empty=report.empty)
+    ints = _integer_form(_as_rational_coeffs(f))
+    report = _element_sweep("multiweyl", ints, gq, xlimit, congruence,
+                            split_only, 1, jobs,
+                            {"split_only": split_only, "h": list(hvec)})
+    return replace(report, ks=None,
+                   weyl=tuple((hvec, w) for _, w in report.weyl))
 
 
 @dataclass(frozen=True)

@@ -144,10 +144,10 @@ def build_extension(p, e) -> ExtFieldDesc:
     _check_prime(p)
     if e == 1:
         return prime_field(p)
-    for upper in product(range(p), repeat=e):
-        # upper = (c_{e-1}, ..., c_0) so the scan order matches the
-        # "smallest written form" convention.
-        coeffs = list(upper[::-1]) + [1]
+    for i in range(p ** e):
+        # c_k is base-p digit k of i, so the scan order matches the
+        # "smallest written form" convention, c_{e-1} most significant.
+        coeffs = [i // p ** k % p for k in range(e)] + [1]
         if _is_irreducible_mod(coeffs, p):
             return ExtFieldDesc(p, e, tuple(coeffs))
     raise AssertionError("no irreducible of degree %d over F_%d" % (e, p))

@@ -94,6 +94,22 @@ def mu1_sweep(system_x, system_xp, declared_dim, primes, nvars_x=None,
                          * (cx - cxp))
 
 
+def _check_table_size(p, n):
+    if p ** n > FOURIER_BUDGET:
+        raise BudgetError("table budget exceeded: %d^%d > %d"
+                          % (p, n, FOURIER_BUDGET))
+
+
+def _table_array(p, n, fill=0):
+    """A fresh (p,)*n complex array, refused before allocation when it
+    would exceed FOURIER_BUDGET cells."""
+    _check_table_size(p, n)
+    arr = np.zeros((p,) * n, dtype=np.complex128)
+    if fill:
+        arr.fill(fill)
+    return arr
+
+
 class ValueTable:
     """A complex-valued function on F_p^n, stored densely."""
 
@@ -111,17 +127,14 @@ class ValueTable:
 
     @classmethod
     def from_function(cls, p, n, fn):
-        if p ** n > FOURIER_BUDGET:
-            raise BudgetError("table budget exceeded: %d^%d > %d"
-                              % (p, n, FOURIER_BUDGET))
-        arr = np.zeros((p,) * n, dtype=np.complex128)
+        arr = _table_array(p, n)
         for idx in np.ndindex(*arr.shape):
             arr[idx] = fn(idx)
         return cls(p, n, arr)
 
     @classmethod
     def indicator(cls, p, n, points):
-        arr = np.zeros((p,) * n, dtype=np.complex128)
+        arr = _table_array(p, n)
         for pt in points:
             arr[tuple(int(v) % p for v in pt)] = 1.0
         return cls(p, n, arr)
@@ -152,14 +165,13 @@ def fourier_table(table: ValueTable, budget=FOURIER_BUDGET) -> ValueTable:
 
 
 def delta_table(p, n, at=None) -> ValueTable:
-    arr = np.zeros((p,) * n, dtype=np.complex128)
+    arr = _table_array(p, n)
     arr[tuple((at or (0,) * n))] = 1.0
     return ValueTable(p, n, arr)
 
 
 def constant_table(p, n, value=1.0) -> ValueTable:
-    arr = np.full((p,) * n, value, dtype=np.complex128)
-    return ValueTable(p, n, arr)
+    return ValueTable(p, n, _table_array(p, n, value))
 
 
 @dataclass(frozen=True)

@@ -9,11 +9,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 
 from .errors import BadPrimeError, CharsumError
 from .ffield import _is_irreducible_mod
 from .mpoly import MPoly, discriminant, frac_mod, poly_rem, poly_trim
+from .parser import poly_to_string
 from .primes import primes_in
 from .angles import Angle
 
@@ -36,43 +37,29 @@ def _int_coeffs(f):
 
 
 def _poly_str(coeffs):
-    parts = []
-    for k in range(len(coeffs) - 1, -1, -1):
-        c = coeffs[k]
-        if c == 0:
-            continue
-        mag = abs(c)
-        if k == 0:
-            body = str(mag)
-        elif k == 1:
-            body = "x" if mag == 1 else "%d*x" % mag
-        else:
-            body = "x^%d" % k if mag == 1 else "%d*x^%d" % (mag, k)
-        if not parts:
-            parts.append(body if c > 0 else "-" + body)
-        else:
-            parts.append((" + " if c > 0 else " - ") + body)
-    return "".join(parts) if parts else "0"
+    return poly_to_string(MPoly.from_univariate(coeffs), ("x",))
 
 
-def _integer_roots(coeffs):
-    """Integer roots of a monic integer polynomial (all rational roots of a
-    monic polynomial are integers dividing the constant term)."""
-    c0 = coeffs[0]
-    if c0 == 0:
-        return [0]
-    roots = []
-    d = 1
-    while d * d <= abs(c0):
-        if c0 % d == 0:
-            for r in {d, -d, c0 // d, -(c0 // d)}:
-                val = 0
-                for c in reversed(coeffs):
-                    val = val * r + c
-                if val == 0:
-                    roots.append(r)
-        d += 1
-    return sorted(set(roots))
+def _divisors(n):
+    n = abs(n)
+    return {e for d in range(1, isqrt(n) + 1) if n % d == 0
+            for e in (d, n // d)}
+
+
+def _refuse_rational_root(ints):
+    """Refuse a primitive integer polynomial with a rational root r = u/v
+    (u divides the constant term, v the leading coefficient), naming the
+    factor x - r of the smallest one."""
+    if ints[0] == 0:
+        roots = [Fraction(0)]
+    else:
+        roots = [r for u in _divisors(ints[0]) for v in _divisors(ints[-1])
+                 if gcd(u, v) == 1
+                 for r in (Fraction(u, v), Fraction(-u, v))
+                 if sum(c * r ** k for k, c in enumerate(ints)) == 0]
+    if roots:
+        raise CharsumError("reducible: divisible by %s"
+                           % _poly_str([-min(roots), 1]))
 
 
 def _gcd_poly_q(f, g):
@@ -112,15 +99,10 @@ def nf_build(f) -> NumberFieldDesc:
     if disc == 0:
         der = [k * c for k, c in enumerate(coeffs)][1:]
         rep = _gcd_poly_q(coeffs, der)
-        raise CharsumError("reducible: repeated factor %s"
-                           % _poly_str([Fraction(c) for c in rep]))
+        raise CharsumError("reducible: repeated factor %s" % _poly_str(rep))
     if deg == 1:
         return NumberFieldDesc(tuple(coeffs), 1, disc, "degree 1")
-    roots = _integer_roots(coeffs)
-    if roots:
-        r = roots[0]
-        factor = _poly_str([-r, 1])
-        raise CharsumError("reducible: divisible by %s" % factor)
+    _refuse_rational_root(coeffs)
     if deg <= 3:
         return NumberFieldDesc(tuple(coeffs), deg, disc,
                                "no rational roots (degree %d)" % deg)

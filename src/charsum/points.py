@@ -393,7 +393,7 @@ def _enumerate_fq(system, field, n):
     return out
 
 
-def sample_points(system, p, count, nvars=None, tmax=None):
+def sample_points(system, p, count, nvars=None):
     """Deterministic point sampling for large p (no full enumeration).
 
     Supports systems that reduce, after unit-linear elimination, to at
@@ -406,8 +406,6 @@ def sample_points(system, p, count, nvars=None, tmax=None):
     subs, residual, free, empty = _eliminate(reduced, n, p)
     if empty:
         raise CharsumError("insufficient samples: no points mod %d" % p)
-    if tmax is None:
-        tmax = 60 * count + 120
 
     sol_rows = []
     k = len(free)
@@ -430,7 +428,7 @@ def sample_points(system, p, count, nvars=None, tmax=None):
                 sol_rows.append({v: r})
     elif k == 2:
         xv, yv = free
-        for t in range(tmax):
+        for t in range(60 * count + 120):
             uni = [g.substitute(xv, t) for g in residual]
             uni = [_reduce_poly(g, p) for g in uni]
             uni = [g for g in uni if not g.is_zero()]

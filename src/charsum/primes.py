@@ -2,11 +2,15 @@
 
 from math import gcd
 
-from .errors import CharsumError
+from .errors import BudgetError, CharsumError
 
 # Witness set making Miller-Rabin deterministic for n < 3.3 * 10^24,
 # which comfortably covers the certified-below-2^64 contract.
 _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+# Largest sieve limit (a byte per integer): points.DEFAULT_BUDGET, which
+# this module cannot import, since points imports ffield and ffield this.
+_SIEVE_BUDGET = 10 ** 9
 
 
 def is_prime(n: int) -> bool:
@@ -50,6 +54,9 @@ def primes_in(limit: int, congruence=None) -> list:
             raise CharsumError(
                 "empty congruence class beyond finitely many primes: "
                 "gcd(%d, %d) = %d" % (k, m, gcd(k, m)))
+    if limit > _SIEVE_BUDGET:
+        raise BudgetError("sieve budget exceeded: %d > %d"
+                          % (limit, _SIEVE_BUDGET))
     if limit < 2:
         return []
     sieve = bytearray([1]) * (limit + 1)

@@ -27,6 +27,7 @@ from .points import (DEFAULT_BUDGET, _system_nvars, enumerate_points,
                      sample_points)
 from .polyroots import eval_many
 from .primes import next_prime
+from .rootsums import psi_sum
 
 PASS_SLACK = 1e-6
 HEIGHT_CAP = 20
@@ -48,25 +49,18 @@ def exp_sum_points(points, f: MPoly, char: CharacterDesc) -> complex:
     """Sum of Psi(f(x)) over an explicit point set (exact angles, summed
     with compensated float addition)."""
     field = char.field
-    res = []
-    ims = []
+    values = []
     for x in points:
         elems = tuple(field.element(v) for v in x)
         acc = field.zero()
         for e, c in f.sorted_terms():
-            t = field.element(_coeff_elem(c, field))
+            t = field.element(frac_mod(c, field.p))
             for xi, k in zip(elems, e):
                 if k:
                     t = t * xi ** k
             acc = acc + t
-        z = char.psi(acc).to_complex()
-        res.append(z.real)
-        ims.append(z.imag)
-    return complex(math.fsum(res), math.fsum(ims))
-
-
-def _coeff_elem(c, field):
-    return frac_mod(c, field.p)
+        values.append(acc)
+    return psi_sum(values, char)
 
 
 def exp_sum(system, f: MPoly, char: CharacterDesc, box=None,
@@ -281,8 +275,7 @@ def _candidate_vectors(n, m):
             yield vec
 
 
-def hyperplane_height_test(system, m, nvars=None, primes=None,
-                           points_per_prime=None):
+def hyperplane_height_test(system, m, nvars=None):
     """Search for a height <= m affine hyperplane containing the variety.
 
     Evidence is A.x constant on sampled points over three large primes;
@@ -293,19 +286,17 @@ def hyperplane_height_test(system, m, nvars=None, primes=None,
     if m < 1 or m > HEIGHT_CAP:
         raise CharsumError("height bound must be in [1, %d]" % HEIGHT_CAP)
     deg = max((g.total_degree() for g in system), default=1)
-    if points_per_prime is None:
-        points_per_prime = 2 * max(deg, 1) + 2
-    if primes is None:
-        primes = []
-        q = 10 ** 6
-        while len(primes) < 3:
-            q = next_prime(q)
-            try:
-                for g in system:
-                    g.reduce_mod(q)
-            except BadPrimeError:
-                continue
-            primes.append(q)
+    points_per_prime = 2 * max(deg, 1) + 2
+    primes = []
+    q = 10 ** 6
+    while len(primes) < 3:
+        q = next_prime(q)
+        try:
+            for g in system:
+                g.reduce_mod(q)
+        except BadPrimeError:
+            continue
+        primes.append(q)
     samples = {}
     for q in primes:
         samples[q] = sample_points(system, q, points_per_prime, nvars=n)

@@ -89,6 +89,43 @@ def test_weil_prime_over_budget_is_usage_error():
     assert "Traceback" not in r.stderr
 
 
+@pytest.mark.parametrize("source", [["--const", "1"], ["--delta"],
+                                    ["--input", "table.csv"],
+                                    ["--indicator", "x"]],
+                         ids=["const", "delta", "input", "indicator"])
+def test_fourier_table_over_budget_is_refused_before_allocation(tmp_path,
+                                                                source):
+    # 100003^2 and 31607^2 cells are 149 GiB and 14.9 GiB of complex128;
+    # the size check must run before any table or point list is built
+    table = tmp_path / "table.csv"
+    table.write_text("0,0,1,0\n")
+    source = [str(table) if a == "table.csv" else a for a in source]
+    p = "31607" if source[0] == "--indicator" else "100003"
+    r = run("fourier", "--prime", p, "--nvars", "2", *source)
+    assert r.returncode == 2
+    assert "budget exceeded" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
+@pytest.mark.parametrize("argv", [["weil", "--poly", "x^3"],
+                                  ["spcheck", "--n", "3"]],
+                         ids=["weil", "spcheck"])
+def test_huge_sweep_limit_is_refused_before_the_sieve(argv):
+    r = run(*argv, "--xlimit", "1000000000000")
+    assert r.returncode == 2
+    assert "budget exceeded" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
+def test_kappa_over_a_large_quadratic_extension():
+    # the smallest modulus of F_{p^2}, p = 10^9 + 7 = 3 mod 4, is x^2 + 1;
+    # the scan for it must not materialize the p candidate digits
+    r = run("kappa", "--p-poly", "y^2 - b", "--q-poly", "y", "--point", "1",
+            "--prime", "1000000007", "--ext", "2")
+    assert r.returncode == 0, r.stderr
+    assert "common value:" in r.stdout
+
+
 def test_parse_error_is_exit_2():
     r = run("weil", "--poly", "2x", "--prime", "7")
     assert r.returncode == 2

@@ -118,6 +118,28 @@ def test_dfiext_with_identity_map_matches_dfi():
     assert ext.command == "dfiext"
 
 
+@pytest.mark.parametrize("poly,congruence", [("x^2 + 1", None),
+                                             ("x^3 - 2", (3, 1))])
+def test_dfi_is_the_identity_element_sweep(poly, congruence):
+    base = dfi_sweep(poly, 2000, congruence)
+    ext = dfi_extended_sweep(poly, "x", 2000, congruence)
+    assert base.samples and ext.samples == base.samples
+    assert ext.skipped == base.skipped
+    assert ext.ks == base.ks
+    assert ext.weyl == base.weyl
+    assert "split_only" not in base.params
+    assert ext.params["split_only"] is False
+
+
+def test_reducible_non_monic_input_names_its_rational_factor():
+    with pytest.raises(CharsumError, match="divisible by x - 1/2$"):
+        dfi_sweep("2*x^2 - 3*x + 1", 100)
+    with pytest.raises(CharsumError, match="divisible by x \\+ 1/2$"):
+        dfi_extended_sweep("6*x^2 + x - 1", "x", 100)
+    with pytest.raises(CharsumError, match="divisible by x$"):
+        multi_weyl("x^3 - x^2", 100, (1,))
+
+
 def test_dfiext_values_are_g_of_root():
     rep = dfi_extended_sweep("x^3 - 2", "x^2 + 3*x", 300)
     for p, v, angle in rep.samples:
@@ -125,6 +147,16 @@ def test_dfiext_values_are_g_of_root():
         roots = [r for r in range(p) if pow(r, 3, p) == 2 % p]
         assert v in {(r * r + 3 * r) % p for r in roots}
         assert angle == Fraction(v, p)
+
+
+def test_dfiext_rational_coefficients_reduce_mod_p():
+    rep = dfi_extended_sweep("x^2 + 1", "5/6*x^2 + 1/4*x - 2/3", 300)
+    assert rep.samples
+    for p, v, _ in rep.samples:
+        roots = [r for r in range(p) if (r * r + 1) % p == 0]
+        assert v in {(5 * pow(6, -1, p) * r * r + pow(4, -1, p) * r
+                      - 2 * pow(3, -1, p)) % p for r in roots}
+    assert {2, 3} <= {p for p, _ in rep.skipped}
 
 
 def test_dfiext_rational_element_rejected():

@@ -208,6 +208,21 @@ def test_modulus_has_no_prime_field_roots():
             assert sum(c * x ** k for k, c in enumerate(mod)) % p != 0
 
 
+def test_modulus_is_the_first_irreducible_in_written_order():
+    from itertools import product
+    from charsum.ffield import _is_irreducible_mod
+    for p, e in ((2, 2), (2, 4), (3, 3), (5, 2), (7, 3)):
+        first = next(tuple(upper[::-1]) + (1,)
+                     for upper in product(range(p), repeat=e)
+                     if _is_irreducible_mod(list(upper[::-1]) + [1], p))
+        assert build_extension(p, e).modulus == first
+
+
+def test_large_extension_scans_candidates_lazily():
+    # listing the p candidate digits first would need gigabytes here
+    assert build_extension(1000000007, 2).modulus == (1, 0, 1)
+
+
 def test_sqrt_mod_against_brute_force():
     for p in (3, 5, 7, 11, 13, 17, 97, 101):
         squares = {x * x % p for x in range(p)}

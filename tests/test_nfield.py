@@ -31,6 +31,29 @@ def test_reducible_inputs_are_refused():
         nf_build([1, 0, 0, 0, 1])
 
 
+def test_rational_root_refusal_names_the_smallest_integer_root():
+    with pytest.raises(CharsumError, match="divisible by x \\+ 3$"):
+        nf_build([-6, 1, 1])            # (x+3)(x-2)
+    with pytest.raises(CharsumError, match="divisible by x$"):
+        nf_build([0, -1, 0, 1])         # x(x-1)(x+1)
+    with pytest.raises(CharsumError, match="repeated factor x\\^2 \\+ 2$"):
+        nf_build([4, 0, 4, 0, 1])       # (x^2+2)^2
+
+
+@pytest.mark.parametrize("coeffs,text", [
+    ([-1, -1, 0, 1], "NumberFieldDesc(x^3 - x - 1, "
+                     "certificate='no rational roots (degree 3)')"),
+    ([2, -1, 0, 3, 1], "NumberFieldDesc(x^4 + 3*x^3 - x + 2, "
+                       "certificate='irreducible mod 3')"),
+    ([-3, 1, -1, 1], "NumberFieldDesc(x^3 - x^2 + x - 3, "
+                     "certificate='no rational roots (degree 3)')"),
+    ([1, -7, 0, 0, 0, 1], "NumberFieldDesc(x^5 - 7*x + 1, "
+                          "certificate='irreducible mod 3')"),
+])
+def test_number_field_repr(coeffs, text):
+    assert repr(nf_build(coeffs)) == text
+
+
 def test_defining_polynomial_validation():
     with pytest.raises(CharsumError):
         nf_build([1, 2])                 # not monic

@@ -1,6 +1,7 @@
 import pytest
 
 from charsum import CharsumError, is_prime, next_prime, primes_in
+from charsum.errors import BudgetError
 
 
 def test_small_primality():
@@ -52,6 +53,16 @@ def test_empty_congruence_class_rejected():
         primes_in(100, (4, 2))
     with pytest.raises(CharsumError):
         primes_in(100, (0, 1))
+
+
+def test_sieve_limit_is_capped_before_allocation():
+    from charsum import points, primes
+    assert primes._SIEVE_BUDGET == points.DEFAULT_BUDGET
+    for limit in (primes._SIEVE_BUDGET + 1, 10 ** 12):
+        with pytest.raises(BudgetError, match="budget exceeded"):
+            primes_in(limit)
+        with pytest.raises(BudgetError):
+            primes_in(limit, (4, 1))
 
 
 def test_next_prime():
