@@ -29,7 +29,8 @@ from .angles import Angle
 from .errors import CharsumError
 from .fppoly import evaluate
 from .mpoly import MPoly, discriminant, poly_rem, poly_trim
-from .nfield import _poly_str, _refuse_rational_root, nf_build
+from .nfield import (_monic_companion, _poly_str, _refuse_rational_root,
+                     nf_build)
 from .parallel import pmap
 from .parser import PolyExpr, parse_polynomial
 from .polyroots import roots_mod_p
@@ -123,11 +124,8 @@ def _integer_form(coeffs):
 def _certify_irreducible(ints):
     """Irreducibility certificate for a primitive integer polynomial of
     degree >= 2, via its monic companion lc^(d-1) f(y / lc)."""
-    deg = len(ints) - 1
     _refuse_rational_root(ints)
-    lc = ints[-1]
-    monic = [ints[i] * lc ** (deg - 1 - i) for i in range(deg)] + [1]
-    return nf_build(monic)
+    return nf_build(_monic_companion(ints))
 
 
 def _good_primes(ints, xlimit, congruence, den):

@@ -24,6 +24,7 @@ import numpy as np
 
 from . import fppoly
 from .errors import CharsumError
+from .mpoly import frac_mod
 from .primes import is_prime
 
 # Largest field that gets packed tables: at q = 2^16 and e = 16 they
@@ -106,6 +107,11 @@ class ExtFieldDesc:
             raise CharsumError("coefficient vector longer than degree")
         coeffs = coeffs + (0,) * (self.e - len(coeffs))
         return FqElem(self, coeffs)
+
+    def rational(self, c):
+        """The image of a rational number; BadPrimeError if p divides its
+        denominator."""
+        return self.element(frac_mod(c, self.p))
 
     def zero(self):
         return self.element(0)
@@ -233,16 +239,20 @@ class FqElem:
         return self * other.inverse()
 
     def __pow__(self, k):
+        """Square and multiply, with no product by one and no squaring
+        after the last bit."""
         if k < 0:
             return self.inverse() ** (-k)
-        out = self.field.one()
-        base = self
-        while k:
+        if k == 0:
+            return self.field.one()
+        out, base = None, self
+        while True:
             if k & 1:
-                out = out * base
-            base = base * base
+                out = base if out is None else out * base
             k >>= 1
-        return out
+            if not k:
+                return out
+            base = base * base
 
     def is_zero(self):
         return all(c == 0 for c in self.coeffs)

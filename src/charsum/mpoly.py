@@ -244,28 +244,26 @@ class MPoly:
         for e, c in self.sorted_terms():
             t = np.full(shape, frac_mod(c, p), dtype=np.int64)
             for x, k in zip(arrays, e):
-                if not k:
-                    continue
-                base = x % p
-                while True:
-                    if k & 1:
-                        t = t * base % p
-                    k >>= 1
-                    if not k:
-                        break
-                    base = base * base % p
+                if k:
+                    t = t * pow_mod_array(x, k, p) % p
             total = (total + t) % p
         return total
 
-    def eval_exact(self, point):
-        total = Fraction(0)
+    def evaluate(self, point, coeff=Fraction):
+        """Value at a point whose coordinates support +, * and ** (say
+        Fractions or FqElems); `coeff` maps a rational coefficient, and 0,
+        into their ring."""
+        total = coeff(0)
         for e, c in self.terms.items():
-            t = c
+            t = coeff(c)
             for x, k in zip(point, e):
                 if k:
-                    t = t * Fraction(x) ** k
-            total += t
+                    t = t * x ** k
+            total = total + t
         return total
+
+    def eval_exact(self, point):
+        return self.evaluate([Fraction(x) for x in point])
 
 
 def check_int64_modulus(p):
@@ -273,6 +271,20 @@ def check_int64_modulus(p):
     keeps every product below 2^62."""
     if p >= 1 << 31:
         raise CharsumError("vectorized evaluation requires p < 2^31")
+
+
+def pow_mod_array(a, e, p):
+    """a^e mod p elementwise for e >= 1, by square and multiply (p < 2^31,
+    see check_int64_modulus)."""
+    base = a % p
+    out = None
+    while True:
+        if e & 1:
+            out = base if out is None else out * base % p
+        e >>= 1
+        if not e:
+            return out
+        base = base * base % p
 
 
 def frac_mod(c, p):

@@ -9,13 +9,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd, lcm
 
-from .errors import BadPrimeError, CharsumError
+from . import fppoly
+from .errors import CharsumError
 from .ffield import _is_irreducible_mod
 from .mpoly import MPoly, discriminant, frac_mod, poly_rem, poly_trim
 from .parser import poly_to_string
-from .primes import primes_in
+from .polyroots import roots_mod_p
+from .primes import EXACT_LIMIT, next_prime, primes_in
 from .angles import Angle
 
 CERT_PRIME_COUNT = 25
@@ -40,23 +42,35 @@ def _poly_str(coeffs):
     return poly_to_string(MPoly.from_univariate(coeffs), ("x",))
 
 
-def _divisors(n):
-    n = abs(n)
-    return {e for d in range(1, isqrt(n) + 1) if n % d == 0
-            for e in (d, n // d)}
+def _monic_companion(ints):
+    """lc^(d-1) f(y / lc) for integer f of degree d: monic, with integer
+    roots lc * r for the rational roots r of f."""
+    deg, lc = len(ints) - 1, ints[-1]
+    return [ints[i] * lc ** (deg - 1 - i) for i in range(deg)] + [1]
 
 
 def _refuse_rational_root(ints):
-    """Refuse a primitive integer polynomial with a rational root r = u/v
-    (u divides the constant term, v the leading coefficient), naming the
-    factor x - r of the smallest one."""
+    """Refuse an integer polynomial with a rational root, naming the factor
+    x - r of the smallest one (x itself when the constant term is 0).
+
+    The roots are y / lc for the integer roots y of the monic companion g.
+    Each such y divides g_0 and has |y| <= 1 + max |g_i| (Cauchy), so the
+    roots of g mod one prime q above twice that bound, read in
+    (-q/2, q/2), include them all; an exact evaluation keeps the true
+    ones.
+    """
     if ints[0] == 0:
         roots = [Fraction(0)]
     else:
-        roots = [r for u in _divisors(ints[0]) for v in _divisors(ints[-1])
-                 if gcd(u, v) == 1
-                 for r in (Fraction(u, v), Fraction(-u, v))
-                 if sum(c * r ** k for k, c in enumerate(ints)) == 0]
+        g = _monic_companion(ints)
+        bound = min(abs(g[0]), 1 + max(abs(c) for c in g[:-1]))
+        q = next_prime(2 * bound)
+        if q >= EXACT_LIMIT:
+            raise CharsumError("coefficients too large for the rational-root "
+                               "test: root bound %d" % bound)
+        ys = {y - q if y > q // 2 else y for y in roots_mod_p(g, q)}
+        roots = [Fraction(y, ints[-1]) for y in ys
+                 if sum(c * y ** k for k, c in enumerate(g)) == 0]
     if roots:
         raise CharsumError("reducible: divisible by %s"
                            % _poly_str([-min(roots), 1]))
@@ -236,19 +250,10 @@ class NFElem:
 
 def nf_reduce(x: NFElem, p: int, b: int) -> int:
     """Reduce x at the place where the defining root maps to b mod p."""
-    f = x.field.coeffs
-    val = 0
-    for c in reversed(f):
-        val = (val * b + c) % p
-    if val != 0:
+    if fppoly.evaluate(x.field.coeffs, b, p) != 0:
         raise CharsumError(
             "%d is not a root of the defining polynomial mod %d" % (b, p))
-    out = 0
-    power = 1
-    for c in x.coords:
-        out = (out + frac_mod(c, p) * power) % p
-        power = power * b % p
-    return out
+    return fppoly.evaluate([frac_mod(c, p) for c in x.coords], b, p)
 
 
 def hnf(rows):

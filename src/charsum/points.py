@@ -1,8 +1,11 @@
-"""Point enumeration and counting for polynomial systems over F_q.
+"""Point enumeration, counting and sampling for polynomial systems over
+F_q.
 
-The contract is brute force with a q^n candidate budget.  Within that
-budget two elementary shortcuts keep desk-scale sweeps fast without any
-point-counting machinery:
+The contract is brute force with a q^n candidate budget.  Over F_p one
+front end, `_eliminate`, reduces the system mod p and finds it empty when
+a polynomial reduces, or is substituted down, to a nonzero constant.
+Within the budget two elementary shortcuts keep desk-scale sweeps fast
+without any point-counting machinery:
 
   * variables that occur linearly with a unit (constant, invertible)
     coefficient are eliminated by substitution, so graphs, lines and
@@ -15,7 +18,9 @@ point-counting machinery:
 
 Without such an equation (or at p = 2) the grid over all free variables
 is scanned in chunks; a single free variable takes the root finder.
-Extension fields take the plain object scan (small q only).
+Extension fields take the plain object scan (small q only): every
+candidate point goes through `MPoly.evaluate`, with the coefficients
+reduced into the field once per call.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ import numpy as np
 
 from .errors import BudgetError, CharsumError
 from .ffield import ExtFieldDesc
-from .mpoly import MPoly, frac_mod
+from .mpoly import MPoly, pow_mod_array
 from .polyroots import roots_mod_p
 
 DEFAULT_BUDGET = 10 ** 9
@@ -73,59 +78,55 @@ def _reduce_poly(f: MPoly, p) -> MPoly:
 
 
 def _prepare(system, p):
-    """Reduce mod p; returns (polys, empty) where empty means provably no
-    points."""
+    """The polynomials reduced mod p, zeros dropped; None when one is a
+    nonzero constant (provably no points)."""
     reduced = []
     for f in system:
         g = _reduce_poly(f, p)
         if g.is_zero():
             continue
         if g.is_constant():
-            return [], True
+            return None
         reduced.append(g)
-    return reduced, False
+    return reduced
+
+
+def _unit_linear(system, free, p):
+    """(index, var, replacement) for the first equation that is linear
+    with a constant coefficient in a free variable, or None."""
+    for idx, f in enumerate(system):
+        for v in free:
+            if f.degree_in(v) != 1:
+                continue
+            coeffs = f.as_univariate_in(v)
+            if coeffs[1].is_constant():
+                c = int(coeffs[1].constant_value())
+                return idx, v, _reduce_poly(
+                    coeffs[0] * Fraction(-pow(c, -1, p)), p)
+    return None
 
 
 def _eliminate(system, n, p):
-    """Substitute out unit-linear variables.
+    """Reduce mod p and substitute out unit-linear variables.
 
-    Returns (substitutions, residual, free, empty): substitutions is a list
-    of (var, replacement MPoly) in elimination order; every replacement
-    references only variables free at its own elimination step.
+    Returns (substitutions, residual, free), or None when the system
+    provably has no points: substitutions is a list of (var, replacement
+    MPoly) in elimination order; every replacement references only
+    variables free at its own elimination step.
     """
-    sys_ = list(system)
-    free = sorted(range(n))
+    sys_ = _prepare(system, p)
+    free = list(range(n))
     subs = []
-    while True:
-        found = None
-        for idx, f in enumerate(sys_):
-            for v in free:
-                if f.degree_in(v) != 1:
-                    continue
-                coeffs = f.as_univariate_in(v)
-                if not coeffs[1].is_constant():
-                    continue
-                c = int(coeffs[1].constant_value())
-                repl = _reduce_poly(coeffs[0] * Fraction(-pow(c, -1, p)), p)
-                found = (idx, v, repl)
-                break
-            if found:
-                break
-        if not found:
-            return subs, sys_, free, False
+    while sys_ is not None:
+        found = _unit_linear(sys_, free, p)
+        if found is None:
+            return subs, sys_, free
         idx, v, repl = found
-        del sys_[idx]
         free.remove(v)
         subs.append((v, repl))
-        nxt = []
-        for g in sys_:
-            h = _reduce_poly(g.substitute(v, repl), p)
-            if h.is_zero():
-                continue
-            if h.is_constant():
-                return subs, [], free, True
-            nxt.append(h)
-        sys_ = nxt
+        sys_ = _prepare([g.substitute(v, repl)
+                         for g in sys_[:idx] + sys_[idx + 1:]], p)
+    return None
 
 
 @lru_cache(maxsize=16)
@@ -144,19 +145,8 @@ def _disc(a, b, c, p):
     return (b * b - 4 * (a * c % p)) % p
 
 
-def _pow_mod_array(a, e, p):
-    out = np.ones_like(a)
-    base = a % p
-    while e:
-        if e & 1:
-            out = out * base % p
-        base = base * base % p
-        e >>= 1
-    return out
-
-
 def _inv_mod_array(a, p):
-    return _pow_mod_array(a, p - 2, p)
+    return pow_mod_array(a, p - 2, p)
 
 
 def _free_grid(free_count, p, flat):
@@ -171,10 +161,9 @@ def _free_grid(free_count, p, flat):
 
 
 def _eval_on(f, p, n, assign):
-    """assign: dict var -> array; absent variables do not occur in f."""
-    probe = next(iter(assign.values())) if assign else np.zeros(1, np.int64)
-    arrays = [assign.get(i, np.zeros_like(probe)) for i in range(n)]
-    return f.eval_mod_arrays(p, arrays)
+    """assign: dict var -> array; absent variables do not occur in f and
+    are passed as the scalar 0."""
+    return f.eval_mod_arrays(p, [assign.get(i, 0) for i in range(n)])
 
 
 def _fibre_equation(residual, free, p):
@@ -336,12 +325,10 @@ def enumerate_points(system, field, nvars=None, box=None,
         return _enumerate_fq(system, field, n)
     p = field.p
     box = _validate_box(box, n, p)
-    reduced, empty = _prepare(system, p)
-    if empty:
+    elim = _eliminate(system, n, p)
+    if elim is None:
         return []
-    subs, residual, free, empty = _eliminate(reduced, n, p)
-    if empty:
-        return []
+    subs, residual, free = elim
     columns, length = _solve_residual(residual, free, n, p)
     _reconstruct(subs, columns, n, p, length)
     return _assemble(columns, n, length, box, p)
@@ -357,40 +344,25 @@ def count_points(system, field, nvars=None, box=None, budget=DEFAULT_BUDGET):
         return len(enumerate_points(system, field, nvars=n, box=box,
                                     budget=budget))
     _check_budget(field.order, n, budget)
-    p = field.p
-    reduced, empty = _prepare(system, p)
-    if empty:
+    elim = _eliminate(system, n, field.p)
+    if elim is None:
         return 0
-    _, residual, free, empty = _eliminate(reduced, n, p)
-    if empty:
-        return 0
-    return _solve_residual(residual, free, n, p, count_only=True)[1]
+    _, residual, free = elim
+    return _solve_residual(residual, free, n, field.p, count_only=True)[1]
+
+
+def _field_coeffs(field, polys):
+    """The `coeff` map of MPoly.evaluate over `field` for these
+    polynomials, each coefficient reduced once."""
+    table = {c: field.rational(c) for f in polys for c in f.terms.values()}
+    table[0] = field.zero()
+    return table.__getitem__
 
 
 def _enumerate_fq(system, field, n):
-    out = []
-    coeff_cache = []
-    for f in system:
-        terms = []
-        for e, c in f.sorted_terms():
-            terms.append((e, field.element(frac_mod(c, field.p))))
-        coeff_cache.append(terms)
-    for point in product(field.elements(), repeat=n):
-        ok = True
-        for terms in coeff_cache:
-            acc = field.zero()
-            for e, c in terms:
-                t = c
-                for x, k in zip(point, e):
-                    if k:
-                        t = t * x ** k
-                acc = acc + t
-            if not acc.is_zero():
-                ok = False
-                break
-        if ok:
-            out.append(point)
-    return out
+    coeff = _field_coeffs(field, system)
+    return [point for point in product(field.elements(), repeat=n)
+            if all(f.evaluate(point, coeff).is_zero() for f in system)]
 
 
 def sample_points(system, p, count, nvars=None):
@@ -400,12 +372,10 @@ def sample_points(system, p, count, nvars=None):
     most a plane curve.  Raises when it cannot produce `count` points.
     """
     n = _system_nvars(system, nvars)
-    reduced, empty = _prepare(system, p)
-    if empty:
+    elim = _eliminate(system, n, p)
+    if elim is None:
         raise CharsumError("insufficient samples: no points mod %d" % p)
-    subs, residual, free, empty = _eliminate(reduced, n, p)
-    if empty:
-        raise CharsumError("insufficient samples: no points mod %d" % p)
+    subs, residual, free = elim
 
     sol_rows = []
     k = len(free)
@@ -429,10 +399,8 @@ def sample_points(system, p, count, nvars=None):
     elif k == 2:
         xv, yv = free
         for t in range(60 * count + 120):
-            uni = [g.substitute(xv, t) for g in residual]
-            uni = [_reduce_poly(g, p) for g in uni]
-            uni = [g for g in uni if not g.is_zero()]
-            if any(g.is_constant() for g in uni):
+            uni = _prepare([g.substitute(xv, t) for g in residual], p)
+            if uni is None:
                 continue
             if not uni:
                 sol_rows.append({xv: t, yv: 0})

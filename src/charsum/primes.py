@@ -4,9 +4,11 @@ from math import gcd
 
 from .errors import BudgetError, CharsumError
 
-# Witness set making Miller-Rabin deterministic for n < 3.3 * 10^24,
-# which comfortably covers the certified-below-2^64 contract.
+# The first twelve primes as Miller-Rabin witnesses decide primality
+# for every n below EXACT_LIMIT = psi_12, about 3.2 * 10^23 (Sorenson and
+# Webster, Math. Comp. 86 (2017)).
 _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+EXACT_LIMIT = 318665857834031151167461
 
 # Largest sieve limit (a byte per integer): points.DEFAULT_BUDGET, which
 # this module cannot import, since points imports ffield and ffield this.
@@ -14,8 +16,8 @@ _SIEVE_BUDGET = 10 ** 9
 
 
 def is_prime(n: int) -> bool:
-    """Primality test; exact for all n below 2^64 (strong probable prime
-    beyond that)."""
+    """Primality test; exact for all n below EXACT_LIMIT (strong probable
+    prime beyond that)."""
     if n < 2:
         return False
     for p in _WITNESSES:

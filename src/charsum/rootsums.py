@@ -17,9 +17,9 @@ from dataclasses import dataclass
 
 from .angles import CharacterDesc
 from .errors import CharsumError
-from .ffield import ExtFieldDesc, FqElem
-from .mpoly import MPoly, frac_mod
-from .polyroots import poly_roots_fq
+from .ffield import ExtFieldDesc
+from .mpoly import MPoly
+from .polyroots import _fq_mul, poly_roots_fq
 
 
 @dataclass(frozen=True)
@@ -40,14 +40,17 @@ class PsiSymTerm:
 
     def monic_poly(self):
         """Little-endian FqElem list of x^n + c_1 x^{n-1} + ... + c_n."""
-        n = self.degree
-        out = [self.coeffs[n - 1 - i] for i in range(n)]
-        out.append(self.field.one())
-        return out
+        return list(self.coeffs[::-1]) + [self.field.one()]
 
 
 def make_term(field, coeffs) -> PsiSymTerm:
     return PsiSymTerm(field, tuple(coeffs))
+
+
+def _term_of(field, monic) -> PsiSymTerm:
+    """The term of a little-endian monic polynomial (monic_poly's
+    inverse)."""
+    return PsiSymTerm(field, tuple(monic[-2::-1]))
 
 
 def rational_roots(term: PsiSymTerm) -> list:
@@ -88,14 +91,7 @@ def psisym_add(t1: PsiSymTerm, t2: PsiSymTerm) -> PsiSymTerm:
     if t1.field != t2.field:
         raise CharsumError("terms live over different fields")
     field = t1.field
-    f1, f2 = t1.monic_poly(), t2.monic_poly()
-    prod = [field.zero()] * (len(f1) + len(f2) - 1)
-    for i, a in enumerate(f1):
-        for j, b in enumerate(f2):
-            prod[i + j] = prod[i + j] + a * b
-    n = len(prod) - 1
-    coeffs = tuple(prod[n - i] for i in range(1, n + 1))
-    return PsiSymTerm(field, coeffs)
+    return _term_of(field, _fq_mul(t1.monic_poly(), t2.monic_poly(), field))
 
 
 def psisym_mul(t1: PsiSymTerm, t2: PsiSymTerm) -> PsiSymTerm:
@@ -107,25 +103,16 @@ def psisym_mul(t1: PsiSymTerm, t2: PsiSymTerm) -> PsiSymTerm:
         raise CharsumError("terms live over different fields")
     field = t1.field
     roots1, roots2 = rational_roots(t1), rational_roots(t2)
-    roots = [a + b for a in roots1 for b in roots2]
     poly = [field.one()]
-    for r in roots:
-        # multiply by (x - r)
-        nxt = [field.zero()] * (len(poly) + 1)
-        for i, c in enumerate(poly):
-            nxt[i + 1] = nxt[i + 1] + c
-            nxt[i] = nxt[i] - c * r
-        poly = nxt
-    n = len(poly) - 1
-    coeffs = tuple(poly[n - i] for i in range(1, n + 1))
-    return PsiSymTerm(field, coeffs)
+    for a in roots1:
+        for b in roots2:
+            poly = _fq_mul(poly, [-(a + b), field.one()], field)
+    return _term_of(field, poly)
 
 
 def term_from_rational_coeffs(field, coeffs) -> PsiSymTerm:
     """Reduce rational (or integer) coefficients into the field."""
-    return PsiSymTerm(field,
-                      tuple(field.element(frac_mod(c, field.p))
-                            for c in coeffs))
+    return PsiSymTerm(field, tuple(field.rational(c) for c in coeffs))
 
 
 def kappa_eval(P: MPoly, Q: MPoly, b, field: ExtFieldDesc, root_var=None):
@@ -142,28 +129,16 @@ def kappa_eval(P: MPoly, Q: MPoly, b, field: ExtFieldDesc, root_var=None):
     n = P.nvars
     if root_var is None:
         root_var = n - 1
-    b = tuple(field.element(v) for v in b)
+    b = [field.element(v) for v in b]
     if len(b) != n - 1:
         raise CharsumError("expected %d parameter values" % (n - 1))
 
-    def specialize(f):
-        coeffs = []
-        for coeff_poly in f.as_univariate_in(root_var):
-            acc = field.zero()
-            for e, c in coeff_poly.terms.items():
-                t = field.element(frac_mod(c, field.p))
-                bi = 0
-                for v in range(n):
-                    if v == root_var:
-                        continue
-                    if e[v]:
-                        t = t * b[bi] ** e[v]
-                    bi += 1
-                acc = acc + t
-            coeffs.append(acc)
-        return coeffs
+    def at(d):
+        """The point b with d inserted as the root variable."""
+        return b[:root_var] + [d] + b[root_var:]
 
-    p_coeffs = specialize(P)
+    p_coeffs = [c.evaluate(at(field.zero()), field.rational)
+                for c in P.as_univariate_in(root_var)]
     while p_coeffs and p_coeffs[-1].is_zero():
         p_coeffs.pop()
     if not p_coeffs:
@@ -173,13 +148,7 @@ def kappa_eval(P: MPoly, Q: MPoly, b, field: ExtFieldDesc, root_var=None):
     roots = poly_roots_fq(p_coeffs, field)
     if not roots:
         return field.zero()
-    q_coeffs = specialize(Q)
-    values = []
-    for d in set(roots):
-        acc = field.zero()
-        for k, c in enumerate(q_coeffs):
-            acc = acc + c * d ** k
-        values.append(acc)
+    values = [Q.evaluate(at(d), field.rational) for d in set(roots)]
     first = values[0]
     if all(v == first for v in values):
         return first

@@ -13,18 +13,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product as iproduct
 from math import gcd
 
 import numpy as np
 
 from .angles import CharacterDesc, standard_character, unit_roots
 from .errors import BadPrimeError, CharsumError
-from .ffield import ExtFieldDesc, prime_field
+from .ffield import prime_field
 from .laurent import LaurentPoly
 from .mpoly import MPoly, frac_mod
-from .points import (DEFAULT_BUDGET, _system_nvars, enumerate_points,
-                     sample_points)
+from .points import (_CHUNK, DEFAULT_BUDGET, _field_coeffs, _free_grid,
+                     _system_nvars, enumerate_points, sample_points)
 from .polyroots import eval_many
 from .primes import next_prime
 from .rootsums import psi_sum
@@ -49,18 +48,9 @@ def exp_sum_points(points, f: MPoly, char: CharacterDesc) -> complex:
     """Sum of Psi(f(x)) over an explicit point set (exact angles, summed
     with compensated float addition)."""
     field = char.field
-    values = []
-    for x in points:
-        elems = tuple(field.element(v) for v in x)
-        acc = field.zero()
-        for e, c in f.sorted_terms():
-            t = field.element(frac_mod(c, field.p))
-            for xi, k in zip(elems, e):
-                if k:
-                    t = t * xi ** k
-            acc = acc + t
-        values.append(acc)
-    return psi_sum(values, char)
+    coeff = _field_coeffs(field, [f])
+    return psi_sum([f.evaluate([field.element(v) for v in x], coeff)
+                    for x in points], char)
 
 
 def exp_sum(system, f: MPoly, char: CharacterDesc, box=None,
@@ -259,20 +249,19 @@ def _graph_shape(system, n):
 
 def _candidate_vectors(n, m):
     """Primitive integer vectors with sup norm <= m, last nonzero entry
-    positive, by increasing height then lex order."""
+    positive, by increasing height then lex order.  Each height's cube
+    is scanned in numpy pieces of at most _CHUNK vectors."""
     for height in range(1, m + 1):
-        for vec in iproduct(range(-height, height + 1), repeat=n):
-            if max(abs(v) for v in vec) != height:
-                continue
-            nz = [v for v in vec if v]
-            if not nz or nz[-1] < 0:
-                continue
-            g = 0
-            for v in vec:
-                g = gcd(g, abs(v))
-            if g != 1:
-                continue
-            yield vec
+        side = 2 * height + 1
+        for start in range(0, side ** n, _CHUNK):
+            flat = np.arange(start, min(start + _CHUNK, side ** n),
+                             dtype=np.int64)
+            vecs = np.stack(_free_grid(n, side, flat), axis=1) - height
+            last = n - 1 - np.argmax(vecs[:, ::-1] != 0, axis=1)
+            keep = ((np.abs(vecs).max(axis=1) == height)
+                    & (vecs[np.arange(len(vecs)), last] > 0)
+                    & (np.gcd.reduce(vecs, axis=1) == 1))
+            yield from map(tuple, vecs[keep].tolist())
 
 
 def hyperplane_height_test(system, m, nvars=None):

@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 
@@ -512,3 +513,16 @@ def test_psisym_over_f_2_15_matches_the_split_path(tmp_path, capsys, extra):
     assert record["coeffs"] == [list(c.coeffs) for c in term.coeffs]
     assert abs(complex(record["value"]["re"], record["value"]["im"])
                - value) < 1e-12
+
+
+@pytest.mark.parametrize("args", [
+    ("latbasis", "--poly", "x^2 - 1000000000000000000007", "--elems", "1; x"),
+    ("dfi", "--poly", "x^2 - 1000000000000000000007", "--xlimit", "1000"),
+])
+def test_huge_constant_term_certifies_quickly(args):
+    r = subprocess.run(BASE + list(args), capture_output=True, text=True,
+                       timeout=60)
+    assert r.returncode == 0, r.stderr
+    assert "Traceback" not in r.stderr
+    wall = float(re.search(r"^wall time: ([0-9.]+) s$", r.stdout, re.M)[1])
+    assert wall < 1.0

@@ -104,6 +104,17 @@ def test_pow_and_multiplicative_order():
         assert a ** 0 == F.one()
 
 
+def test_pow_matches_repeated_multiplication():
+    for F in (build_extension(3, 2), build_extension(2, 4)):
+        for a in F.elements():
+            acc = F.one()
+            for k in range(20):
+                assert a ** k == acc
+                acc = acc * a
+            if not a.is_zero():
+                assert a ** -3 == a.inverse() * a.inverse() * a.inverse()
+
+
 def test_frobenius_is_field_automorphism_fixing_prime_field():
     F = build_extension(3, 2)
     elems = list(F.elements())

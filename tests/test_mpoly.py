@@ -3,11 +3,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from charsum import MPoly, discriminant, resultant
+from charsum import MPoly, discriminant, prime_field, resultant
 from charsum.errors import BadPrimeError, CharsumError
 from charsum.mpoly import (frac_mod, poly_degree, poly_derivative, poly_rem,
-                           poly_trim)
+                           poly_trim, pow_mod_array)
 
 
 def random_poly(rng, nvars, nterms=6, maxdeg=3, span=9):
@@ -195,3 +196,50 @@ def test_discriminant_closed_forms():
     assert discriminant([1, 3, 2]) == 1              # b^2 - 4ac
     assert discriminant([3, -1, 0, 1]) == -239       # -4p^3 - 27q^2
     assert discriminant([-45, 39, -11, 1]) == 0      # repeated root
+
+
+@st.composite
+def poly_and_points(draw):
+    n = draw(st.integers(1, 3))
+    coeff = st.fractions(min_value=-20, max_value=20, max_denominator=6)
+    f = MPoly(n, draw(st.dictionaries(st.tuples(*[st.integers(0, 4)] * n),
+                                      coeff, max_size=6)))
+    p = draw(st.sampled_from([2, 3, 5, 7, 13, 101]))
+    residues = draw(st.tuples(*[st.integers(0, p - 1)] * n))
+    point = draw(st.tuples(*[st.fractions(min_value=-5, max_value=5,
+                                          max_denominator=4)] * n))
+    return f, p, residues, point
+
+
+def _monomial(point, e):
+    out = Fraction(1)
+    for x, k in zip(point, e):
+        out *= x ** k
+    return out
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(poly_and_points())
+def test_evaluate_agrees_with_eval_mod_and_eval_exact(case):
+    f, p, residues, point = case
+    exact = sum((c * _monomial(point, e) for e, c in f.terms.items()),
+                Fraction(0))
+    assert f.evaluate(point) == exact == f.eval_exact(point)
+    F = prime_field(p)
+    elems = [F.element(x) for x in residues]
+    try:
+        want = f.eval_mod(p, residues)
+    except BadPrimeError:
+        with pytest.raises(BadPrimeError):
+            f.evaluate(elems, F.rational)
+        return
+    assert f.evaluate(elems, F.rational) == F.element(want)
+
+
+def test_pow_mod_array_matches_pow():
+    for p in (2, 3, 5, 101, 65537, 2 ** 31 - 1):
+        a = np.array([0, 1, 2, p - 1, p // 2, -1, -7, 3 * p + 5, 2 ** 40 + 3],
+                     dtype=np.int64)
+        for e in {1, 2, 3, p - 2} - {0}:
+            assert pow_mod_array(a, e, p).tolist() == \
+                [pow(int(x), e, p) for x in a]

@@ -1,11 +1,13 @@
 import random
 from fractions import Fraction
+from math import gcd, isqrt
 
 import pytest
 
 from charsum import (Angle, NFElem, hnf, lattice_basis, nf_build, nf_reduce,
                      qlin_relations, value_set)
 from charsum.errors import CharsumError
+from charsum.nfield import _poly_str, _refuse_rational_root
 
 
 def test_certificates_by_degree():
@@ -259,3 +261,60 @@ def test_value_set_skips_irrational_basis():
     desc = nf_build([-2, 0, 1])
     vs = value_set([NFElem.generator(desc)], sp_mode=True)
     assert vs.annotations == ()
+
+
+def _divisors(n):
+    n = abs(n)
+    return {e for d in range(1, isqrt(n) + 1) if n % d == 0
+            for e in (d, n // d)}
+
+
+def smallest_root_by_divisors(ints):
+    """The divisor search the rational-root test replaced (oracle): r = u/v
+    with u dividing the constant term and v the leading coefficient."""
+    if ints[0] == 0:
+        return Fraction(0)
+    roots = [r for u in _divisors(ints[0]) for v in _divisors(ints[-1])
+             if gcd(u, v) == 1
+             for r in (Fraction(u, v), Fraction(-u, v))
+             if sum(c * r ** k for k, c in enumerate(ints)) == 0]
+    return min(roots, default=None)
+
+
+def _poly_mul(f, g):
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] += a * b
+    return out
+
+
+def test_rational_root_test_matches_the_divisor_search():
+    rng = random.Random(2024)
+    for _ in range(400):
+        f = [rng.choice([1, 2, 3, -1, -6])]
+        for _ in range(rng.randint(0, 2)):  # planted roots u/v
+            f = _poly_mul(f, [-rng.randint(-30, 30), rng.randint(1, 5)])
+        f = _poly_mul(f, [rng.randint(-9, 9) for _ in range(rng.randint(1, 3))]
+                      + [rng.randint(1, 4)])
+        if len(f) < 2 or not any(f):
+            continue
+        want = smallest_root_by_divisors(f)
+        if want is None:
+            _refuse_rational_root(f)
+        else:
+            with pytest.raises(CharsumError) as err:
+                _refuse_rational_root(f)
+            assert str(err.value) == \
+                "reducible: divisible by " + _poly_str([-want, 1])
+
+
+def test_rational_root_test_on_huge_constant_terms():
+    big = 10 ** 21 + 7
+    assert nf_build([-big, 0, 1]).certificate == \
+        "no rational roots (degree 2)"
+    r = 10 ** 11
+    with pytest.raises(CharsumError, match="divisible by x - %d$" % r):
+        nf_build(_poly_mul([-r, 1], [-r - 1, 1]))
+    with pytest.raises(CharsumError, match="too large"):
+        nf_build([-10 ** 40 - 1, 0, 1])

@@ -9,7 +9,7 @@ from charsum import (MPoly, build_extension, count_points, enumerate_points,
                      parse_polynomial, prime_field, primes_in, sample_points)
 from charsum.errors import BudgetError, CharsumError
 from charsum.mpoly import frac_mod
-from charsum.points import _disc
+from charsum.points import _disc, _eliminate
 
 
 def system_of(texts, names):
@@ -260,3 +260,15 @@ def test_nvars_validation():
         enumerate_points([], 5)
     with pytest.raises(CharsumError):
         enumerate_points([f, MPoly(3, {(0, 0, 1): 1})], 5)
+
+
+def test_substitution_leaving_a_nonzero_constant_has_no_points():
+    # x = y + 1 from the first equation turns the second into -2
+    system = system_of(["x - y - 1", "x - y + 1", "z^2 - x"], ("x", "y", "z"))
+    for p in (3, 5, 7, 11):
+        assert _eliminate(system, 3, p) is None
+        assert brute_points(system, p, 3) == []
+        assert enumerate_points(system, p, nvars=3) == []
+        assert count_points(system, p, nvars=3) == 0
+    # mod 2 the two equations agree and the system has points
+    assert count_points(system, 2, nvars=3) == len(brute_points(system, 2, 3))

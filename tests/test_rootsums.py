@@ -8,6 +8,7 @@ from charsum import (MPoly, build_extension, kappa_eval, make_term,
                      standard_character, term_from_rational_coeffs,
                      twisted_character)
 from charsum.errors import CharsumError
+from charsum.rootsums import _term_of
 
 TOL = 1e-9
 
@@ -252,3 +253,28 @@ def test_kappa_validation():
         kappa_eval(P, Q, (1, 2), F)  # too many parameters
     with pytest.raises(CharsumError):
         kappa_eval(P, MPoly(3, {}), (1,), F)  # variable tables differ
+
+
+def test_kappa_root_var_in_the_middle_against_brute_force():
+    rng = random.Random(89)
+    for F in (prime_field(5), build_extension(3, 2)):
+        elems = list(F.elements())
+        for _ in range(25):
+            P, Q = (MPoly(3, {(rng.randint(0, 2), rng.randint(0, 2),
+                               rng.randint(0, 1)): rng.randint(-4, 4)
+                              for _ in range(4)}) for _ in range(2))
+            b = (rng.choice(elems), rng.choice(elems))
+            try:
+                got = kappa_eval(P, Q, b, F, root_var=1)
+            except CharsumError:
+                continue  # P(b, .) identically zero
+            assert got == kappa_brute(P, Q, b, F, 1)
+
+
+def test_term_of_inverts_monic_poly():
+    rng = random.Random(17)
+    for F in (prime_field(7), build_extension(2, 3)):
+        elems = list(F.elements())
+        for deg in range(5):
+            t = make_term(F, [rng.choice(elems) for _ in range(deg)])
+            assert _term_of(F, t.monic_poly()) == t

@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+from itertools import product
 
 import pytest
 
@@ -9,6 +10,7 @@ from charsum import (axiom3_sup, box_count, exp_sum, exp_sum_points,
                      parse_polynomial, prime_field, primes_in,
                      standard_character, twisted_character, weil_check,
                      weil_check_curve, weil_sweep)
+from charsum import weil
 from charsum.errors import CharsumError
 from charsum.weil import _candidate_vectors
 
@@ -163,6 +165,30 @@ def test_candidate_vectors_order_and_primitivity():
     # height 1 vectors all come before any height 2 vector
     heights = [max(abs(c) for c in v) for v in got]
     assert heights == sorted(heights)
+
+
+def candidate_vectors_scan(n, m):
+    """The tuple-by-tuple scan _candidate_vectors replaced (oracle)."""
+    for height in range(1, m + 1):
+        for vec in product(range(-height, height + 1), repeat=n):
+            if max(abs(v) for v in vec) != height:
+                continue
+            nz = [v for v in vec if v]
+            if not nz or nz[-1] < 0:
+                continue
+            if math.gcd(*vec) != 1:
+                continue
+            yield vec
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_candidate_vectors_match_the_tuple_scan(n, monkeypatch):
+    full = list(candidate_vectors_scan(n, 20))
+    for m in range(1, 21):
+        assert list(_candidate_vectors(n, m)) == \
+            [v for v in full if max(abs(c) for c in v) <= m]
+    monkeypatch.setattr(weil, "_CHUNK", 1000)  # cubes split into pieces
+    assert list(_candidate_vectors(n, 20)) == full
 
 
 def test_hyperplane_found_for_affine_graphs():
