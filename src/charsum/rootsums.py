@@ -137,6 +137,8 @@ def kappa_eval(P: MPoly, Q: MPoly, b, field: ExtFieldDesc, root_var=None):
         """The point b with d inserted as the root variable."""
         return b[:root_var] + [d] + b[root_var:]
 
+    # the coefficient polynomials do not involve the root variable, so
+    # any placeholder root will do
     p_coeffs = [c.evaluate(at(field.zero()), field.rational)
                 for c in P.as_univariate_in(root_var)]
     while p_coeffs and p_coeffs[-1].is_zero():
