@@ -717,5 +717,8 @@ def main(argv=None):
     except (CharsumError, ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        print("error: out of memory: %s" % exc, file=sys.stderr)
+        return 2
     print("wall time: %.3f s" % (time.perf_counter() - t0))
     return 1 if out.failed else 0

@@ -237,17 +237,22 @@ class MPoly:
         """Vectorized evaluation over aligned numpy int64 arrays mod p.
 
         Requires p < 2^31 so products of residues stay inside int64.
+        Each power x_i^k is computed once, however many terms share it.
         """
         check_int64_modulus(p)
         shape = np.broadcast(*arrays).shape if arrays else ()
         total = np.zeros(shape, dtype=np.int64)
+        powers = {}
         for e, c in self.sorted_terms():
             t = np.full(shape, frac_mod(c, p), dtype=np.int64)
-            for x, k in zip(arrays, e):
+            for i, (x, k) in enumerate(zip(arrays, e)):
                 if k:
-                    t = t * pow_mod_array(x, k, p) % p
-            total = (total + t) % p
-        return total
+                    xk = powers.get((i, k))
+                    if xk is None:
+                        xk = powers[i, k] = pow_mod_array(x, k, p)
+                    t = t * xk % p
+            total += t  # fewer than 2^32 terms of at most p - 1 each
+        return total % p
 
     def evaluate(self, point, coeff=Fraction):
         """Value at a point whose coordinates support +, * and ** (say

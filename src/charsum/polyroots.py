@@ -25,6 +25,9 @@ from .ffield import (TABLE_LIMIT, ExtFieldDesc, FqElem, packed_field,
 from .mpoly import check_int64_modulus
 
 
+_INT64_MAX = (1 << 63) - 1
+
+
 def _splitting_rng(p, coeffs):
     key = repr((p, tuple(coeffs))).encode()
     return random.Random(zlib.crc32(key))
@@ -32,13 +35,30 @@ def _splitting_rng(p, coeffs):
 
 def eval_many(coeffs, p, xs):
     """Horner evaluation of an int coefficient list over an int64 array
-    of residues mod p, in place on one accumulator; requires p < 2^31."""
+    of residues in [0, p), on one accumulator; requires p < 2^31.
+
+    The coefficients are reduced once.  The accumulator starts at the
+    leading one and is reduced mod p only when the next step acc*x + c
+    could pass 2^63 - 1 by a running bound (every fourth step or so at
+    p < 2^11, every second near 10^6, every step near 2^31), and once at
+    the end.  The empty list is the zero polynomial.
+    """
     check_int64_modulus(p)
-    acc = np.zeros_like(xs)
-    for c in reversed(coeffs):
+    red = [c % p for c in coeffs]
+    if not red:
+        return np.zeros_like(xs)
+    top = p - 1
+    headroom = (_INT64_MAX - top) // top
+    acc = np.full_like(xs, red[-1])
+    bound = top
+    for c in reversed(red[:-1]):
+        if bound > headroom:
+            acc %= p
+            bound = top
         acc *= xs
-        acc += c % p
-        acc %= p
+        acc += c
+        bound = bound * top + top
+    acc %= p
     return acc
 
 

@@ -5,7 +5,8 @@ Every sum over the affine line F_p goes through `_line_sum`: Horner
 evaluation of the reduced polynomial at all of F_p, a histogram of the
 values, and its dot product with `angles.unit_roots(p)`.  `weil_check`
 makes one Weil record at one prime; `weil_sweep` makes them along a
-prime list, reading the polynomial's coefficients once.
+prime list, splitting the polynomial's coefficients over one common
+denominator once, so each prime costs one inverse.
 """
 
 from __future__ import annotations
@@ -87,11 +88,33 @@ def _exp_sum_line(f, p, char, budget):
                       for c in f.univariate_coeffs()], p)
 
 
+class _Coefficients:
+    """Little-endian rational coefficients split once into integer
+    numerators over one common denominator, so that reducing them mod a
+    prime costs one inverse."""
+
+    def __init__(self, f):
+        if not isinstance(f, MPoly):
+            f = MPoly.from_univariate(f)
+        self.coeffs = f.univariate_coeffs()
+        self.den = math.lcm(*(c.denominator for c in self.coeffs))
+        self.nums = [c.numerator * (self.den // c.denominator)
+                     for c in self.coeffs]
+
+    def residues(self, p):
+        """The residues frac_mod gives, or its bad-prime error."""
+        den = self.den % p
+        if den == 0:
+            for c in self.coeffs:
+                frac_mod(c, p)  # raises at the first denominator p divides
+        inv = pow(den, -1, p)
+        return [n * inv % p for n in self.nums]
+
+
 def _weil_record(coeffs, p, twist) -> WeilRecord:
-    """The Weil record of sum_x Psi_p(twist * f(x)) for f with rational
-    little-endian coefficients `coeffs`, at a prime p the caller vouches
-    for."""
-    red = [frac_mod(c, p) for c in coeffs]
+    """The Weil record of sum_x Psi_p(twist * f(x)) for f given as
+    `_Coefficients`, at a prime p the caller vouches for."""
+    red = coeffs.residues(p)
     while red and red[-1] == 0:
         red.pop()
     d = len(red) - 1
@@ -113,12 +136,6 @@ def _weil_record(coeffs, p, twist) -> WeilRecord:
                       passed=magnitude <= bound + PASS_SLACK)
 
 
-def _univariate(f):
-    if not isinstance(f, MPoly):
-        f = MPoly.from_univariate(f)
-    return f.univariate_coeffs()
-
-
 def weil_check(f, p, char=None) -> WeilRecord:
     """Archimedean check of |sum Psi(f(x))| <= (d-1) sqrt(p) on the affine
     line over F_p.
@@ -130,7 +147,7 @@ def weil_check(f, p, char=None) -> WeilRecord:
     """
     field = prime_field(p)
     twist = 1 if char is None else char.twist.residue()
-    return _weil_record(_univariate(f), field.p, twist)
+    return _weil_record(_Coefficients(f), field.p, twist)
 
 
 def weil_sweep(f, primes, twist=1):
@@ -142,7 +159,7 @@ def weil_sweep(f, primes, twist=1):
     raise there.  The primes are trusted to be prime (they come from
     `primes_in`), so no field is built per prime.
     """
-    coeffs = _univariate(f)
+    coeffs = _Coefficients(f)
     records, skipped = [], []
     for p in primes:
         try:

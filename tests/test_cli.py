@@ -90,6 +90,22 @@ def test_weil_prime_over_budget_is_usage_error():
     assert "Traceback" not in r.stderr
 
 
+def test_out_of_memory_is_usage_error():
+    # inside the line budget, but the evaluation array alone is 2.4 GB;
+    # the child caps its own address space at 2 GiB
+    cap = 2 << 30
+    script = ("import resource, sys; "
+              "resource.setrlimit(resource.RLIMIT_AS, (%d, %d)); "
+              "from charsum.cli import main; sys.exit(main(sys.argv[1:]))"
+              % (cap, cap))
+    r = subprocess.run([sys.executable, "-c", script, "weil", "--poly",
+                        "x^3 + 1", "--prime", "300000007"],
+                       capture_output=True, text=True)
+    assert r.returncode == 2
+    assert r.stderr.startswith("error: out of memory: ")
+    assert "Traceback" not in r.stderr
+
+
 @pytest.mark.parametrize("source", [["--const", "1"], ["--delta"],
                                     ["--input", "table.csv"],
                                     ["--indicator", "x"]],

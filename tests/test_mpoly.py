@@ -116,6 +116,21 @@ def test_eval_mod_arrays_agrees_with_scalar():
         assert int(vals[i]) == f.eval_mod(p, (int(xs[i]), int(ys[i])))
 
 
+def test_eval_mod_arrays_with_shared_powers_and_scalar_columns():
+    # many terms share x^k and y^k; z is a scalar column, as
+    # points._eval_on passes absent variables
+    rng = random.Random(23)
+    p = 10007
+    xs = np.array([0, 1, p - 1, 12, 5000], dtype=np.int64)
+    ys = (xs * 7 + 3) % p
+    for _ in range(10):
+        f = random_poly(rng, 3, nterms=12, maxdeg=4)
+        for z in (0, 9):
+            vals = f.eval_mod_arrays(p, [xs, ys, z])
+            assert vals.tolist() == [f.eval_mod(p, (int(x), int(y), z))
+                                     for x, y in zip(xs, ys)]
+
+
 def test_reduce_mod_bad_prime():
     f = MPoly(1, {(1,): Fraction(1, 5)})
     with pytest.raises(BadPrimeError):

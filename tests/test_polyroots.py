@@ -3,7 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from charsum import (build_extension, next_prime, poly_roots_fq, prime_field,
                      primes_in)
@@ -221,6 +221,43 @@ def test_fq_repeated_roots():
     for r in (g, g, F.one()):
         poly = times(poly, r)
     assert poly_roots_fq(poly, F) == sorted([g, g, F.one()])
+
+
+# both sides of 2^11, near 10^6 and the largest prime eval_many accepts
+HORNER_PRIMES = (2, 3, 2039, 2053, 1000003, (1 << 31) - 1)
+
+
+def horner(coeffs, p, x):
+    """Python-integer Horner: no overflow, one reduction at the end."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc % p
+
+
+@st.composite
+def horner_cases(draw):
+    p = draw(st.one_of(st.sampled_from(HORNER_PRIMES),
+                       st.integers(2, (1 << 31) - 2).map(next_prime)))
+    coeff = st.one_of(st.integers(-3 * p, 3 * p),
+                      st.integers(-(1 << 80), 1 << 80), st.just(p - 1))
+    coeffs = draw(st.lists(coeff, max_size=9))
+    xs = [0, 1, p - 1] + draw(st.lists(st.integers(0, p - 1), max_size=8))
+    return coeffs, p, xs
+
+
+@settings(derandomize=True, max_examples=600, deadline=None)
+@given(horner_cases())
+@example(([2052] * 9, 2053, [0, 1, 2052]))
+@example(([1000002] * 9, 1000003, [1000002]))
+@example(([-1] * 9, (1 << 31) - 1, [(1 << 31) - 2]))
+def test_eval_many_matches_python_horner(case):
+    # degrees 0-8 and the empty list, with the accumulator's largest
+    # values (x = p - 1) in every case, so a missed reduction overflows
+    coeffs, p, xs = case
+    got = eval_many(coeffs, p, np.array(xs, dtype=np.int64))
+    assert got.dtype == np.int64
+    assert got.tolist() == [horner(coeffs, p, x) for x in xs]
 
 
 def test_eval_many_stays_inside_int64():

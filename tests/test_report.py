@@ -1,9 +1,12 @@
 import json
+import os
+import tempfile
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from charsum import Angle
 from charsum.report import (build_report, fmt_cell, jsonable, write_csv,
@@ -71,6 +74,46 @@ def test_write_json_is_canonical(tmp_path):
     path2 = tmp_path / "again.json"
     write_json(path2, build_report("demo", {"b": 1, "a": 2}))
     assert path2.read_text() == text
+
+
+SCALARS = st.one_of(
+    st.none(), st.booleans(),
+    st.integers(-(1 << 70), 1 << 70),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0,
+                     5e-324, 1e300, 0.1]),
+    st.text(),
+    st.sampled_from(["", "\x00\x1f\x7f\n\t\"\\", "caf\u00e9 \u2713 \U0001f600",
+                     "\ud800"]))
+DOCUMENTS = st.recursive(
+    SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=5),
+        st.lists(inner, max_size=3).map(tuple),
+        st.dictionaries(st.one_of(st.text(max_size=6),
+                                  st.sampled_from(["", "\u00e9", "\x01"])),
+                        inner, max_size=5)),
+    max_leaves=40)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(DOCUMENTS)
+def test_write_json_matches_json_dumps(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "doc.json")
+        write_json(path, doc)
+        with open(path, "rb") as fh:
+            text = fh.read()
+    expect = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    assert text == expect.encode("ascii")
+
+
+def test_write_json_rejects_what_json_rejects(tmp_path):
+    for doc in (object(), {"k": {1j}}):
+        with pytest.raises(TypeError):
+            json.dumps(doc)
+        with pytest.raises(TypeError):
+            write_json(tmp_path / "bad.json", doc)
 
 
 def test_fmt_cell():

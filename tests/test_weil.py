@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -11,7 +12,8 @@ from charsum import (axiom3_sup, box_count, exp_sum, exp_sum_points,
                      standard_character, twisted_character, weil_check,
                      weil_check_curve, weil_sweep)
 from charsum import weil
-from charsum.errors import CharsumError
+from charsum.errors import BadPrimeError, CharsumError
+from charsum.mpoly import frac_mod
 from charsum.weil import _candidate_vectors
 
 TOL = 1e-9
@@ -266,6 +268,25 @@ def test_weil_sweep_matches_per_prime_checks():
         assert records == expect_records
         assert skipped == expect_skipped
         assert any(reason in why for _, why in skipped), (text, skipped)
+
+
+def test_common_denominator_residues_match_frac_mod():
+    rng = random.Random(31)
+    dens = (1, 2, 3, 9, 10)
+    for _ in range(60):
+        coeffs = [Fraction(rng.randint(-40, 40), rng.choice(dens))
+                  for _ in range(rng.randint(0, 5))]
+        coeffs.append(Fraction(rng.choice((-7, 1, 4)), rng.choice(dens)))
+        split = weil._Coefficients(coeffs)
+        for p in primes_in(40):
+            try:
+                expect = [frac_mod(c, p) for c in coeffs]
+            except BadPrimeError as exc:
+                with pytest.raises(BadPrimeError) as got:
+                    split.residues(p)
+                assert str(got.value) == str(exc)
+            else:
+                assert split.residues(p) == expect
 
 
 def test_quadratic_gauss_sum_near_a_million():
