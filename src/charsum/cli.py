@@ -353,8 +353,8 @@ def cmd_fourier(args):
     inversion_err = None
     if args.verify:
         back = fourier_table(out)
-        flipped = table.values[tuple(
-            np.ix_(*[(-np.arange(p)) % p for _ in range(n)]))]
+        # values at -x: flipping sends x to p - 1 - x, rolling by one to -x
+        flipped = np.roll(np.flip(table.values), 1, axis=tuple(range(n)))
         inversion_err = float(np.max(np.abs(back.values
                                             - flipped / p ** n)))
         print("inversion error: %.3g -> %s"

@@ -21,14 +21,14 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import partial
-from math import gcd, lcm
+from math import gcd
 
 import numpy as np
 
 from .angles import Angle
 from .errors import CharsumError
 from .fppoly import evaluate
-from .mpoly import MPoly, discriminant, poly_rem, poly_trim
+from .mpoly import Lowered, MPoly, discriminant, poly_rem, poly_trim
 from .nfield import (_monic_companion, _poly_str, _refuse_rational_root,
                      nf_build)
 from .parallel import pmap
@@ -110,8 +110,7 @@ def _integer_form(coeffs):
     coeffs = poly_trim(list(coeffs))
     if not coeffs:
         raise CharsumError("zero polynomial")
-    scale = lcm(*[Fraction(c).denominator for c in coeffs])
-    ints = [int(Fraction(c) * scale) for c in coeffs]
+    ints = Lowered.univariate(coeffs).nums
     g = 0
     for c in ints:
         g = gcd(g, c)
@@ -172,10 +171,10 @@ def dfi_sweep(f, xlimit, congruence=None, weyl_depth=WEYL_DEPTH,
                           weyl_depth, jobs, {})
 
 
-def _value_worker(ints, gnum, den, p):
-    """(p, [g(r) mod p for each root r of f mod p]), with g = gnum / den."""
-    inv = pow(den, -1, p)
-    return p, [evaluate(gnum, r, p) * inv % p for r in roots_mod_p(ints, p)]
+def _value_worker(ints, g, p):
+    """(p, [g(r) mod p for each root r of f mod p]), g `Lowered`."""
+    red = g.residues(p)
+    return p, [evaluate(red, r, p) for r in roots_mod_p(ints, p)]
 
 
 def _element_sweep(command, ints, gq, xlimit, congruence, split_only,
@@ -188,12 +187,10 @@ def _element_sweep(command, ints, gq, xlimit, congruence, split_only,
         raise CharsumError("degenerate: need an irreducible polynomial of "
                            "degree at least 2")
     cert = _certify_irreducible(ints)
-    den = lcm(*[Fraction(c).denominator for c in gq])
-    gnum = [int(c * den) for c in gq]
-    good, skipped = _good_primes(ints, xlimit, congruence, den)
+    g = Lowered.univariate(gq)
+    good, skipped = _good_primes(ints, xlimit, congruence, g.den)
     samples = []
-    for p, values in pmap(partial(_value_worker, ints, gnum, den), good,
-                          jobs):
+    for p, values in pmap(partial(_value_worker, ints, g), good, jobs):
         if split_only and len(values) != deg:
             skipped.append((p, "not split"))
             continue

@@ -139,7 +139,10 @@ class ExtFieldDesc:
         return "ExtFieldDesc(p=%d, e=%d)" % (self.p, self.e)
 
 
+@functools.lru_cache(maxsize=4096)
 def prime_field(p) -> ExtFieldDesc:
+    """F_p, one descriptor per p: the cache holds every prime of a sweep
+    to 38000, so a sweep tests each prime once."""
     return ExtFieldDesc(p, 1)
 
 

@@ -15,6 +15,7 @@ import numpy as np
 
 from .angles import Angle, unit_roots
 from .errors import CharsumError
+from .measure import _check_table_size
 from .parser import parse_polynomial
 
 
@@ -83,6 +84,7 @@ class LaurentPoly:
         vectorized; requires real mode."""
         if not self.is_real_mode():
             raise CharsumError("Laurent polynomial is not real-valued")
+        _check_table_size(p, 1)  # the unit_roots table holds p values
         table = unit_roots(p)
         total = np.zeros(len(mat), dtype=np.complex128)
         for m, (re, im) in self.sorted_terms():

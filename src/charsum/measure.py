@@ -18,7 +18,7 @@ import numpy as np
 from .angles import unit_roots
 from .errors import BadPrimeError, BudgetError, CharsumError
 from .parallel import pmap
-from .points import DEFAULT_BUDGET, count_points, enumerate_points
+from .points import DEFAULT_BUDGET, count_points, enumerate_points, lower
 
 FOURIER_BUDGET = 1 << 24
 
@@ -46,12 +46,12 @@ def _slope(points):
     return sxy / sxx
 
 
-def _count_worker(systems, budget, p):
-    """(p, counts, None) with one count per (system, nvars) pair, or
+def _count_worker(plans, budget, p):
+    """(p, counts, None) with one count per lowered system, or
     (p, None, reason) when p is skipped."""
     try:
-        counts = tuple(count_points(system, p, nvars=nvars, budget=budget)
-                       for system, nvars in systems)
+        counts = tuple(count_points(plan, p, budget=budget)
+                       for plan in plans)
         return p, counts, None
     except BadPrimeError:
         return p, None, "bad prime"
@@ -61,8 +61,10 @@ def _count_worker(systems, budget, p):
 
 def _count_series(systems, declared_dim, primes, budget, jobs, normalize):
     """Records (p, counts..., normalize(p, counts...)) along the primes;
-    the dimension slope is taken from the first count."""
-    worker = partial(_count_worker, tuple(systems), budget)
+    the dimension slope is taken from the first count.  Each system is
+    lowered once, here, so the workers receive the plans."""
+    plans = tuple(lower(system, nvars) for system, nvars in systems)
+    worker = partial(_count_worker, plans, budget)
     records, skipped = [], []
     for p, counts, reason in sorted(pmap(worker, list(primes), jobs)):
         if reason is not None:
@@ -186,6 +188,7 @@ def pushforward_weyl(system, p, max_moment, nvars=None,
     """Moments W_m = |D|^{-1} sum_x Psi_p(m.x) of the pushforward of the
     normalized counting measure of D under x -> (Psi(x_1), ..., Psi(x_n)).
     """
+    _check_table_size(p, 1)  # the unit_roots table below holds p values
     pts = enumerate_points(system, p, nvars=nvars, budget=budget)
     if not pts:
         raise CharsumError("no points mod %d" % p)

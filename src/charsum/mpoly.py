@@ -2,14 +2,15 @@
 
 Terms map exponent tuples to nonzero Fractions; the zero polynomial has no
 terms.  Everything is immutable after construction, so instances can be
-shared across worker processes freely.
+shared across worker processes freely.  `Lowered` is the one integer form
+for work mod many primes: integer numerators over one denominator, each
+polynomial a Horner tree.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-
-import numpy as np
 
 from .errors import BadPrimeError, CharsumError
 
@@ -233,27 +234,6 @@ class MPoly:
             total = (total + t) % p
         return total
 
-    def eval_mod_arrays(self, p, arrays):
-        """Vectorized evaluation over aligned numpy int64 arrays mod p.
-
-        Requires p < 2^31 so products of residues stay inside int64.
-        Each power x_i^k is computed once, however many terms share it.
-        """
-        check_int64_modulus(p)
-        shape = np.broadcast(*arrays).shape if arrays else ()
-        total = np.zeros(shape, dtype=np.int64)
-        powers = {}
-        for e, c in self.sorted_terms():
-            t = np.full(shape, frac_mod(c, p), dtype=np.int64)
-            for i, (x, k) in enumerate(zip(arrays, e)):
-                if k:
-                    xk = powers.get((i, k))
-                    if xk is None:
-                        xk = powers[i, k] = pow_mod_array(x, k, p)
-                    t = t * xk % p
-            total += t  # fewer than 2^32 terms of at most p - 1 each
-        return total % p
-
     def evaluate(self, point, coeff=Fraction):
         """Value at a point whose coordinates support +, * and ** (say
         Fractions or FqElems); `coeff` maps a rational coefficient, and 0,
@@ -300,6 +280,66 @@ def frac_mod(c, p):
     if den == 0:
         raise BadPrimeError("bad prime %d: divides denominator of %s" % (p, c))
     return c.numerator % p * pow(den, -1, p) % p
+
+
+class Lowered:
+    """Polynomials lowered once to integer numerators over one common
+    denominator, so that reducing all of them mod a prime costs one
+    inverse (`residues`).
+
+    Each polynomial is a Horner tree over those numerators: a leaf is the
+    index of a constant's numerator; a node (v, kids) is the polynomial
+    read in its highest variable v, kids[k] the tree of the coefficient of
+    v^k.  A polynomial that is constant over Q is a leaf, so it evaluates
+    to a scalar.  `polyroots.horner` evaluates a tree on residue arrays.
+    """
+
+    __slots__ = ("den", "nums", "trees")
+
+    def __init__(self, polys):
+        coeffs = []
+        self._split([_horner_tree(list(f.terms.items()), f.nvars, coeffs)
+                     for f in polys], coeffs)
+
+    @classmethod
+    def univariate(cls, coeffs):
+        """The one-variable case: a little-endian coefficient list, whose
+        numerators come out in the same order."""
+        out = cls.__new__(cls)
+        out._split([(0, list(range(len(coeffs))))],
+                   [_as_fraction(c) for c in coeffs])
+        return out
+
+    def _split(self, trees, coeffs):
+        self.trees = trees
+        self.den = math.lcm(*(c.denominator for c in coeffs))
+        self.nums = [c.numerator * (self.den // c.denominator)
+                     for c in coeffs]
+
+    def residues(self, p):
+        """The numerators' residues times the denominator's inverse: what
+        frac_mod gives for each coefficient, or its bad-prime error."""
+        den = self.den % p
+        if den == 0:
+            for n in self.nums:
+                frac_mod(Fraction(n, self.den), p)  # raises at the first
+        inv = pow(den, -1, p)
+        return [n * inv % p for n in self.nums]
+
+
+def _horner_tree(terms, top, coeffs):
+    """The Horner tree of the (exponents, coefficient) pairs `terms`, none
+    of which uses a variable >= top; leaves index `coeffs`, which grows."""
+    v = top - 1
+    while v >= 0 and not any(e[v] for e, _ in terms):
+        v -= 1
+    if v < 0:
+        coeffs.append(terms[0][1] if terms else Fraction(0))
+        return len(coeffs) - 1
+    kids = [[] for _ in range(max(e[v] for e, _ in terms) + 1)]
+    for e, c in terms:
+        kids[e[v]].append((e, c))
+    return v, [_horner_tree(t, v, coeffs) for t in kids]
 
 
 # -- univariate utilities over Q (little-endian coefficient lists) -------

@@ -2,22 +2,29 @@
 F_q.
 
 The contract is brute force with a q^n candidate budget.  Over F_p one
-front end, `_eliminate`, reduces the system mod p and finds it empty when
-a polynomial reduces, or is substituted down, to a nonzero constant.
-Within the budget two elementary shortcuts keep desk-scale sweeps fast
-without any point-counting machinery:
+elimination routine, `_eliminate`, works over Q or over F_p: it finds
+the system empty when a polynomial is, or is substituted down to, a
+nonzero constant, and substitutes out the variables that occur linearly
+with a unit (constant, invertible) coefficient, so graphs, lines and
+diagonals cost p instead of p^n.  `_lower` makes its result a `Plan`:
+the substitutions, the residual equations and, when one residual
+equation has degree 1 or 2 in a free variable y, that fibre equation's
+coefficients c0, c1, c2 in y and its discriminant c1^2 - 4 c0 c2, all
+held as one `mpoly.Lowered`.  The fibre equation is solved for y by the
+quadratic formula, vectorized over the grid of the other free variables
+(p odd); the other equations filter those solutions, and counting needs
+only whether each discriminant is a square.  Without such an equation
+(or at p = 2) the grid over all free variables is scanned in chunks; a
+single free variable takes the root finder.  Every polynomial is
+evaluated by `polyroots.horner`.
 
-  * variables that occur linearly with a unit (constant, invertible)
-    coefficient are eliminated by substitution, so graphs, lines and
-    diagonals cost p instead of p^n;
-  * one remaining equation of degree 1 or 2 in some free variable y is
-    solved for y by the quadratic formula, vectorized over the grid of
-    the other free variables (p odd); the other equations filter those
-    solutions, and counting needs only whether each discriminant is a
-    square.
+`lower` makes the plan once over Q, for counting or enumerating one
+system at many primes.  At an ordinary prime that plan only reduces its
+numerators, with one inverse of their denominator.  p = 2 and the primes
+dividing a numerator or denominator of any polynomial the elimination
+over Q produced are exceptional: there, as for a system passed as it is,
+the system is lowered over F_p.
 
-Without such an equation (or at p = 2) the grid over all free variables
-is scanned in chunks; a single free variable takes the root finder.
 Extension fields take the plain object scan (small q only): every
 candidate point goes through `MPoly.evaluate`, with the coefficients
 reduced into the field once per call.
@@ -25,16 +32,18 @@ reduced into the field once per call.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 
 import numpy as np
 
+from . import fppoly
 from .errors import BudgetError, CharsumError
-from .ffield import ExtFieldDesc
-from .mpoly import MPoly, pow_mod_array
-from .polyroots import roots_mod_p
+from .ffield import prime_field
+from .mpoly import Lowered, MPoly, pow_mod_array
+from .polyroots import horner, roots_mod_p
 
 DEFAULT_BUDGET = 10 ** 9
 _CHUNK = 1 << 19
@@ -73,18 +82,23 @@ def _validate_box(box, n, p):
     return out
 
 
-def _reduce_poly(f: MPoly, p) -> MPoly:
+def _reduce(f, p):
+    """f over the domain: itself over Q (p None), else reduced mod p."""
+    if p is None:
+        return f
     return MPoly(f.nvars, {e: Fraction(c) for e, c in f.reduce_mod(p).items()})
 
 
-def _prepare(system, p):
-    """The polynomials reduced mod p, zeros dropped; None when one is a
-    nonzero constant (provably no points)."""
+def _prepare(system, p, seen):
+    """The polynomials over the domain, zeros dropped, each nonzero one
+    also appended to seen; None when one is a nonzero constant (provably
+    no points)."""
     reduced = []
     for f in system:
-        g = _reduce_poly(f, p)
+        g = _reduce(f, p)
         if g.is_zero():
             continue
+        seen.append(g)
         if g.is_constant():
             return None
         reduced.append(g)
@@ -100,21 +114,24 @@ def _unit_linear(system, free, p):
                 continue
             coeffs = f.as_univariate_in(v)
             if coeffs[1].is_constant():
-                c = int(coeffs[1].constant_value())
-                return idx, v, _reduce_poly(
-                    coeffs[0] * Fraction(-pow(c, -1, p)), p)
+                c = coeffs[1].constant_value()
+                inv = 1 / c if p is None else pow(int(c), -1, p)
+                return idx, v, _reduce(coeffs[0] * -inv, p)
     return None
 
 
-def _eliminate(system, n, p):
-    """Reduce mod p and substitute out unit-linear variables.
+def _eliminate(system, n, p, seen=None):
+    """Substitute out unit-linear variables over Q (p None) or, after
+    reducing mod p, over F_p.
 
     Returns (substitutions, residual, free), or None when the system
     provably has no points: substitutions is a list of (var, replacement
     MPoly) in elimination order; every replacement references only
-    variables free at its own elimination step.
+    variables free at its own elimination step.  `seen`, when given,
+    collects the nonzero polynomials of every round.
     """
-    sys_ = _prepare(system, p)
+    seen = [] if seen is None else seen
+    sys_ = _prepare(system, p, seen)
     free = list(range(n))
     subs = []
     while sys_ is not None:
@@ -125,8 +142,91 @@ def _eliminate(system, n, p):
         free.remove(v)
         subs.append((v, repl))
         sys_ = _prepare([g.substitute(v, repl)
-                         for g in sys_[:idx] + sys_[idx + 1:]], p)
+                         for g in sys_[:idx] + sys_[idx + 1:]], p, seen)
     return None
+
+
+def _fibre_equation(residual, free, p):
+    """(f, y): a residual equation of degree 1 or 2 in the free variable
+    y, whose fibres over the other free variables the quadratic formula
+    solves; (None, None) when there is none or p = 2 (the grid is
+    scanned).  Over Q (p None) the prime is odd, 2 being exceptional."""
+    if p != 2 and len(free) > 1:
+        for f in residual:
+            for y in reversed(free):
+                if 1 <= f.degree_in(y) <= 2:
+                    return f, y
+    return None, None
+
+
+class Plan:
+    """A system after `_eliminate` over Q (p None) or F_p, its
+    polynomials lowered to Horner trees of one `Lowered`, `low`.
+
+    `empty` says the system provably has no points.  Otherwise `subs`
+    holds (var, tree) in elimination order, `residual` the trees of the
+    remaining equations over the `free` variables, `fibre` (y, [c0, c1,
+    c2, disc]) when there is a fibre equation (None otherwise), and
+    `filters` the residual trees other than the fibre equation's.  Over
+    Q, `exceptional` is 2 times the product of every numerator and
+    denominator of every polynomial the elimination produced: at a prime
+    dividing none of them the elimination mod p makes the same choices,
+    raises no bad-prime error and yields the reductions of these
+    polynomials.
+    """
+
+    __slots__ = ("n", "system", "exceptional", "empty", "low", "subs",
+                 "residual", "free", "fibre", "filters")
+
+    def __init__(self, system, n, p=None):
+        self.n, self.system = n, system
+        seen = []
+        elim = _eliminate(system, n, p, seen)
+        self.exceptional = None if p is not None else 2 * math.prod(
+            {abs(c.numerator) * c.denominator
+             for g in seen for c in g.terms.values()})
+        self.empty = elim is None
+        if self.empty:
+            return
+        subs, residual, self.free = elim
+        f, y = _fibre_equation(residual, self.free, p)
+        polys = [repl for _, repl in subs] + residual
+        if f is not None:
+            c0, c1, c2 = (f.as_univariate_in(y) + [MPoly(n, {})] * 2)[:3]
+            polys += [c0, c1, c2, c1 * c1 - 4 * c0 * c2]
+        self.low = Lowered(polys)
+        trees = iter(self.low.trees)
+        self.subs = [(v, next(trees)) for v, _ in subs]
+        self.residual = [next(trees) for _ in residual]
+        self.fibre = None if f is None else (y, list(trees))
+        self.filters = [t for g, t in zip(residual, self.residual)
+                        if g is not f]
+
+
+def lower(system, nvars=None) -> Plan:
+    """`system` lowered once over Q, for use at many primes: pass the plan
+    to count_points, enumerate_points or sample_points in place of the
+    system."""
+    return Plan(system, _system_nvars(system, nvars))
+
+
+def _unpack(system, nvars):
+    """(polynomials, nvars) of a system or of the plan `lower` made."""
+    if isinstance(system, Plan):
+        return system.system, system.n
+    return system, _system_nvars(system, nvars)
+
+
+def _plan_at(system, n, p):
+    """(plan, residues) at p for a system or a Q plan: the Q plan itself
+    at an ordinary prime, else the system lowered over F_p."""
+    if not isinstance(system, Plan):
+        plan = Plan(system, n, p)
+    elif system.exceptional % p:
+        plan = system
+    else:
+        plan = Plan(system.system, n, p)
+    return plan, None if plan.empty else plan.low.residues(p)
 
 
 @lru_cache(maxsize=16)
@@ -136,13 +236,6 @@ def _sqrt_table(p):
     tbl = np.full(p, -1, dtype=np.int64)
     tbl[ys * ys % p] = ys
     return tbl
-
-
-def _disc(a, b, c, p):
-    """b^2 - 4ac mod p on residue arrays.  For p < 2^31, b^2 < 2^62 and
-    4 (ac mod p) < 2^33, so reducing ac first keeps the difference inside
-    int64 (4ac itself can pass 2^63)."""
-    return (b * b - 4 * (a * c % p)) % p
 
 
 def _inv_mod_array(a, p):
@@ -160,50 +253,45 @@ def _free_grid(free_count, p, flat):
     return cols[::-1]
 
 
-def _eval_on(f, p, n, assign):
-    """assign: dict var -> array; absent variables do not occur in f and
-    are passed as the scalar 0."""
-    return f.eval_mod_arrays(p, [assign.get(i, 0) for i in range(n)])
+def _rows_where(mask, rows):
+    """How many of `rows` rows a mask holds: a column, or a scalar that
+    holds for every row or none."""
+    return int(np.count_nonzero(mask)) * (1 if np.ndim(mask) else rows)
 
 
-def _fibre_equation(residual, free, p):
-    """(f, y): a residual equation of degree 1 or 2 in the free variable
-    y, whose fibres over the other free variables the quadratic formula
-    solves; (None, None) when there is none or p = 2 (the grid is
-    scanned)."""
-    if p > 2 and len(free) > 1:
-        for f in residual:
-            for y in reversed(free):
-                if 1 <= f.degree_in(y) <= 2:
-                    return f, y
-    return None, None
-
-
-def _fibre_count(c0, c1, c2, p):
-    """Number of (row, y) with c2 y^2 + c1 y + c0 = 0 over all rows.  A
-    quadratic row has 1 + (disc != 0) roots when disc is a square, that is
-    (s >= 0) + (s > 0) for its smaller root s."""
-    quad = c2 != 0
+def _fibre_count(coeffs, ev, p, rows):
+    """Number of (row, y) with c2 y^2 + c1 y + c0 = 0 over `rows` rows,
+    for coeffs = (c0, c1, c2, disc) trees, disc = c1^2 - 4 c0 c2, and ev
+    their evaluator (each value a column, or a scalar for every row).
+    Only the values some row needs are taken: a quadratic row has
+    1 + (disc != 0) roots when disc is a square, that is (s >= 0) +
+    (s > 0) for its smaller root s; a flat row needs c1 and c0."""
+    c0, c1, c2, disc = coeffs
+    c2 = ev(c2)
+    quad, flat = c2 != 0, c2 == 0
     count = 0
-    if quad.any():
-        s = _sqrt_table(p)[_disc(c2, c1, c0, p)]
-        count = (np.count_nonzero(quad & (s >= 0))
-                 + np.count_nonzero(quad & (s > 0)))
-    flat = ~quad
-    lin = np.count_nonzero(flat & (c1 != 0))
-    full = np.count_nonzero(flat & (c1 == 0) & (c0 == 0))
-    return int(count + lin + full * p)
+    if quad.any() if np.ndim(quad) else quad:
+        s = _sqrt_table(p)[ev(disc)]
+        count = (_rows_where(quad & (s >= 0), rows)
+                 + _rows_where(quad & (s > 0), rows))
+    if flat.any() if np.ndim(flat) else flat:
+        c0, c1 = ev(c0), ev(c1)
+        count += (_rows_where(flat & (c1 != 0), rows)
+                  + _rows_where(flat & (c1 == 0) & (c0 == 0), rows) * p)
+    return count
 
 
-def _fibre_points(c0, c1, c2, p):
+def _fibre_points(coeffs, ev, p, rows):
     """(rows, ys) pieces, aligned: the roots y of c2 y^2 + c1 y + c0 over
-    each row.  A degenerate row, all three coefficients zero, has every y;
-    those come in pieces of about _CHUNK points."""
+    each of `rows` rows (arguments as for _fibre_count).  A degenerate
+    row, all three coefficients zero, has every y; those come in pieces of
+    about _CHUNK points."""
+    c0, c1, c2, disc = (np.broadcast_to(ev(t), rows) for t in coeffs)
     pieces = []
     quad = np.flatnonzero(c2)
     if len(quad):
         a, b = c2[quad], c1[quad]
-        s = _sqrt_table(p)[_disc(a, b, c0[quad], p)]
+        s = _sqrt_table(p)[disc[quad]]
         inv2a = _inv_mod_array(2 * a % p, p)
         has, two = s >= 0, s > 0
         pieces.append((quad[has], ((s - b) % p * inv2a % p)[has]))
@@ -221,8 +309,9 @@ def _fibre_points(c0, c1, c2, p):
     return pieces
 
 
-def _solve_residual(residual, free, n, p, count_only=False):
-    """Solutions of the residual system over the free variables.
+def _solve(plan, res, p, count_only=False):
+    """Solutions of the plan's residual system over its free variables,
+    given its residues at p.
 
     Returns (columns, count): columns maps var -> aligned int64 array of
     solutions; a count_only call may leave it empty.  With a fibre equation
@@ -230,50 +319,45 @@ def _solve_residual(residual, free, n, p, count_only=False):
     come from the quadratic formula; otherwise the grid runs over all of
     them.  Either way the remaining equations filter the candidates.
     """
+    free = plan.free
     k = len(free)
     if k == 0:
         return {}, 1  # the empty assignment
-    if count_only and not residual:
+    if count_only and not plan.residual:
         return {}, p ** k
-    if k == 1 and residual:
+    if k == 1 and plan.residual:
         v = free[0]
-        base = residual[0].as_univariate_in(v)
-        coeffs = [int(c.constant_value()) for c in base]
-        roots = sorted(set(roots_mod_p(coeffs, p)))
-        arr = np.array(roots, dtype=np.int64)
-        for g in residual[1:]:
-            vals = _eval_on(g, p, n, {v: arr})
-            arr = arr[vals == 0]
+        _, base = plan.residual[0]
+        arr = np.array(sorted(set(roots_mod_p([res[i] for i in base], p))),
+                       dtype=np.int64)
+        for g in plan.residual[1:]:
+            arr = arr[horner(g, res, p, {v: arr}) == 0]
         return {v: arr}, len(arr)
 
-    f, y = _fibre_equation(residual, free, p)
+    y, coeffs = plan.fibre or (None, None)
     grid = [v for v in free if v != y]
-    filters = [g for g in residual if g is not f]
-    if f is not None:
-        coeffs = f.as_univariate_in(y)
-        while len(coeffs) < 3:
-            coeffs.append(MPoly(n, {}))
     total = p ** len(grid)
     keep = {v: [np.zeros(0, np.int64)] for v in free}
     count = 0
     for start in range(0, total, _CHUNK):
         flat = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
         cols = dict(zip(grid, _free_grid(len(grid), p, flat)))
-        if f is None:
+        if y is None:
             pieces = [cols]
         else:
-            c0, c1, c2 = (_eval_on(c, p, n, cols) for c in coeffs)
-            if count_only and not filters:
-                count += _fibre_count(c0, c1, c2, p)
+            def ev(tree):
+                return horner(tree, res, p, cols)
+            if count_only and not plan.filters:
+                count += _fibre_count(coeffs, ev, p, len(flat))
                 continue
             pieces = []
-            for rows, ys in _fibre_points(c0, c1, c2, p):
+            for rows, ys in _fibre_points(coeffs, ev, p, len(flat)):
                 piece = {v: col[rows] for v, col in cols.items()}
                 piece[y] = ys
                 pieces.append(piece)
         for piece in pieces:
-            for g in filters:
-                ok = _eval_on(g, p, n, piece) == 0
+            for g in plan.filters:
+                ok = horner(g, res, p, piece) == 0
                 piece = {v: col[ok] for v, col in piece.items()}
             count += len(piece[free[0]])
             if not count_only:
@@ -284,13 +368,12 @@ def _solve_residual(residual, free, n, p, count_only=False):
     return {v: np.concatenate(keep[v]) for v in free}, count
 
 
-def _reconstruct(subs, columns, n, p, length):
+def _reconstruct(plan, res, columns, p, length):
     """Fill eliminated coordinates; columns maps var -> aligned array."""
-    zero = np.zeros(length, dtype=np.int64)
-    for v, repl in reversed(subs):
-        arrays = [columns.get(i, zero) for i in range(n)]
-        columns[v] = repl.eval_mod_arrays(p, arrays) if repl.terms else \
-            np.zeros(length, dtype=np.int64)
+    for v, tree in reversed(plan.subs):
+        col = horner(tree, res, p, columns)
+        columns[v] = col if np.ndim(col) else \
+            np.full(length, col, dtype=np.int64)
     return columns
 
 
@@ -312,43 +395,42 @@ def enumerate_points(system, field, nvars=None, box=None,
                      budget=DEFAULT_BUDGET):
     """All common zeros, sorted lexicographically.
 
-    `field` is an ExtFieldDesc or a prime.  Boxes (half-open residue
-    ranges, one per variable) are a prime-field notion.
+    `system` is a list of MPolys or the plan `lower` made of one; `field`
+    is an ExtFieldDesc or a prime.  Boxes (half-open residue ranges, one
+    per variable) are a prime-field notion.
     """
     if isinstance(field, int):
-        field = ExtFieldDesc(field, 1)
-    n = _system_nvars(system, nvars)
+        field = prime_field(field)
+    polys, n = _unpack(system, nvars)
     _check_budget(field.order, n, budget)
     if field.e > 1:
         if box is not None:
             raise CharsumError("box requires prime field")
-        return _enumerate_fq(system, field, n)
+        return _enumerate_fq(polys, field, n)
     p = field.p
     box = _validate_box(box, n, p)
-    elim = _eliminate(system, n, p)
-    if elim is None:
+    plan, res = _plan_at(system, n, p)
+    if plan.empty:
         return []
-    subs, residual, free = elim
-    columns, length = _solve_residual(residual, free, n, p)
-    _reconstruct(subs, columns, n, p, length)
+    columns, length = _solve(plan, res, p)
+    _reconstruct(plan, res, columns, p, length)
     return _assemble(columns, n, length, box, p)
 
 
 def count_points(system, field, nvars=None, box=None, budget=DEFAULT_BUDGET):
     """|V(F_q)| (or the count inside a box), without materializing points
-    when a shortcut applies."""
+    when a shortcut applies; `system` as for enumerate_points."""
     if isinstance(field, int):
-        field = ExtFieldDesc(field, 1)
-    n = _system_nvars(system, nvars)
+        field = prime_field(field)
+    n = _unpack(system, nvars)[1]
     if box is not None or field.e > 1:
         return len(enumerate_points(system, field, nvars=n, box=box,
                                     budget=budget))
     _check_budget(field.order, n, budget)
-    elim = _eliminate(system, n, field.p)
-    if elim is None:
+    plan, res = _plan_at(system, n, field.p)
+    if plan.empty:
         return 0
-    _, residual, free = elim
-    return _solve_residual(residual, free, n, field.p, count_only=True)[1]
+    return _solve(plan, res, field.p, count_only=True)[1]
 
 
 def _field_coeffs(field, polys):
@@ -366,68 +448,62 @@ def _enumerate_fq(system, field, n):
 
 
 def sample_points(system, p, count, nvars=None):
-    """Deterministic point sampling for large p (no full enumeration).
+    """Deterministic point sampling for large p < 2^31 (no full
+    enumeration); `system` as for enumerate_points.
 
     Supports systems that reduce, after unit-linear elimination, to at
     most a plane curve.  Raises when it cannot produce `count` points.
     """
-    n = _system_nvars(system, nvars)
-    elim = _eliminate(system, n, p)
-    if elim is None:
+    n = _unpack(system, nvars)[1]
+    plan, res = _plan_at(system, n, p)
+    if plan.empty:
         raise CharsumError("insufficient samples: no points mod %d" % p)
-    subs, residual, free = elim
-
-    sol_rows = []
+    free = plan.free
     k = len(free)
-    if not residual:
-        for flat in range(min(count, p ** k)):
-            assign = {}
-            rem = flat
-            for v in reversed(free):
-                assign[v] = rem % p
-                rem //= p
-            sol_rows.append(assign)
+    if not plan.residual:
+        length = min(count, p ** k)
+        columns = dict(zip(free, _free_grid(
+            k, p, np.arange(length, dtype=np.int64))))
     elif k == 1:
-        v = free[0]
-        coeffs = [int(c.constant_value())
-                  for c in residual[0].as_univariate_in(v)]
-        roots = sorted(set(roots_mod_p(coeffs, p)))
-        for r in roots:
-            if all(g.eval_mod(p, _point_of({v: r}, n)) == 0
-                   for g in residual[1:]):
-                sol_rows.append({v: r})
+        columns, length = _solve(plan, res, p)
     elif k == 2:
-        xv, yv = free
-        for t in range(60 * count + 120):
-            uni = _prepare([g.substitute(xv, t) for g in residual], p)
-            if uni is None:
-                continue
-            if not uni:
-                sol_rows.append({xv: t, yv: 0})
-            else:
-                coeffs = [int(c.constant_value())
-                          for c in uni[0].as_univariate_in(yv)]
-                for r in sorted(set(roots_mod_p(coeffs, p))):
-                    if all(g.eval_mod(p, _point_of({xv: t, yv: r}, n)) == 0
-                           for g in uni[1:]):
-                        sol_rows.append({xv: t, yv: r})
-            if len(sol_rows) >= count:
-                break
+        columns, length = _sample_plane(plan, res, p, count)
     else:
         raise CharsumError("insufficient samples: system too wide for "
                            "large-prime sampling")
-
-    if len(sol_rows) < count:
+    if length < count:
         raise CharsumError("insufficient samples: found %d of %d mod %d"
-                           % (len(sol_rows), count, p))
-    points = []
-    for assign in sol_rows[:count]:
-        assign = dict(assign)
-        for v, repl in reversed(subs):
-            assign[v] = repl.eval_mod(p, _point_of(assign, n))
-        points.append(_point_of(assign, n))
-    return points
+                           % (length, count, p))
+    columns = {v: col[:count] for v, col in columns.items()}
+    _reconstruct(plan, res, columns, p, count)
+    mat = np.stack([columns[i] for i in range(n)], axis=1)
+    return [tuple(row) for row in mat.tolist()]
 
 
-def _point_of(assign, n):
-    return tuple(assign.get(i, 0) for i in range(n))
+def _sample_plane(plan, res, p, count):
+    """(columns, length) of the first points of a residual system in two
+    free variables x < y, line by line: on x = t, t = 0, 1, ..., each
+    equation is univariate in y (its tree's top variable)."""
+    xv, yv = plan.free
+    xs, ys = [], []
+    for t in range(60 * count + 120):
+        at = {xv: np.array([t], dtype=np.int64)}
+        uni = []
+        for g in plan.residual:
+            kids = g[1] if isinstance(g, tuple) and g[0] == yv else [g]
+            c = fppoly.trim([int(np.ravel(horner(kid, res, p, at))[0])
+                             for kid in kids])
+            if len(c) == 1:
+                break  # a nonzero constant: no points on this line
+            if c:
+                uni.append(c)
+        else:
+            roots = [0] if not uni else [
+                r for r in sorted(set(roots_mod_p(uni[0], p)))
+                if all(fppoly.evaluate(h, r, p) == 0 for h in uni[1:])]
+            xs += [t] * len(roots)
+            ys += roots
+            if len(xs) >= count:
+                break
+    return ({xv: np.array(xs, dtype=np.int64),
+             yv: np.array(ys, dtype=np.int64)}, len(xs))

@@ -9,6 +9,10 @@ all of them at once per round gives their multiplicities.  Larger q take
 the gcd-and-split path on `FqElem` polynomials, with multiplicities from
 repeated gcds.  The splitting randomness is seeded from (p, f) so
 repeated runs and parallel sweeps agree.
+
+The one mod-p array evaluator lives here too: `eval_many`, lazy-reduction
+Horner in one variable, and `horner`, which runs it at every node of an
+`mpoly.Lowered` tree.
 """
 
 from __future__ import annotations
@@ -34,8 +38,9 @@ def _splitting_rng(p, coeffs):
 
 
 def eval_many(coeffs, p, xs):
-    """Horner evaluation of an int coefficient list over an int64 array
-    of residues in [0, p), on one accumulator; requires p < 2^31.
+    """Horner evaluation of a coefficient list (ints, or int64 arrays
+    aligned with xs) over an int64 array of residues in [0, p), on one
+    accumulator; requires p < 2^31.
 
     The coefficients are reduced once.  The accumulator starts at the
     leading one and is reduced mod p only when the next step acc*x + c
@@ -60,6 +65,17 @@ def eval_many(coeffs, p, xs):
         bound = bound * top + top
     acc %= p
     return acc
+
+
+def horner(tree, res, p, cols):
+    """Value mod p of a `mpoly.Lowered` tree whose numerators reduce to
+    `res`, at the aligned int64 residue columns cols[v]: one eval_many
+    per node, whose coefficients are its children's values (scalars or
+    arrays).  A constant tree gives the scalar residue."""
+    if isinstance(tree, int):
+        return res[tree]
+    v, kids = tree
+    return eval_many([horner(k, res, p, cols) for k in kids], p, cols[v])
 
 
 def _multiplicities(f, roots, p):

@@ -22,7 +22,7 @@ from .angles import CharacterDesc, standard_character, unit_roots
 from .errors import BadPrimeError, CharsumError
 from .ffield import prime_field
 from .laurent import LaurentPoly
-from .mpoly import MPoly, frac_mod
+from .mpoly import Lowered, MPoly, frac_mod
 from .points import (_CHUNK, DEFAULT_BUDGET, _field_coeffs, _free_grid,
                      _system_nvars, enumerate_points, sample_points)
 from .polyroots import eval_many
@@ -88,32 +88,18 @@ def _exp_sum_line(f, p, char, budget):
                       for c in f.univariate_coeffs()], p)
 
 
-class _Coefficients:
-    """Little-endian rational coefficients split once into integer
-    numerators over one common denominator, so that reducing them mod a
-    prime costs one inverse."""
-
-    def __init__(self, f):
-        if not isinstance(f, MPoly):
-            f = MPoly.from_univariate(f)
-        self.coeffs = f.univariate_coeffs()
-        self.den = math.lcm(*(c.denominator for c in self.coeffs))
-        self.nums = [c.numerator * (self.den // c.denominator)
-                     for c in self.coeffs]
-
-    def residues(self, p):
-        """The residues frac_mod gives, or its bad-prime error."""
-        den = self.den % p
-        if den == 0:
-            for c in self.coeffs:
-                frac_mod(c, p)  # raises at the first denominator p divides
-        inv = pow(den, -1, p)
-        return [n * inv % p for n in self.nums]
+def _lowered(f):
+    """f (univariate MPoly or little-endian coefficient list) as the
+    one-variable `Lowered`, so that reducing it mod a prime costs one
+    inverse."""
+    if not isinstance(f, MPoly):
+        f = MPoly.from_univariate(f)
+    return Lowered.univariate(f.univariate_coeffs())
 
 
 def _weil_record(coeffs, p, twist) -> WeilRecord:
     """The Weil record of sum_x Psi_p(twist * f(x)) for f given as
-    `_Coefficients`, at a prime p the caller vouches for."""
+    `_lowered`, at a prime p the caller vouches for."""
     red = coeffs.residues(p)
     while red and red[-1] == 0:
         red.pop()
@@ -147,7 +133,7 @@ def weil_check(f, p, char=None) -> WeilRecord:
     """
     field = prime_field(p)
     twist = 1 if char is None else char.twist.residue()
-    return _weil_record(_Coefficients(f), field.p, twist)
+    return _weil_record(_lowered(f), field.p, twist)
 
 
 def weil_sweep(f, primes, twist=1):
@@ -159,7 +145,7 @@ def weil_sweep(f, primes, twist=1):
     raise there.  The primes are trusted to be prime (they come from
     `primes_in`), so no field is built per prime.
     """
-    coeffs = _Coefficients(f)
+    coeffs = _lowered(f)
     records, skipped = [], []
     for p in primes:
         try:

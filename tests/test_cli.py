@@ -90,20 +90,37 @@ def test_weil_prime_over_budget_is_usage_error():
     assert "Traceback" not in r.stderr
 
 
-def test_out_of_memory_is_usage_error():
-    # inside the line budget, but the evaluation array alone is 2.4 GB;
-    # the child caps its own address space at 2 GiB
+def run_capped(*args):
+    """run() in a child that caps its own address space at 2 GiB."""
     cap = 2 << 30
     script = ("import resource, sys; "
               "resource.setrlimit(resource.RLIMIT_AS, (%d, %d)); "
               "from charsum.cli import main; sys.exit(main(sys.argv[1:]))"
               % (cap, cap))
-    r = subprocess.run([sys.executable, "-c", script, "weil", "--poly",
-                        "x^3 + 1", "--prime", "300000007"],
-                       capture_output=True, text=True)
+    return subprocess.run([sys.executable, "-c", script, *args],
+                          capture_output=True, text=True)
+
+
+def test_out_of_memory_is_usage_error():
+    # inside the line budget, but the evaluation array alone is 2.4 GB
+    r = run_capped("weil", "--poly", "x^3 + 1", "--prime", "300000007")
     assert r.returncode == 2
     assert r.stderr.startswith("error: out of memory: ")
     assert "Traceback" not in r.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["pushforward", "--system", "x^2-2", "--prime", "999999937"],
+    ["axiom3", "--system", "x^2 - 2", "--laurent", "z1 + zb1", "--prime",
+     "999999937"]], ids=["pushforward", "axiom3"])
+def test_character_table_over_budget_is_refused_before_allocation(argv):
+    # two points pass the point budget, but the p-long table of character
+    # values would take 14.9 GiB
+    r = run_capped(*argv)
+    assert r.returncode == 2
+    assert "budget exceeded" in r.stderr
+    assert "Traceback" not in r.stderr
+    assert "out of memory" not in r.stderr
 
 
 @pytest.mark.parametrize("source", [["--const", "1"], ["--delta"],

@@ -7,8 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from charsum import MPoly, discriminant, prime_field, resultant
 from charsum.errors import BadPrimeError, CharsumError
-from charsum.mpoly import (frac_mod, poly_degree, poly_derivative, poly_rem,
-                           poly_trim, pow_mod_array)
+from charsum.mpoly import (Lowered, frac_mod, poly_degree, poly_derivative,
+                           poly_rem, poly_trim, pow_mod_array)
+from charsum.polyroots import horner
 
 
 def random_poly(rng, nvars, nterms=6, maxdeg=3, span=9):
@@ -105,30 +106,84 @@ def test_eval_mod_agrees_with_exact():
         assert f.eval_mod(p, pt) == frac_mod(exact, p)
 
 
-def test_eval_mod_arrays_agrees_with_scalar():
+def _horner(f, p, cols):
+    low = Lowered([f])
+    return horner(low.trees[0], low.residues(p), p, cols)
+
+
+def test_horner_agrees_with_scalar():
     rng = random.Random(19)
     p = 97
     f = random_poly(rng, 2)
     xs = np.arange(p, dtype=np.int64)
     ys = (xs * 3 + 1) % p
-    vals = f.eval_mod_arrays(p, [xs, ys])
+    vals = _horner(f, p, {0: xs, 1: ys})
     for i in (0, 1, 17, 50, 96):
         assert int(vals[i]) == f.eval_mod(p, (int(xs[i]), int(ys[i])))
 
 
-def test_eval_mod_arrays_with_shared_powers_and_scalar_columns():
-    # many terms share x^k and y^k; z is a scalar column, as
-    # points._eval_on passes absent variables
+def test_horner_reads_only_the_variables_that_occur():
+    # z never occurs, so no column is given for it; a constant comes
+    # back as the scalar residue
     rng = random.Random(23)
     p = 10007
     xs = np.array([0, 1, p - 1, 12, 5000], dtype=np.int64)
     ys = (xs * 7 + 3) % p
     for _ in range(10):
-        f = random_poly(rng, 3, nterms=12, maxdeg=4)
-        for z in (0, 9):
-            vals = f.eval_mod_arrays(p, [xs, ys, z])
-            assert vals.tolist() == [f.eval_mod(p, (int(x), int(y), z))
-                                     for x, y in zip(xs, ys)]
+        f = random_poly(rng, 2, nterms=12, maxdeg=4)
+        f = MPoly(3, {e + (0,): c for e, c in f.terms.items()})
+        vals = _horner(f, p, {0: xs, 1: ys})
+        assert np.ndim(vals) == 1 or f.is_constant()
+        assert np.broadcast_to(vals, xs.shape).tolist() == \
+            [f.eval_mod(p, (int(x), int(y), 0)) for x, y in zip(xs, ys)]
+    assert _horner(MPoly.constant(Fraction(-1, 3), 3), p, {}) == \
+        frac_mod(Fraction(-1, 3), p)
+
+
+# both sides of 2^11, near 10^6 and the largest primes below 2^31
+HORNER_PRIMES = [3, 2039, 2053, 999983, 2147483629, 2147483647]
+
+
+@st.composite
+def poly_and_columns(draw):
+    n = draw(st.integers(1, 3))
+    coeff = st.fractions(min_value=-10 ** 12, max_value=10 ** 12,
+                         max_denominator=50)
+    f = MPoly(n, draw(st.dictionaries(st.tuples(*[st.integers(0, 7)] * n),
+                                      coeff, max_size=8)))
+    p = draw(st.sampled_from(HORNER_PRIMES))
+    residue = st.one_of(st.integers(0, p - 1), st.sampled_from([0, p - 1]))
+    rows = draw(st.integers(0, 6))
+    cols = [draw(st.lists(residue, min_size=rows, max_size=rows))
+            for _ in range(n)]
+    return f, p, cols
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(poly_and_columns())
+def test_horner_matches_eval_mod(case):
+    f, p, cols = case
+    cols = {v: np.array(c, dtype=np.int64) for v, c in enumerate(cols)}
+    if any(c.denominator % p == 0 for c in f.terms.values()):
+        with pytest.raises(BadPrimeError):
+            _horner(f, p, cols)
+        return
+    expect = [f.eval_mod(p, pt) for pt in zip(*case[2])]
+    got = _horner(f, p, cols)
+    assert np.broadcast_to(got, len(expect)).tolist() == expect
+
+
+def test_lowered_forms_share_one_denominator():
+    x = MPoly.variable(0, 2)
+    y = MPoly.variable(1, 2)
+    low = Lowered([x * Fraction(1, 6) + 2, y * y * Fraction(3, 4)])
+    assert low.den == 12
+    # x/6 + 2 is read in x; (3/4) y^2 in y, with its two zero coefficients
+    assert low.trees == [(0, [0, 1]), (1, [2, 3, 4])]
+    assert low.nums == [24, 2, 0, 0, 9]
+    assert Lowered.univariate([Fraction(1, 2), 0, 3]).nums == [1, 0, 6]
+    with pytest.raises(BadPrimeError, match="divides denominator of 1/6"):
+        low.residues(3)
 
 
 def test_reduce_mod_bad_prime():

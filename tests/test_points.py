@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from itertools import product
 
 import numpy as np
@@ -7,9 +8,12 @@ from hypothesis import given, settings, strategies as st
 
 from charsum import (MPoly, build_extension, count_points, enumerate_points,
                      parse_polynomial, prime_field, primes_in, sample_points)
-from charsum.errors import BudgetError, CharsumError
+from charsum.errors import BadPrimeError, BudgetError, CharsumError
+from charsum.measure import mu0_sweep
 from charsum.mpoly import frac_mod
-from charsum.points import _disc, _eliminate
+from charsum.mpoly import Lowered
+from charsum.points import _eliminate, lower
+from charsum.polyroots import horner
 
 
 def system_of(texts, names):
@@ -96,13 +100,18 @@ def test_count_shortcut_agrees_with_enumeration_on_curves():
 
 
 def test_discriminant_stays_inside_int64():
+    # the fibre kernel's discriminant is its own lowered polynomial,
+    # b^2 - 4ac, evaluated by horner on residue columns
     p = (1 << 31) - 1  # the largest prime vectorized evaluation accepts
     residues = [0, 1, 2, 123456789, (p - 1) // 2, p - 2, p - 1]
     a, b, c = (np.array(col, dtype=np.int64)
                for col in zip(*product(residues, repeat=3)))
     expect = [(int(y) ** 2 - 4 * int(x) * int(z)) % p
               for x, y, z in zip(a, b, c)]
-    assert _disc(a, b, c, p).tolist() == expect
+    disc = Lowered([parse_polynomial("b^2 - 4*a*c",
+                                     variables=("a", "b", "c")).poly])
+    got = horner(disc.trees[0], disc.residues(p), p, {0: a, 1: b, 2: c})
+    assert got.tolist() == expect
 
 
 # (n, p) with p^n small enough for the brute-force oracle
@@ -220,7 +229,6 @@ def test_denominator_clash_is_bad_prime():
     names = ("x",)
     system = system_of(["1/2*x - 1"], names)
     assert enumerate_points(system, 7) == [(2,)]
-    from charsum.errors import BadPrimeError
     with pytest.raises(BadPrimeError):
         enumerate_points(system, 2)
 
@@ -272,3 +280,126 @@ def test_substitution_leaving_a_nonzero_constant_has_no_points():
         assert count_points(system, p, nvars=3) == 0
     # mod 2 the two equations agree and the system has points
     assert count_points(system, 2, nvars=3) == len(brute_points(system, 2, 3))
+
+
+def _outcome(call, system, p, **kw):
+    """The call's result, or the message of its bad-prime error."""
+    try:
+        return call(system, p, **kw)
+    except BadPrimeError as exc:
+        return "BadPrimeError: %s" % exc
+
+
+def check_plan_at(system, n, plan, p):
+    """The Q plan at p agrees with the system lowered over F_p and, where
+    that path reaches the points, with the brute-force scan."""
+    for call in (enumerate_points, count_points):
+        got = _outcome(call, plan, p)
+        assert got == _outcome(call, system, p, nvars=n), (call, p)
+    if not isinstance(got, str):
+        expect = brute_points(system, p, n)
+        assert enumerate_points(plan, p) == expect
+        assert got == len(expect)
+
+
+@st.composite
+def rational_systems(draw):
+    """(system, n): one or two equations in 2 or 3 variables with small
+    rational coefficients; often one variable occurs only in a linear
+    term, with a coefficient that is a unit over Q but maybe not mod p,
+    so elimination over Q has work to do."""
+    n = draw(st.integers(2, 3))
+    coeff = st.fractions(min_value=-6, max_value=6, max_denominator=3)
+    system = []
+    for _ in range(draw(st.integers(1, 2))):
+        terms = draw(st.dictionaries(st.tuples(*[st.integers(0, 2)] * n),
+                                     coeff, max_size=4))
+        if draw(st.booleans()):
+            v = draw(st.integers(0, n - 1))
+            terms = {e: c for e, c in terms.items() if not e[v]}
+            terms[tuple(int(i == v) for i in range(n))] = draw(
+                st.sampled_from([Fraction(1), Fraction(-2), Fraction(3),
+                                 Fraction(5, 2)]))
+        f = MPoly(n, terms)
+        if not f.is_zero():
+            system.append(f)
+    return system, n
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(rational_systems())
+def test_lowered_plan_matches_fp_elimination_and_brute_force(case):
+    system, n = case
+    plan = lower(system, nvars=n)
+    for p in (2, 3, 5, 7, 11):
+        check_plan_at(system, n, plan, p)
+
+
+def test_lowered_plan_at_exceptional_and_ordinary_primes():
+    names = ("x", "y", "z")
+    cases = [
+        (["1/3*x + y^2 - 1"], 3),            # p divides a denominator
+        (["3*y - x^2"], 3),                  # a unit pivot over Q only
+        # x = 2y leaves (3y^2 + 1) z - 1, whose z is a unit pivot mod 3
+        (["x - 2*y", "x^2 - 4*y^2 + 3*y^2*z + z - 1"], 3),
+        (["y^2 - x^3 - x"], 2),              # p = 2 scans the grid
+        (["x^2 + y^2 + z^2 - 1"], 2),
+        (["x*y*z - 7"], 7),                  # the constant vanishes mod 7
+    ]
+    for texts, p in cases:
+        system = system_of(texts, names)
+        plan = lower(system, nvars=3)
+        assert plan.exceptional % p == 0, texts
+        check_plan_at(system, 3, plan, p)
+        for q in (5, 11, 13):
+            check_plan_at(system, 3, plan, q)
+
+
+def test_lowered_plan_on_three_variable_grids():
+    # a fibre over a 2-variable grid, a full 3-variable grid scan, and
+    # substitutions that leave a plane curve
+    names = ("x", "y", "z")
+    for texts in (["x^2 + y^2 + z^2 - 1"], ["z^3 + x^3*y^3 - 2"],
+                  ["x^2 + y^2 + z^2 - 1", "x*y*z - 1"],
+                  ["y - x^2", "z - x*y", "y^2 + z - 3*x"]):
+        system = system_of(texts, names)
+        plan = lower(system)
+        for p in primes_in(14):
+            check_plan_at(system, 3, plan, p)
+
+
+def test_lowered_plan_samples_like_the_system():
+    # a plane curve, a graph over the line, and a graph cut down to points
+    for texts, names, count in ((["y^2 - x^3 - x"], ("x", "y"), 6),
+                                (["y - x^2", "z - x*y"], ("x", "y", "z"), 4),
+                                (["y - x^2", "z - x*y", "y^2 + z - 3*x"],
+                                 ("x", "y", "z"), 1)):
+        system = system_of(texts, names)
+        plan = lower(system)
+        for p in (1000003, 1000033):
+            assert sample_points(plan, p, count) == \
+                sample_points(system, p, count)
+
+
+def test_count_sweep_builds_no_mpoly_per_prime(monkeypatch):
+    built = []
+    init = MPoly.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(None)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(MPoly, "__init__", counting_init)
+
+    def constructions(system, primes):
+        built.clear()
+        mu0_sweep(system, 1, primes)
+        return len(built)
+
+    for texts, names in ((["x*y - 1"], ("x", "y")),
+                         (["y^2 - x^3 - x"], ("x", "y")),
+                         (["y - x^2", "z - x*y"], ("x", "y", "z")),
+                         (["x^2 + y^2 + z^2 - 1"], ("x", "y", "z"))):
+        system = system_of(texts, names)
+        few = constructions(system, primes_in(30))
+        assert few == constructions(system, primes_in(400)), texts

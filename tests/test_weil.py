@@ -277,7 +277,7 @@ def test_common_denominator_residues_match_frac_mod():
         coeffs = [Fraction(rng.randint(-40, 40), rng.choice(dens))
                   for _ in range(rng.randint(0, 5))]
         coeffs.append(Fraction(rng.choice((-7, 1, 4)), rng.choice(dens)))
-        split = weil._Coefficients(coeffs)
+        split = weil._lowered(coeffs)
         for p in primes_in(40):
             try:
                 expect = [frac_mod(c, p) for c in coeffs]
