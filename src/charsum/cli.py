@@ -31,8 +31,9 @@ from .errors import CharsumError
 from .ffield import build_extension, prime_field
 from .laurent import laurent_from_expression
 from .measure import (ValueTable, _check_table_size, _table_array,
-                      constant_table, delta_table, fourier_table, mu0_sweep,
-                      mu1_sweep, pushforward_weyl)
+                      constant_table, delta_table, fourier_table,
+                      inversion_error, mu0_sweep, mu1_sweep,
+                      pushforward_weyl, sum_abs_sq)
 from .mpoly import poly_rem
 from .nfield import NFElem, lattice_basis, nf_build, value_set
 from .parser import parse_polynomial, print_polynomial
@@ -328,7 +329,7 @@ def _read_table_csv(path, p, n):
             except (ValueError, IndexError):
                 continue  # header, blank or ragged line
             arr[idx] = complex(re, im)
-    return ValueTable(p, n, arr)
+    return ValueTable._adopt(p, n, arr)
 
 
 def cmd_fourier(args):
@@ -346,17 +347,13 @@ def cmd_fourier(args):
         table = _read_table_csv(args.input, p, n)
     out = fourier_table(table)
     lhs = table.norm_sq_mean()
-    rhs = float(np.sum(np.abs(out.values) ** 2).real)
+    rhs = sum_abs_sq(out.values)
     print("transform of a %d^%d table" % (p, n))
     print("plancherel: p^-n sum|f|^2 = %.12g, sum|F f|^2 = %.12g, "
           "diff = %.3g" % (lhs, rhs, abs(lhs - rhs)))
     inversion_err = None
     if args.verify:
-        back = fourier_table(out)
-        # values at -x: flipping sends x to p - 1 - x, rolling by one to -x
-        flipped = np.roll(np.flip(table.values), 1, axis=tuple(range(n)))
-        inversion_err = float(np.max(np.abs(back.values
-                                            - flipped / p ** n)))
+        inversion_err = inversion_error(table, fourier_table(out))
         print("inversion error: %.3g -> %s"
               % (inversion_err, "PASS" if inversion_err <= 1e-9 else "FAIL"))
 

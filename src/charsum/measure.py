@@ -118,28 +118,35 @@ class ValueTable:
     __slots__ = ("p", "n", "values")
 
     def __init__(self, p, n, values):
-        values = np.asarray(values, dtype=np.complex128)
+        """Wraps a copy of `values`, so the caller's array stays theirs."""
+        values = np.array(values, dtype=np.complex128)
         if values.shape != (p,) * n:
             raise CharsumError("value table must have shape (p,)*n")
-        values = values.copy()
         values.setflags(write=False)
-        self.p = p
-        self.n = n
-        self.values = values
+        self.p, self.n, self.values = p, n, values
+
+    @classmethod
+    def _adopt(cls, p, n, arr):
+        """Wraps a fresh (p,)*n complex128 array without copying it; the
+        array is made read-only, so no one may write to it afterwards."""
+        arr.setflags(write=False)
+        table = cls.__new__(cls)
+        table.p, table.n, table.values = p, n, arr
+        return table
 
     @classmethod
     def from_function(cls, p, n, fn):
         arr = _table_array(p, n)
         for idx in np.ndindex(*arr.shape):
             arr[idx] = fn(idx)
-        return cls(p, n, arr)
+        return cls._adopt(p, n, arr)
 
     @classmethod
     def indicator(cls, p, n, points):
         arr = _table_array(p, n)
         for pt in points:
             arr[tuple(int(v) % p for v in pt)] = 1.0
-        return cls(p, n, arr)
+        return cls._adopt(p, n, arr)
 
     def __getitem__(self, idx):
         if isinstance(idx, int):
@@ -148,32 +155,68 @@ class ValueTable:
 
     def norm_sq_mean(self) -> float:
         """p^{-n} sum |phi|^2 (the measure-side Plancherel quantity)."""
-        return float(np.sum(np.abs(self.values) ** 2).real) / self.p ** self.n
+        return sum_abs_sq(self.values) / self.p ** self.n
+
+
+def sum_abs_sq(values) -> float:
+    """sum |v|^2 over a complex table, squaring one float table in place."""
+    sq = np.abs(values)
+    np.square(sq, out=sq)
+    return float(np.sum(sq))
 
 
 def fourier_table(table: ValueTable, budget=FOURIER_BUDGET) -> ValueTable:
     """F(phi)(y) = p^{-n} sum_x Psi_p(x.y) phi(x).
 
     This is exactly numpy's inverse FFT, whose kernel is e(+x.y/p) with
-    the factor p^{-n}: O(p^n log p) time and O(p^n) memory, prime lengths
-    taking Bluestein's chirp-z algorithm.  The defining sum, applied axis
-    by axis, is kept in the tests as the oracle this is checked against.
+    the factor p^{-n}: O(p^n log p) time, prime lengths taking
+    Bluestein's chirp-z algorithm.  It allocates one output table: the
+    first axis reads the input, and every later axis is transformed in
+    place in the output, which the result then wraps without a copy.
+    The defining sum, applied axis by axis, is kept in the tests as the
+    oracle this is checked against.
     """
     p, n = table.p, table.n
     if p ** n > budget:
         raise BudgetError("transform budget exceeded: %d^%d > %d"
                           % (p, n, budget))
-    return ValueTable(p, n, np.fft.ifftn(table.values))
+    out = np.empty_like(table.values)
+    np.fft.ifftn(table.values, out=out)
+    return ValueTable._adopt(p, n, out)
+
+
+_BLOCK_CELLS = 1 << 14  # 256 KiB of complex values per block of rows
+
+
+def inversion_error(table: ValueTable, back: ValueTable) -> float:
+    """max_x |back(x) - phi(-x) / p^n|, where phi is `table` and `back`
+    should be F(F(phi)).  Every cell is compared, a block of rows of the
+    first axis at a time, so no third full-size table is made; the
+    maximum of elementwise values is the same in any block order."""
+    p, n = table.p, table.n
+    neg = (-np.arange(p)) % p
+    other = tuple(range(1, n))
+    step = max(1, _BLOCK_CELLS // p ** (n - 1))
+    worst = []
+    for start in range(0, p, step):
+        rows = table.values[neg[start:start + step]]
+        if other:
+            # flipping sends x to p - 1 - x, rolling by one to -x
+            rows = np.roll(np.flip(rows, axis=other), 1, axis=other)
+        rows /= p ** n
+        np.subtract(back.values[start:start + step], rows, out=rows)
+        worst.append(np.max(np.abs(rows)))
+    return float(np.max(worst))
 
 
 def delta_table(p, n, at=None) -> ValueTable:
     arr = _table_array(p, n)
     arr[tuple((at or (0,) * n))] = 1.0
-    return ValueTable(p, n, arr)
+    return ValueTable._adopt(p, n, arr)
 
 
 def constant_table(p, n, value=1.0) -> ValueTable:
-    return ValueTable(p, n, _table_array(p, n, value))
+    return ValueTable._adopt(p, n, _table_array(p, n, value))
 
 
 @dataclass(frozen=True)
@@ -204,6 +247,6 @@ def pushforward_weyl(system, p, max_moment, nvars=None,
         for i, c in enumerate(vec):
             if c:
                 dots = (dots + mat[:, i] * c) % p
-        counts = np.bincount(dots % p, minlength=p)
+        counts = np.bincount(dots, minlength=p)
         moments.append((vec, complex(counts @ table) / len(mat)))
     return PushforwardMoments(p=p, npoints=len(mat), moments=tuple(moments))

@@ -482,11 +482,11 @@ def sample_points(system, p, count, nvars=None):
 
 def _sample_plane(plan, res, p, count):
     """(columns, length) of the first points of a residual system in two
-    free variables x < y, line by line: on x = t, t = 0, 1, ..., each
-    equation is univariate in y (its tree's top variable)."""
+    free variables x < y, line by line: on x = t, t = 0, 1, ... below p,
+    each equation is univariate in y (its tree's top variable)."""
     xv, yv = plan.free
     xs, ys = [], []
-    for t in range(60 * count + 120):
+    for t in range(min(p, 60 * count + 120)):
         at = {xv: np.array([t], dtype=np.int64)}
         uni = []
         for g in plan.residual:

@@ -314,6 +314,24 @@ def test_fourier_large_prime_delta_verify(tmp_path):
     assert agg["inversion_error"] <= 1e-9
 
 
+def test_fourier_verify_holds_at_most_three_tables(capsys):
+    import tracemalloc
+    from charsum.cli import main
+    argv = ["fourier", "--nvars", "2", "--indicator", "x^2 + y^2 - 1",
+            "--verify", "--prime"]
+    assert main(argv + ["11"]) == 0  # imports and parser built outside
+    p = 401
+    tracemalloc.start()
+    try:
+        assert main(argv + [str(p)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the input, F(phi) and F(F(phi)), plus the blockwise check
+    assert peak <= 3.5 * 16 * p * p
+    assert "inversion error" in capsys.readouterr().out
+
+
 def test_main_calls_share_a_parser_without_leaking_arguments(tmp_path,
                                                              capsys):
     from charsum.cli import _build_parser, main

@@ -7,7 +7,9 @@ import pytest
 from charsum import (ValueTable, constant_table, delta_table, fourier_table,
                      mu0_sweep, mu1_sweep, parse_polynomial, primes_in,
                      pushforward_weyl)
+from charsum import measure
 from charsum.errors import BudgetError, CharsumError
+from charsum.measure import inversion_error
 
 TOL = 1e-9
 
@@ -180,6 +182,61 @@ def test_double_transform_is_reflection_over_p_to_n():
         flip = vals[tuple(np.ix_(*[(-np.arange(p)) % p
                                    for _ in range(n)]))]
         assert np.max(np.abs(twice.values - flip / p ** n)) < 1e-12
+
+
+def test_fourier_table_equals_numpy_ifftn_bit_for_bit():
+    rng = np.random.default_rng(1618)
+    for p, n in ((101, 1), (1009, 1), (13, 2), (31, 2), (11, 3)):
+        vals = rng.standard_normal((p,) * n) \
+            + 1j * rng.standard_normal((p,) * n)
+        t = ValueTable(p, n, vals)
+        got = fourier_table(t).values
+        assert np.array_equal(got.view(np.float64),
+                              np.fft.ifftn(vals).view(np.float64))
+        assert np.array_equal(t.values, vals)  # the input is untouched
+
+
+def test_value_table_copies_and_adopted_tables_are_read_only():
+    arr = np.arange(25, dtype=np.complex128).reshape(5, 5)
+    t = ValueTable(5, 2, arr)
+    assert not np.shares_memory(t.values, arr)
+    arr[0, 0] = 7
+    assert t[(0, 0)] == 0
+    assert arr.flags.writeable  # the caller's array stays theirs
+    for table in (t, fourier_table(t), delta_table(5, 2),
+                  constant_table(5, 2), ValueTable.indicator(5, 1, [(2,)]),
+                  ValueTable.from_function(5, 1, lambda idx: idx[0])):
+        assert table.values.flags.writeable is False
+        with pytest.raises(ValueError):
+            table.values[(0,) * table.n] = 1
+    fresh = np.zeros(5, dtype=np.complex128)
+    adopted = ValueTable._adopt(5, 1, fresh)
+    assert adopted.values is fresh and not fresh.flags.writeable
+
+
+def test_inversion_error_matches_the_whole_table_difference(monkeypatch):
+    rng = np.random.default_rng(3141)
+    for p, n in ((101, 1), (31, 2), (7, 3)):
+        vals = rng.standard_normal((p,) * n) \
+            + 1j * rng.standard_normal((p,) * n)
+        t = ValueTable(p, n, vals)
+        back = ValueTable(p, n, vals[::-1] + rng.standard_normal((p,) * n)
+                          * 1e-3)
+        flip = vals[tuple(np.ix_(*[(-np.arange(p)) % p
+                                   for _ in range(n)]))]
+        expect = float(np.max(np.abs(back.values - flip / p ** n)))
+        for cells in (1, 5, 64, 1 << 14):
+            monkeypatch.setattr(measure, "_BLOCK_CELLS", cells)
+            assert inversion_error(t, back) == expect
+        twice = fourier_table(fourier_table(t))
+        assert inversion_error(t, twice) < 1e-12
+
+
+def test_inversion_error_propagates_nan():
+    vals = np.ones(11, dtype=np.complex128)
+    vals[3] = complex("nan")
+    t = ValueTable(11, 1, vals)
+    assert math.isnan(inversion_error(t, constant_table(11, 1)))
 
 
 def test_fourier_budget():

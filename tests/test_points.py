@@ -253,6 +253,29 @@ def test_sample_points_on_graph_system():
         assert y == x * x % p and z == x * y % p
 
 
+def test_sample_points_stay_below_p():
+    # the lines x = t stop at p: this curve has only 7 affine points
+    # mod 7, so 12 samples cannot be had
+    system = system_of(["y^2 - x^3 - x"], ("x", "y"))
+    with pytest.raises(CharsumError, match="insufficient samples"):
+        sample_points(system, 7, 12)
+    assert sample_points(system, 7, 7) == [
+        (0, 0), (1, 3), (1, 4), (3, 3), (3, 4), (5, 2), (5, 5)]
+
+
+def test_sample_points_above_a_million_are_unchanged():
+    names = ("x", "y")
+    assert sample_points(system_of(["y^2 - x^3 - x"], names),
+                         1000003, 12) == [
+        (0, 0), (2, 394215), (2, 605788), (5, 449914), (5, 550089),
+        (6, 333668), (6, 666335), (7, 205507), (7, 794496), (8, 100175),
+        (8, 899828), (9, 274119)]
+    assert sample_points(system_of(["x^2 + y^2 - 1"], names),
+                         1000033, 6) == [
+        (0, 1), (0, 1000032), (1, 0), (2, 325379), (2, 674654),
+        (3, 438418)]
+
+
 def test_sample_points_failure_is_loud():
     names = ("x", "y")
     # no points: x^2 + y^2 = -1 has solutions mod every prime, so use an
