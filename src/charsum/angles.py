@@ -3,9 +3,11 @@ p-th roots of unity.
 
 An Angle is a reduced fraction a/b taken mod 1, standing for the point
 exp(2*pi*i*a/b).  All character values are produced as Angles; complex
-doubles appear only when a caller asks for them.  Vectorized kernels
-read the values e(k/p) = exp(2*pi*i*k/p) from `unit_roots(p)`, the one
-place that computes them as an array.
+doubles appear only when a caller asks for them.  Vectorized code
+reaches the values e(k/p) = exp(2*pi*i*k/p) through two kernels,
+`character_sum` (a histogram of residues dotted with them) and
+`character_values` (a gather); both read `unit_roots(p)`, the one place
+that computes them as an array.
 """
 
 from __future__ import annotations
@@ -168,3 +170,14 @@ def unit_roots(p: int) -> np.ndarray:
             _, (_, nbytes) = _roots_cache.popitem(last=False)
             _roots_cache_bytes -= nbytes
     return table
+
+
+def character_sum(residues, p) -> complex:
+    """Sum of e(r/p) over an int array of residues r in [0, p): their
+    histogram dotted with the table."""
+    return complex(np.bincount(residues, minlength=p) @ unit_roots(p))
+
+
+def character_values(residues, p) -> np.ndarray:
+    """The complex array e(r/p) for an int array of residues in [0, p)."""
+    return unit_roots(p)[residues]

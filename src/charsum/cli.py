@@ -114,7 +114,7 @@ def _int_list(text, what):
         raise CharsumError("cannot read %s from %r" % (what, text))
 
 
-def _fq_repr(x):
+def _element_repr(x):
     if x.field.e == 1:
         return x.coeffs[0]
     return list(x.coeffs)
@@ -198,7 +198,8 @@ def cmd_psisym(args):
     roots = rational_roots(result)
     value = psi_sum(roots, char)
     nroots = len(roots)
-    print("result coefficients: %s" % [_fq_repr(c) for c in result.coeffs])
+    print("result coefficients: %s"
+          % [_element_repr(c) for c in result.coeffs])
     print("rational roots (with multiplicity): %d" % nroots)
     print("value: %.12g %+.12gi" % (value.real, value.imag))
 
@@ -213,7 +214,7 @@ def cmd_psisym(args):
          "op": args.op, "coeffs": args.coeffs, "coeffs2": args.coeffs2},
         ["nroots", "re", "im"],
         lambda: [(nroots, value.real, value.imag)],
-        records=[{"coeffs": [_fq_repr(c) for c in result.coeffs],
+        records=[{"coeffs": [_element_repr(c) for c in result.coeffs],
                   "nroots": nroots, "value": value}],
         aggregate={"verified": verified}, failed=verified is False)
 
@@ -235,14 +236,14 @@ def cmd_kappa(args):
     print("variables: %s (root variable: %s)"
           % (", ".join(names),
              names[root_var if root_var is not None else len(names) - 1]))
-    print("common value: %s" % (_fq_repr(value),))
+    print("common value: %s" % (_element_repr(value),))
     print("character angle: %s" % char.psi(value))
     return Outcome(
         {"p_poly": args.p_poly, "q_poly": args.q_poly, "point": args.point,
          "prime": args.prime, "ext": args.ext, "root_var": args.root_var},
         ["value", "angle"],
-        lambda: [(_fq_repr(value), char.psi(value))],
-        records=[{"value": _fq_repr(value),
+        lambda: [(_element_repr(value), char.psi(value))],
+        records=[{"value": _element_repr(value),
                   "angle": str(char.psi(value))}])
 
 
@@ -322,13 +323,16 @@ def _read_table_csv(path, p, n):
     import csv as _csv
     arr = _table_array(p, n)
     with open(path, newline="") as fh:
-        for row in _csv.reader(fh):
+        for line, row in enumerate(_csv.reader(fh), start=1):
             try:
                 idx = tuple(int(v) % p for v in row[:n])
-                re, im = float(row[n]), float(row[n + 1])
+                value = complex(float(row[n]), float(row[n + 1]))
             except (ValueError, IndexError):
                 continue  # header, blank or ragged line
-            arr[idx] = complex(re, im)
+            if not np.isfinite(value):
+                raise CharsumError("row %d of %s is not finite: %s"
+                                   % (line, path, ",".join(row)))
+            arr[idx] = value
     return ValueTable._adopt(p, n, arr)
 
 

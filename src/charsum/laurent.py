@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .angles import Angle, unit_roots
+from .angles import Angle, character_values
 from .errors import CharsumError
 from .measure import _check_table_size
 from .parser import parse_polynomial
@@ -84,15 +84,15 @@ class LaurentPoly:
         vectorized; requires real mode."""
         if not self.is_real_mode():
             raise CharsumError("Laurent polynomial is not real-valued")
-        _check_table_size(p, 1)  # the unit_roots table holds p values
-        table = unit_roots(p)
+        _check_table_size(p, 1)  # character_values reads a table of p values
         total = np.zeros(len(mat), dtype=np.complex128)
         for m, (re, im) in self.sorted_terms():
             dots = np.zeros(len(mat), dtype=np.int64)
             for i, e in enumerate(m):
                 if e:
                     dots = (dots + mat[:, i] * e) % p
-            total += complex(float(re), float(im)) * table[dots % p]
+            total += (complex(float(re), float(im))
+                      * character_values(dots, p))
         return total.real
 
 

@@ -15,7 +15,7 @@ from functools import partial
 
 import numpy as np
 
-from .angles import unit_roots
+from .angles import character_sum
 from .errors import BadPrimeError, BudgetError, CharsumError
 from .parallel import pmap
 from .points import DEFAULT_BUDGET, count_points, enumerate_points, lower
@@ -231,13 +231,12 @@ def pushforward_weyl(system, p, max_moment, nvars=None,
     """Moments W_m = |D|^{-1} sum_x Psi_p(m.x) of the pushforward of the
     normalized counting measure of D under x -> (Psi(x_1), ..., Psi(x_n)).
     """
-    _check_table_size(p, 1)  # the unit_roots table below holds p values
+    _check_table_size(p, 1)  # character_sum reads a table of p values
     pts = enumerate_points(system, p, nvars=nvars, budget=budget)
     if not pts:
         raise CharsumError("no points mod %d" % p)
     mat = np.array(pts, dtype=np.int64)
     n = mat.shape[1]
-    table = unit_roots(p)
     moments = [((0,) * n, 1.0 + 0.0j)]
     for m in np.ndindex(*((2 * max_moment + 1,) * n)):
         vec = tuple(int(v) - max_moment for v in m)
@@ -247,6 +246,5 @@ def pushforward_weyl(system, p, max_moment, nvars=None,
         for i, c in enumerate(vec):
             if c:
                 dots = (dots + mat[:, i] * c) % p
-        counts = np.bincount(dots, minlength=p)
-        moments.append((vec, complex(counts @ table) / len(mat)))
+        moments.append((vec, character_sum(dots, p) / len(mat)))
     return PushforwardMoments(p=p, npoints=len(mat), moments=tuple(moments))

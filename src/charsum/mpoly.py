@@ -342,11 +342,16 @@ def _horner_tree(terms, top, coeffs):
     return v, [_horner_tree(t, v, coeffs) for t in kids]
 
 
-# -- univariate utilities over Q (little-endian coefficient lists) -------
+# -- univariate polynomials over a field (little-endian coefficient lists) --
+#
+# The coefficients are Fractions (over Q) or FqElems (over F_q); the
+# functions use only +, -, *, == 0 and ** -1 on them, so one copy serves
+# both.  Ints have no exact ** -1: pass Fractions.  `fppoly` is the int
+# fast path for F_p.
 
 def poly_trim(coeffs):
     coeffs = list(coeffs)
-    while coeffs and not coeffs[-1]:
+    while coeffs and coeffs[-1] == 0:
         coeffs.pop()
     return coeffs
 
@@ -360,21 +365,75 @@ def poly_derivative(coeffs):
     return [k * c for k, c in enumerate(coeffs)][1:]
 
 
-def poly_rem(f, g):
-    """Remainder of f modulo g over Q, little-endian coefficient lists."""
-    f = [_as_fraction(c) for c in poly_trim(f)]
-    g = [_as_fraction(c) for c in poly_trim(g)]
+def poly_add(f, g):
+    if len(f) < len(g):
+        f, g = g, f
+    return poly_trim([a + b for a, b in zip(f, g)] + list(f[len(g):]))
+
+
+def poly_sub(f, g):
+    return poly_add(f, [-c for c in g])
+
+
+def poly_mul(f, g):
+    """Each coefficient is the sum of its own products, so no zero of the
+    ring is needed."""
+    if not f or not g:
+        return []
+    out = []
+    for k in range(len(f) + len(g) - 1):
+        lo, hi = max(0, k - len(g) + 1), min(k, len(f) - 1)
+        terms = [f[i] * g[k - i] for i in range(lo, hi + 1)]
+        out.append(sum(terms[1:], terms[0]))
+    return poly_trim(out)
+
+
+def poly_divmod(f, g):
+    """(quotient, remainder) of f by g != 0: schoolbook division, one
+    inverse of g's leading coefficient."""
+    f, g = poly_trim(f), poly_trim(g)
     if not g:
         raise CharsumError("division by the zero polynomial")
     d = len(g) - 1
-    inv = 1 / g[-1]
-    while len(f) - 1 >= d:
-        q = f[-1] * inv
-        shift = len(f) - 1 - d
-        for i, c in enumerate(g):
-            f[shift + i] -= q * c
-        f = poly_trim(f)
-    return f
+    inv = g[-1] ** -1
+    quot = []
+    for k in range(len(f) - 1 - d, -1, -1):
+        c = f[k + d] * inv
+        quot.append(c)
+        for i in range(d):
+            f[k + i] = f[k + i] - c * g[i]
+    return quot[::-1], poly_trim(f[:d])
+
+
+def poly_rem(f, g):
+    return poly_divmod(f, g)[1]
+
+
+def poly_monic(f):
+    if not f:
+        return []
+    inv = f[-1] ** -1
+    return [c * inv for c in f]
+
+
+def poly_gcd(f, g):
+    """The monic gcd; [] when both are zero."""
+    f, g = poly_trim(f), poly_trim(g)
+    while g:
+        f, g = g, poly_rem(f, g)
+    return poly_monic(f)
+
+
+def poly_powmod(f, e, m):
+    """f^e mod m for e >= 1, by square and multiply."""
+    base, out = poly_rem(f, m), None
+    while True:
+        if e & 1:
+            out = base if out is None else poly_rem(poly_mul(out, base), m)
+        e >>= 1
+        if not e:
+            return out
+        base = poly_rem(poly_mul(base, base), m)
 
 
 def resultant(f, g):

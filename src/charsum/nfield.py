@@ -9,12 +9,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 from . import fppoly
 from .errors import CharsumError
 from .ffield import _is_irreducible_mod
-from .mpoly import MPoly, discriminant, frac_mod, poly_rem, poly_trim
+from .mpoly import (Lowered, MPoly, discriminant, frac_mod,
+                    poly_derivative, poly_gcd, poly_trim)
 from .parser import poly_to_string
 from .polyroots import roots_mod_p
 from .primes import EXACT_LIMIT, next_prime, primes_in
@@ -76,18 +77,6 @@ def _refuse_rational_root(ints):
                            % _poly_str([-min(roots), 1]))
 
 
-def _gcd_poly_q(f, g):
-    """Monic gcd over Q of little-endian Fraction coefficient lists."""
-    f = poly_trim([Fraction(c) for c in f])
-    g = poly_trim([Fraction(c) for c in g])
-    while g:
-        f, g = g, poly_rem(f, g)
-    if not f:
-        return []
-    inv = 1 / f[-1]
-    return [c * inv for c in f]
-
-
 @dataclass(frozen=True)
 class NumberFieldDesc:
     coeffs: tuple       # little-endian integer, monic
@@ -111,8 +100,8 @@ def nf_build(f) -> NumberFieldDesc:
     deg = len(coeffs) - 1
     disc = discriminant(coeffs)
     if disc == 0:
-        der = [k * c for k, c in enumerate(coeffs)][1:]
-        rep = _gcd_poly_q(coeffs, der)
+        f = [Fraction(c) for c in coeffs]
+        rep = poly_gcd(f, poly_derivative(f))
         raise CharsumError("reducible: repeated factor %s" % _poly_str(rep))
     if deg == 1:
         return NumberFieldDesc(tuple(coeffs), 1, disc, "degree 1")
@@ -334,13 +323,13 @@ def lattice_basis(elems) -> LatticeBasis:
     field = elems[0].field
     if any(e.field != field for e in elems):
         raise CharsumError("elements of different fields")
-    scale = lcm(*[c.denominator for e in elems for c in e.coords]) \
-        if elems else 1
-    rows = [[int(c * scale) for c in e.coords] for e in elems]
+    low = Lowered.univariate([c for e in elems for c in e.coords])
+    deg = field.degree
+    rows = [low.nums[i:i + deg] for i in range(0, len(low.nums), deg)]
     h = hnf(rows)
     if not h:
         raise CharsumError("all elements are zero")
-    basis = tuple(NFElem(field, [Fraction(a, scale) for a in row])
+    basis = tuple(NFElem(field, [Fraction(a, low.den) for a in row])
                   for row in h)
     expression = []
     for row in rows:
@@ -387,8 +376,7 @@ def qlin_relations(elems):
         vec[fc] = Fraction(1)
         for r, pc in enumerate(pivots):
             vec[pc] = -m[r][fc]
-        denom = lcm(*[v.denominator for v in vec])
-        ints = [int(v * denom) for v in vec]
+        ints = Lowered.univariate(vec).nums
         g = 0
         for v in ints:
             g = gcd(g, v)

@@ -163,8 +163,9 @@ class Plan:
     """A system after `_eliminate` over Q (p None) or F_p, its
     polynomials lowered to Horner trees of one `Lowered`, `low`.
 
-    `empty` says the system provably has no points.  Otherwise `subs`
-    holds (var, tree) in elimination order, `residual` the trees of the
+    `empty` says the system provably has no points.  Otherwise
+    `eliminated` holds the (var, replacement MPoly) pairs `_eliminate`
+    made, `subs` the same as (var, tree), `residual` the trees of the
     remaining equations over the `free` variables, `fibre` (y, [c0, c1,
     c2, disc]) when there is a fibre equation (None otherwise), and
     `filters` the residual trees other than the fibre equation's.  Over
@@ -175,8 +176,8 @@ class Plan:
     polynomials.
     """
 
-    __slots__ = ("n", "system", "exceptional", "empty", "low", "subs",
-                 "residual", "free", "fibre", "filters")
+    __slots__ = ("n", "system", "exceptional", "empty", "low", "eliminated",
+                 "subs", "residual", "free", "fibre", "filters")
 
     def __init__(self, system, n, p=None):
         self.n, self.system = n, system
@@ -188,15 +189,15 @@ class Plan:
         self.empty = elim is None
         if self.empty:
             return
-        subs, residual, self.free = elim
+        self.eliminated, residual, self.free = elim
         f, y = _fibre_equation(residual, self.free, p)
-        polys = [repl for _, repl in subs] + residual
+        polys = [repl for _, repl in self.eliminated] + residual
         if f is not None:
             c0, c1, c2 = (f.as_univariate_in(y) + [MPoly(n, {})] * 2)[:3]
             polys += [c0, c1, c2, c1 * c1 - 4 * c0 * c2]
         self.low = Lowered(polys)
         trees = iter(self.low.trees)
-        self.subs = [(v, next(trees)) for v, _ in subs]
+        self.subs = [(v, next(trees)) for v, _ in self.eliminated]
         self.residual = [next(trees) for _ in residual]
         self.fibre = None if f is None else (y, list(trees))
         self.filters = [t for g, t in zip(residual, self.residual)

@@ -26,7 +26,9 @@ from . import fppoly
 from .errors import CharsumError
 from .ffield import (TABLE_LIMIT, ExtFieldDesc, FqElem, packed_field,
                      sqrt_mod)
-from .mpoly import check_int64_modulus
+from .mpoly import (check_int64_modulus, poly_add, poly_divmod, poly_gcd,
+                    poly_monic, poly_mul, poly_powmod, poly_rem, poly_sub,
+                    poly_trim)
 
 
 _INT64_MAX = (1 << 63) - 1
@@ -154,111 +156,33 @@ def roots_mod_p(coeffs, p) -> list:
 
 # -- generic path over F_q ------------------------------------------------
 
-def _fq_trim(f):
-    while f and f[-1].is_zero():
-        f.pop()
-    return f
-
-
-def _fq_divmod(f, g, field):
-    f = list(f)
-    if not g:
-        raise ZeroDivisionError("polynomial division by zero")
-    dg = len(g) - 1
-    inv_lead = g[-1].inverse()
-    q = [field.zero()] * max(len(f) - dg, 0)
-    while f and len(f) - 1 >= dg:
-        c = f[-1] * inv_lead
-        k = len(f) - 1 - dg
-        q[k] = c
-        for i, b in enumerate(g):
-            f[k + i] = f[k + i] - c * b
-        _fq_trim(f)
-    return q, f
-
-
-def _fq_mul(f, g, field):
-    if not f or not g:
-        return []
-    out = [field.zero()] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if not a.is_zero():
-            for j, b in enumerate(g):
-                out[i + j] = out[i + j] + a * b
-    return _fq_trim(out)
-
-
-def _fq_sub(f, g, field):
-    n = max(len(f), len(g))
-    out = [field.zero()] * n
-    for i, c in enumerate(f):
-        out[i] = c
-    for i, c in enumerate(g):
-        out[i] = out[i] - c
-    return _fq_trim(out)
-
-
-def _fq_add(f, g, field):
-    n = max(len(f), len(g))
-    out = [field.zero()] * n
-    for i, c in enumerate(f):
-        out[i] = c
-    for i, c in enumerate(g):
-        out[i] = out[i] + c
-    return _fq_trim(out)
-
-
-def _fq_monic(f, field):
-    if not f:
-        return []
-    inv = f[-1].inverse()
-    return [c * inv for c in f]
-
-
-def _fq_gcd(f, g, field):
-    a, b = list(f), list(g)
-    while b:
-        a, b = b, _fq_divmod(a, b, field)[1]
-    return _fq_monic(a, field)
-
-
-def _fq_powmod(f, e, m, field):
-    out = [field.one()]
-    base = _fq_divmod(list(f), m, field)[1]
-    while e:
-        if e & 1:
-            out = _fq_divmod(_fq_mul(out, base, field), m, field)[1]
-        base = _fq_divmod(_fq_mul(base, base, field), m, field)[1]
-        e >>= 1
-    return out
-
-
-def _fq_split_linear(g, field, rng):
+def _split_fq(g, field, rng):
+    """Roots of a monic g over F_q that is a product of distinct linear
+    factors: Cantor-Zassenhaus on the shared `mpoly` toolkit."""
     d = len(g) - 1
     if d <= 0:
         return []
     if d == 1:
-        return [-(g[0] * g[1].inverse())]
-    q = field.order
+        return [-(g[0] * g[1] ** -1)]
+    zero, one = field.zero(), field.one()
     while True:
         a = field.element(tuple(rng.randrange(field.p)
                                 for _ in range(field.e)))
         if field.p == 2:
             # additive splitting: trace map T(a*x) = sum (a*x)^{2^i}, i < e
-            cur = _fq_divmod([field.zero(), a], g, field)[1]
+            cur = poly_rem([zero, a], g)
             h = list(cur)
             for _ in range(field.e - 1):
-                cur = _fq_divmod(_fq_mul(cur, cur, field), g, field)[1]
-                h = _fq_add(h, cur, field)
+                cur = poly_rem(poly_mul(cur, cur), g)
+                h = poly_add(h, cur)
         else:
-            h = _fq_powmod([a, field.one()], (q - 1) // 2, g, field)
-            h = _fq_sub(h, [field.one()], field)
-        d1 = _fq_gcd(h, g, field)
-        if 0 < len(d1) - 1 < len(g) - 1:
-            d2, rem = _fq_divmod(g, d1, field)
+            h = poly_sub(poly_powmod([a, one], (field.order - 1) // 2, g),
+                         [one])
+        d1 = poly_gcd(h, g)
+        if 0 < len(d1) - 1 < d:
+            d2, rem = poly_divmod(g, d1)
             assert not rem
-            return (_fq_split_linear(d1, field, rng)
-                    + _fq_split_linear(d2, field, rng))
+            return _split_fq(d1, field, rng) + _split_fq(d2, field, rng)
 
 
 def _packed_roots(f, field):
@@ -291,8 +215,7 @@ def _packed_roots(f, field):
 def poly_roots_fq(coeffs, field: ExtFieldDesc) -> list:
     """Sorted roots (with multiplicity, canonical element order) of a
     univariate polynomial over F_q.  Coefficients may be ints or FqElems."""
-    f = [field.element(c) for c in coeffs]
-    f = _fq_trim(list(f))
+    f = poly_trim(field.element(c) for c in coeffs)
     if not f:
         raise CharsumError("zero polynomial")
     if field.e == 1:
@@ -302,18 +225,17 @@ def poly_roots_fq(coeffs, field: ExtFieldDesc) -> list:
         return []
     if field.order <= TABLE_LIMIT:
         return _packed_roots(f, field)
-    fm = _fq_monic(f, field)
-    xq = _fq_powmod([field.zero(), field.one()], field.order, fm, field)
-    layer = _fq_gcd(_fq_sub(xq, [field.zero(), field.one()], field), fm,
-                    field)
+    fm = poly_monic(f)
+    x = [field.zero(), field.one()]
+    layer = poly_gcd(poly_sub(poly_powmod(x, field.order, fm), x), fm)
     rng = _splitting_rng(field.p, tuple(c.coeffs for c in f))
     # layer k is the product of (x - r) over the roots r of multiplicity
     # at least k; dividing it by the next layer leaves multiplicity k.
     roots, rest, k = [], fm, 1
     while len(layer) > 1:
-        rest = _fq_divmod(rest, layer, field)[0]
-        deeper = _fq_gcd(rest, layer, field)
-        exact = _fq_divmod(layer, deeper, field)[0]
-        roots += _fq_split_linear(exact, field, rng) * k
+        rest = poly_divmod(rest, layer)[0]
+        deeper = poly_gcd(rest, layer)
+        exact = poly_divmod(layer, deeper)[0]
+        roots += _split_fq(exact, field, rng) * k
         layer, k = deeper, k + 1
     return sorted(roots)

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 from .angles import CharacterDesc
 from .errors import CharsumError
 from .ffield import ExtFieldDesc
-from .mpoly import MPoly
-from .polyroots import _fq_mul, poly_roots_fq
+from .mpoly import MPoly, poly_mul
+from .polyroots import poly_roots_fq
 
 
 @dataclass(frozen=True)
@@ -90,8 +90,7 @@ def psisym_add(t1: PsiSymTerm, t2: PsiSymTerm) -> PsiSymTerm:
     multiset is the disjoint union, so values add."""
     if t1.field != t2.field:
         raise CharsumError("terms live over different fields")
-    field = t1.field
-    return _term_of(field, _fq_mul(t1.monic_poly(), t2.monic_poly(), field))
+    return _term_of(t1.field, poly_mul(t1.monic_poly(), t2.monic_poly()))
 
 
 def psisym_mul(t1: PsiSymTerm, t2: PsiSymTerm) -> PsiSymTerm:
@@ -106,7 +105,7 @@ def psisym_mul(t1: PsiSymTerm, t2: PsiSymTerm) -> PsiSymTerm:
     poly = [field.one()]
     for a in roots1:
         for b in roots2:
-            poly = _fq_mul(poly, [-(a + b), field.one()], field)
+            poly = poly_mul(poly, [-(a + b), field.one()])
     return _term_of(field, poly)
 
 

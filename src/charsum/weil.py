@@ -2,29 +2,29 @@
 detection, and box counts.
 
 Every sum over the affine line F_p goes through `_line_sum`: Horner
-evaluation of the reduced polynomial at all of F_p, a histogram of the
-values, and its dot product with `angles.unit_roots(p)`.  `weil_check`
-makes one Weil record at one prime; `weil_sweep` makes them along a
-prime list, splitting the polynomial's coefficients over one common
-denominator once, so each prime costs one inverse.
+evaluation of the reduced polynomial at all of F_p, summed by
+`angles.character_sum`.  `weil_check` makes one Weil record at one
+prime; `weil_sweep` makes them along a prime list, splitting the
+polynomial's coefficients over one common denominator once, so each
+prime costs one inverse.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 
 import numpy as np
 
-from .angles import CharacterDesc, standard_character, unit_roots
+from .angles import CharacterDesc, character_sum, standard_character
 from .errors import BadPrimeError, CharsumError
 from .ffield import prime_field
 from .laurent import LaurentPoly
-from .mpoly import Lowered, MPoly, frac_mod
-from .points import (_CHUNK, DEFAULT_BUDGET, _field_coeffs, _free_grid,
-                     _system_nvars, enumerate_points, sample_points)
+from .mpoly import Lowered, MPoly
+from .points import (_CHUNK, DEFAULT_BUDGET, _check_budget, _field_coeffs,
+                     _free_grid, _system_nvars, enumerate_points, lower,
+                     sample_points)
 from .polyroots import eval_many
 from .primes import next_prime
 from .rootsums import psi_sum
@@ -62,30 +62,18 @@ def exp_sum(system, f: MPoly, char: CharacterDesc, box=None,
     n = f.nvars
     if (field.e == 1 and not system and n == 1 and box is None
             and field.p < 1 << 31):
-        return _exp_sum_line(f, field.p, char, budget)
+        p = field.p
+        _check_budget(p, 1, budget)
+        twist = char.twist.residue()
+        return _line_sum([c * twist % p for c in _lowered(f).residues(p)], p)
     pts = enumerate_points(system, field, nvars=n, box=box, budget=budget)
     return exp_sum_points(pts, f, char)
-
-
-def _check_line_budget(p, budget):
-    if p > budget:
-        raise CharsumError("enumeration budget exceeded: %d > %d"
-                           % (p, budget))
 
 
 def _line_sum(red, p):
     """Sum of e(g(x)/p) over x in F_p, where red holds the residues of
     g's coefficients, little-endian."""
-    counts = np.bincount(eval_many(red, p, np.arange(p, dtype=np.int64)),
-                         minlength=p)
-    return complex(counts @ unit_roots(p))
-
-
-def _exp_sum_line(f, p, char, budget):
-    _check_line_budget(p, budget)
-    twist = char.twist.residue()
-    return _line_sum([frac_mod(c, p) * twist % p
-                      for c in f.univariate_coeffs()], p)
+    return character_sum(eval_many(red, p, np.arange(p, dtype=np.int64)), p)
 
 
 def _lowered(f):
@@ -113,7 +101,7 @@ def _weil_record(coeffs, p, twist) -> WeilRecord:
     if twist == 0:
         raise CharsumError("trivial character (twist = 0 mod %d); bound "
                            "not applicable" % p)
-    _check_line_budget(p, DEFAULT_BUDGET)
+    _check_budget(p, 1, DEFAULT_BUDGET)
     value = _line_sum([c * twist % p for c in red], p)
     magnitude = abs(value)
     bound = (d - 1) * math.sqrt(p)
@@ -214,42 +202,6 @@ class HyperplaneResult:
     primes: tuple
 
 
-def _graph_shape(system, n):
-    """Recognize {x_j - f_j(x_i0)} graph systems; returns (param_var,
-    {var: poly}) or None."""
-    defs = {}
-    base_vars = set()
-    for g in system:
-        linear = None
-        for v in range(n):
-            if g.degree_in(v) == 1:
-                coeffs = g.as_univariate_in(v)
-                cv = coeffs[1]
-                if cv.is_constant() and abs(cv.constant_value()) == 1 \
-                        and v not in coeffs[0].variables_used():
-                    linear = (v, coeffs)
-                    break
-        if linear is None:
-            return None
-        v, coeffs = linear
-        rest = -coeffs[0] * (Fraction(1) / coeffs[1].constant_value())
-        if v in defs:
-            return None
-        defs[v] = rest
-        base_vars |= rest.variables_used()
-    if len(base_vars) > 1 or any(v in defs for v in base_vars):
-        return None
-    param = min(base_vars) if base_vars else None
-    if param is None:
-        free = [v for v in range(n) if v not in defs]
-        if not free:
-            return None
-        param = free[0]
-    if set(defs) | {param} != set(range(n)):
-        return None
-    return param, defs
-
-
 def _candidate_vectors(n, m):
     """Primitive integer vectors with sup norm <= m, last nonzero entry
     positive, by increasing height then lex order.  Each height's cube
@@ -270,9 +222,12 @@ def _candidate_vectors(n, m):
 def hyperplane_height_test(system, m, nvars=None):
     """Search for a height <= m affine hyperplane containing the variety.
 
-    Evidence is A.x constant on sampled points over three large primes;
-    graph systems get an exact symbolic confirmation.  Returns None when
-    nothing is found (a probabilistic answer), else a HyperplaneResult.
+    Evidence is A.x constant on sampled points over three large primes.
+    The system is lowered once over Q; when its elimination leaves no
+    equation, the variety is the graph of the substitutions over its free
+    variables, and A.x composed with them is exactly constant or the
+    candidate is a sampling coincidence.  Returns None when nothing is
+    found (a probabilistic answer), else a HyperplaneResult.
     """
     n = _system_nvars(system, nvars)
     if m < 1 or m > HEIGHT_CAP:
@@ -289,11 +244,12 @@ def hyperplane_height_test(system, m, nvars=None):
         except BadPrimeError:
             continue
         primes.append(q)
+    plan = lower(system, n)
     samples = {}
     for q in primes:
-        samples[q] = sample_points(system, q, points_per_prime, nvars=n)
+        samples[q] = sample_points(plan, q, points_per_prime)
 
-    graph = _graph_shape(system, n)
+    graph = not plan.empty and not plan.residual
     for vec in _candidate_vectors(n, m):
         consts = []
         ok = True
@@ -307,20 +263,15 @@ def hyperplane_height_test(system, m, nvars=None):
             consts.append(c0)
         if not ok:
             continue
-        exact = False
-        if graph is not None:
-            param, defs = graph
-            expr = MPoly(n, {})
-            for v, a in enumerate(vec):
-                if not a:
-                    continue
-                term = defs[v] if v in defs else MPoly.variable(param, n)
-                expr = expr + a * term
+        if graph:
+            expr = sum((a * MPoly.variable(v, n) for v, a in enumerate(vec)),
+                       MPoly(n, {}))
+            for v, repl in plan.eliminated:
+                expr = expr.substitute(v, repl)
             if not expr.is_constant():
                 continue  # sampling coincidence; symbolic check rules it out
-            exact = True
         constant = _consistent_constant(consts, primes)
-        return HyperplaneResult(vector=vec, constant=constant, exact=exact,
+        return HyperplaneResult(vector=vec, constant=constant, exact=graph,
                                 primes=tuple(primes))
     return None
 

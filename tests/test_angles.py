@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ from charsum import (Angle, build_extension, next_prime, prime_field,
                      primes_in, psi_p, psi_q, standard_character,
                      trivial_character, twisted_character, unit_roots)
 from charsum import angles
+from charsum.angles import character_sum, character_values
 from charsum.errors import CharsumError
 
 
@@ -121,6 +123,19 @@ def test_unit_roots_match_numpy_and_are_read_only():
         assert table.flags.writeable is False
         expect = np.exp(2j * np.pi * np.arange(p) / p)
         assert np.max(np.abs(table - expect)) < 1e-14
+
+
+def test_character_kernels_match_the_defining_sums():
+    rng = np.random.default_rng(11)
+    for p in (2, 3, 997, 65537):
+        res = rng.integers(0, p, size=500)
+        angle = 2 * np.pi * res / p
+        vals = character_values(res, p)
+        assert np.max(np.abs(vals - np.exp(1j * angle))) < 1e-14
+        total = character_sum(res, p)
+        assert isinstance(total, complex)
+        assert abs(total.real - math.fsum(np.cos(angle))) < 1e-10
+        assert abs(total.imag - math.fsum(np.sin(angle))) < 1e-10
 
 
 def test_unit_roots_cache_is_bounded_by_bytes():

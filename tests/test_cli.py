@@ -291,6 +291,22 @@ def test_fourier_csv_round_trip(tmp_path):
     assert r2.returncode == 0
 
 
+@pytest.mark.parametrize("cell", ["nan,0", "0,inf", "-inf,nan"])
+def test_fourier_refuses_non_finite_csv_values(tmp_path, cell):
+    table = tmp_path / "t.csv"
+    rows = ["x1,x2,re,im"] + ["%d,%d,%s" % (i, j, "1,0")
+                             for i in range(11) for j in range(11)]
+    rows[1 + 3 * 11 + 4] = "3,4," + cell
+    table.write_text("\n".join(rows) + "\n")
+    report = tmp_path / "out.json"
+    r = run("fourier", "--prime", "11", "--nvars", "2", "--input",
+            str(table), "--verify", "--json", str(report))
+    assert r.returncode == 2
+    assert "row 39" in r.stderr and "not finite" in r.stderr
+    assert "Traceback" not in r.stderr
+    assert not report.exists()
+
+
 def test_fourier_large_prime_const_runs(tmp_path):
     # p^n is inside the transform budget; no p x p kernel is built
     out = tmp_path / "f.json"

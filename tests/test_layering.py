@@ -1,7 +1,9 @@
 """Every charsum module imports on its own in a fresh interpreter, before
 the package's __init__ runs, so an import cycle between two modules
-shows whichever of them is loaded first."""
+shows whichever of them is loaded first.  Only `angles` reads the table
+of p-th roots of unity; every other module goes through its kernels."""
 
+import ast
 import subprocess
 import sys
 from importlib.util import find_spec
@@ -26,3 +28,13 @@ def test_module_imports_alone(name):
     r = subprocess.run([sys.executable, "-c", LOAD_ALONE, str(PACKAGE), name],
                        capture_output=True, text=True, timeout=60)
     assert r.returncode == 0, r.stderr
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_only_angles_calls_unit_roots(name):
+    tree = ast.parse((PACKAGE / (name + ".py")).read_text())
+    calls = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Call)
+             and "unit_roots" in (getattr(node.func, "id", None),
+                                  getattr(node.func, "attr", None))]
+    assert name == "angles" or not calls, calls

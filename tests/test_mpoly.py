@@ -5,10 +5,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from charsum import MPoly, discriminant, prime_field, resultant
+from charsum import (MPoly, build_extension, discriminant, prime_field,
+                     resultant)
+from charsum import fppoly
 from charsum.errors import BadPrimeError, CharsumError
-from charsum.mpoly import (Lowered, frac_mod, poly_degree, poly_derivative,
-                           poly_rem, poly_trim, pow_mod_array)
+from charsum.mpoly import (Lowered, frac_mod, poly_add, poly_degree,
+                           poly_derivative, poly_divmod, poly_gcd,
+                           poly_monic, poly_mul, poly_powmod, poly_rem,
+                           poly_sub, poly_trim, pow_mod_array)
 from charsum.polyroots import horner
 
 
@@ -313,3 +317,116 @@ def test_pow_mod_array_matches_pow():
         for e in {1, 2, 3, p - 2} - {0}:
             assert pow_mod_array(a, e, p).tolist() == \
                 [pow(int(x), e, p) for x in a]
+
+
+# -- the univariate toolkit, shared by Q and F_q ---------------------------
+
+def _old_poly_rem(f, g):
+    """The Q-only remainder the shared toolkit replaced, as an oracle."""
+    f = [Fraction(c) for c in poly_trim(f)]
+    g = [Fraction(c) for c in poly_trim(g)]
+    d = len(g) - 1
+    inv = 1 / g[-1]
+    while len(f) - 1 >= d:
+        q = f[-1] * inv
+        shift = len(f) - 1 - d
+        for i, c in enumerate(g):
+            f[shift + i] -= q * c
+        f = poly_trim(f)
+    return f
+
+
+def _old_gcd_poly_q(f, g):
+    """The Q-only monic gcd the shared toolkit replaced, as an oracle."""
+    f = poly_trim([Fraction(c) for c in f])
+    g = poly_trim([Fraction(c) for c in g])
+    while g:
+        f, g = g, _old_poly_rem(f, g)
+    if not f:
+        return []
+    inv = 1 / f[-1]
+    return [c * inv for c in f]
+
+
+def _coeff_lists(elem, count=2, max_size=7):
+    return st.tuples(*[st.lists(elem, max_size=max_size)] * count)
+
+
+@st.composite
+def prime_field_case(draw):
+    p = draw(st.sampled_from([2, 3, 5, 7, 101, 65521]))
+    residue = st.one_of(st.integers(0, p - 1), st.sampled_from([0, 1]))
+    f, g = draw(_coeff_lists(residue))
+    return p, f, g, draw(st.integers(1, 40))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(prime_field_case())
+def test_toolkit_on_prime_field_elements_agrees_with_fppoly(case):
+    p, f, g, e = case
+    field = prime_field(p)
+    F, G = ([field.element(c) for c in h] for h in (f, g))
+
+    def ints(h):
+        return [c.residue() for c in h]
+
+    f, g = fppoly.trim(list(f)), fppoly.trim(list(g))
+    assert ints(poly_add(F, G)) == fppoly.add(f, g, p)
+    assert ints(poly_sub(F, G)) == fppoly.sub(f, g, p)
+    assert ints(poly_mul(F, G)) == fppoly.mul(f, g, p)
+    assert ints(poly_monic(poly_trim(F))) == fppoly.monic(f, p)
+    assert ints(poly_gcd(F, G)) == fppoly.gcd(f, g, p)
+    if not g:
+        with pytest.raises(CharsumError):
+            poly_divmod(F, G)
+        return
+    quot, rem = poly_divmod(F, G)
+    assert (ints(quot), ints(rem)) == fppoly.divmod_poly(f, g, p)
+    assert ints(poly_powmod(F, e, G)) == fppoly.powmod(f, e, g, p)
+
+
+@st.composite
+def extension_case(draw):
+    field = build_extension(*draw(st.sampled_from([(3, 2), (2, 3)])))
+    digit = st.integers(0, field.p - 1)
+    elem = st.one_of(st.just((0,) * field.e),
+                     st.tuples(*[digit] * field.e)).map(field.element)
+    f, g = draw(_coeff_lists(elem))
+    return field, f, g, draw(st.integers(1, 12))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(extension_case())
+def test_toolkit_over_extension_fields_divides_and_finds_common_factors(
+        case):
+    field, f, g, e = case
+    f, g = poly_trim(f), poly_trim(g)
+    d = poly_gcd(f, g)
+    if f or g:
+        assert d[-1] == field.one()
+        assert poly_rem(f, d) == [] and poly_rem(g, d) == []
+    else:
+        assert d == []
+    if not g:
+        return
+    quot, rem = poly_divmod(f, g)
+    assert poly_degree(rem) < poly_degree(g)
+    assert poly_add(poly_mul(quot, g), rem) == f
+    power = f
+    for _ in range(e - 1):
+        power = poly_mul(power, f)
+    assert poly_powmod(f, e, g) == poly_rem(power, g)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_coeff_lists(st.builds(Fraction, st.integers(-9, 9),
+                              st.integers(1, 4))))
+def test_toolkit_over_q_agrees_with_the_q_only_routines(case):
+    f, g = case
+    assert poly_gcd(f, g) == _old_gcd_poly_q(f, g)
+    assert poly_gcd(f, poly_derivative(f)) == \
+        _old_gcd_poly_q(f, poly_derivative(f))
+    if poly_trim(g):
+        assert poly_rem(f, g) == _old_poly_rem(f, g)
+        quot, rem = poly_divmod(f, g)
+        assert poly_add(poly_mul(quot, g), rem) == poly_trim(f)

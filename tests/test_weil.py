@@ -208,6 +208,25 @@ def test_hyperplane_found_for_affine_graphs():
     assert res2.exact
 
 
+@pytest.mark.parametrize("texts, names, vector, constant", [
+    (["y - x^2", "z - y - 1"], ("x", "y", "z"), (0, -1, 1), 1),
+    # a non-unit coefficient; y - x = 1/2 is no integer constant
+    (["2*y - 2*x - 1"], ("x", "y"), (-1, 1), None),
+])
+def test_hyperplane_exact_when_elimination_leaves_no_equation(
+        texts, names, vector, constant):
+    res = hyperplane_height_test([poly(t, names) for t in texts], 3)
+    assert res is not None
+    assert (res.vector, res.constant, res.exact) == (vector, constant, True)
+
+
+def test_hyperplane_sampling_coincidence_is_ruled_out():
+    # the samples of z = x*y all have x = 0, so z - x vanishes on them;
+    # composed with the substitution it is x*y - x, not constant
+    system = [poly("z - x*y", ("x", "y", "z"))]
+    assert hyperplane_height_test(system, 3) is None
+
+
 def test_hyperplane_absent_for_parabola():
     names = ("x", "y")
     system = [poly("y - x^2", names)]
