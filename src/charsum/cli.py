@@ -338,6 +338,7 @@ def _read_table_csv(path, p, n):
 
 def cmd_fourier(args):
     p, n = args.prime, args.nvars
+    prime_field(p)  # refuses a non-prime before any table is built
     if args.const is not None:
         table = constant_table(p, n, complex(args.const))
     elif args.delta:
@@ -540,6 +541,13 @@ def positive_int(text):
     return n
 
 
+def nonnegative_int(text):
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError("must be at least 0, got %d" % n)
+    return n
+
+
 @functools.cache
 def _build_parser():
     """The argument parser, built once per process; parse_args leaves it
@@ -664,18 +672,18 @@ def _build_parser():
                                  "measure", [budget, nvars])
     s.add_argument("--system", required=True)
     s.add_argument("--prime", type=int, required=True)
-    s.add_argument("--max-moment", dest="max_moment", type=int, default=3)
+    s.add_argument("--max-moment", type=nonnegative_int, default=3)
 
     s = command(cmd_dfi, "root-angle equidistribution sweep", [roots])
-    s.add_argument("--weyl-depth", dest="weyl_depth", type=int, default=5)
-    s.add_argument("--hist-bins", dest="hist_bins", type=int)
+    s.add_argument("--weyl-depth", type=nonnegative_int, default=5)
+    s.add_argument("--hist-bins", type=nonnegative_int)
 
     s = command(cmd_dfiext, "equidistribution of a derived element g(root)",
                 [roots])
     s.add_argument("--g", required=True)
     s.add_argument("--split-only", dest="split_only", action="store_true")
-    s.add_argument("--weyl-depth", dest="weyl_depth", type=int, default=5)
-    s.add_argument("--hist-bins", dest="hist_bins", type=int)
+    s.add_argument("--weyl-depth", type=nonnegative_int, default=5)
+    s.add_argument("--hist-bins", type=nonnegative_int)
 
     s = command(cmd_multiweyl, "joint Weyl sum over root powers", [roots])
     s.add_argument("--h", required=True, help="h1,...,hk weighting r^1..r^k")

@@ -21,14 +21,14 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import partial
-from math import gcd
 
 import numpy as np
 
 from .angles import Angle
 from .errors import CharsumError
 from .fppoly import evaluate
-from .mpoly import Lowered, MPoly, discriminant, poly_rem, poly_trim
+from .mpoly import (Lowered, MPoly, discriminant, poly_rem, poly_trim,
+                    primitive_integers)
 from .nfield import (_monic_companion, _poly_str, _refuse_rational_root,
                      nf_build)
 from .parallel import pmap
@@ -110,11 +110,7 @@ def _integer_form(coeffs):
     coeffs = poly_trim(list(coeffs))
     if not coeffs:
         raise CharsumError("zero polynomial")
-    ints = Lowered.univariate(coeffs).nums
-    g = 0
-    for c in ints:
-        g = gcd(g, c)
-    ints = [c // g for c in ints]
+    ints = primitive_integers(coeffs)
     if ints[-1] < 0:
         ints = [-c for c in ints]
     return ints

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import fppoly
 from .errors import CharsumError
-from .mpoly import frac_mod
+from .mpoly import frac_mod, power
 from .primes import is_prime
 
 # Largest field that gets packed tables: at q = 2^16 and e = 16 they
@@ -242,20 +242,11 @@ class FqElem:
         return self * other.inverse()
 
     def __pow__(self, k):
-        """Square and multiply, with no product by one and no squaring
-        after the last bit."""
         if k < 0:
             return self.inverse() ** (-k)
         if k == 0:
             return self.field.one()
-        out, base = None, self
-        while True:
-            if k & 1:
-                out = base if out is None else out * base
-            k >>= 1
-            if not k:
-                return out
-            base = base * base
+        return power(self, k, FqElem.__mul__)
 
     def is_zero(self):
         return all(c == 0 for c in self.coeffs)
@@ -271,6 +262,10 @@ class FqElem:
         return self.coeffs[0]
 
     def __eq__(self, other):
+        if isinstance(other, int):
+            # an int is the element (other mod p, 0, ..., 0)
+            return (self.coeffs[0] == other % self.field.p
+                    and not any(self.coeffs[1:]))
         other = self._coerce(other)
         if other is None:
             return NotImplemented

@@ -2,8 +2,13 @@
 
 Polynomials are little-endian lists of ints in [0, p).  These are the
 low-level kernels shared by field construction and root finding; callers
-normalize their own inputs.
+normalize their own inputs.  This is the int fast path beside the
+`mpoly` toolkit: `powmod` runs on `mpoly.power`, the one
+square-and-multiply, and `powmod_x` is the left-to-right form for powers
+of x.
 """
+
+from .mpoly import power
 
 
 def trim(f):
@@ -93,15 +98,10 @@ def mulmod(f, g, m, p):
 
 
 def powmod(f, e, m, p):
-    """f^e mod (m, p) by square and multiply."""
-    out = [1]
-    base = mod(list(f), m, p)
-    while e:
-        if e & 1:
-            out = mulmod(out, base, m, p)
-        base = mulmod(base, base, m, p)
-        e >>= 1
-    return out
+    """f^e mod (m, p); [1] at e = 0."""
+    if e == 0:
+        return [1]
+    return power(mod(list(f), m, p), e, lambda a, b: mulmod(a, b, m, p))
 
 
 def powmod_x(e, m, p):

@@ -10,7 +10,7 @@ attached as a warning, never as a correction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np

@@ -4,7 +4,9 @@ Terms map exponent tuples to nonzero Fractions; the zero polynomial has no
 terms.  Everything is immutable after construction, so instances can be
 shared across worker processes freely.  `Lowered` is the one integer form
 for work mod many primes: integer numerators over one denominator, each
-polynomial a Horner tree.
+polynomial a Horner tree.  Also here: `power`, the one square-and-multiply;
+a univariate toolkit over any exact field; `gauss_jordan`, the one exact
+elimination over Q.
 """
 
 from __future__ import annotations
@@ -21,6 +23,21 @@ def _as_fraction(c):
     if isinstance(c, int):
         return Fraction(c)
     raise TypeError("coefficients must be int or Fraction, got %r" % (c,))
+
+
+def power(x, e, mul):
+    """x^e for e >= 1 under the product `mul`, by the binary method read
+    right to left: it never multiplies by one and never squares after the
+    last bit.  The one square-and-multiply; callers handle e <= 0 and
+    reduce the base."""
+    out = None
+    while True:
+        if e & 1:
+            out = x if out is None else mul(out, x)
+        e >>= 1
+        if not e:
+            return out
+        x = mul(x, x)
 
 
 class MPoly:
@@ -107,14 +124,9 @@ class MPoly:
     def __pow__(self, k):
         if k < 0:
             raise ValueError("negative power")
-        out = MPoly.constant(1, self.nvars)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        if k == 0:
+            return MPoly.constant(1, self.nvars)
+        return power(self, k, MPoly.__mul__)
 
     def __eq__(self, other):
         return (isinstance(other, MPoly) and self.nvars == other.nvars
@@ -259,17 +271,9 @@ def check_int64_modulus(p):
 
 
 def pow_mod_array(a, e, p):
-    """a^e mod p elementwise for e >= 1, by square and multiply (p < 2^31,
-    see check_int64_modulus)."""
-    base = a % p
-    out = None
-    while True:
-        if e & 1:
-            out = base if out is None else out * base % p
-        e >>= 1
-        if not e:
-            return out
-        base = base * base % p
+    """a^e mod p elementwise for e >= 1 (p < 2^31, see
+    check_int64_modulus)."""
+    return power(a % p, e, lambda x, y: x * y % p)
 
 
 def frac_mod(c, p):
@@ -325,6 +329,14 @@ class Lowered:
                 frac_mod(Fraction(n, self.den), p)  # raises at the first
         inv = pow(den, -1, p)
         return [n * inv % p for n in self.nums]
+
+
+def primitive_integers(coeffs):
+    """The rational coefficients (not all zero) scaled to integers with no
+    common factor; the sign is the caller's to choose."""
+    nums = Lowered.univariate(coeffs).nums
+    g = math.gcd(*nums)
+    return [n // g for n in nums]
 
 
 def _horner_tree(terms, top, coeffs):
@@ -425,56 +437,54 @@ def poly_gcd(f, g):
 
 
 def poly_powmod(f, e, m):
-    """f^e mod m for e >= 1, by square and multiply."""
-    base, out = poly_rem(f, m), None
-    while True:
-        if e & 1:
-            out = base if out is None else poly_rem(poly_mul(out, base), m)
-        e >>= 1
-        if not e:
-            return out
-        base = poly_rem(poly_mul(base, base), m)
+    """f^e mod m for e >= 1."""
+    return power(poly_rem(f, m), e, lambda a, b: poly_rem(poly_mul(a, b), m))
+
+
+def gauss_jordan(rows):
+    """Reduce a matrix of Fractions (a list of equal-length row lists) in
+    place to reduced row echelon form by exact Gauss-Jordan elimination.
+
+    Returns (pivot columns, signed product of the pivots): the sign flips
+    with each row swap, so when every column of a square matrix has a
+    pivot the product is its determinant.
+    """
+    pivots, det = [], Fraction(1)
+    for col in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        if piv is None:
+            continue
+        if piv != r:
+            rows[r], rows[piv] = rows[piv], rows[r]
+            det = -det
+        lead = rows[r][col]
+        det *= lead
+        top = rows[r] = [a / lead for a in rows[r]]
+        support = [j for j, b in enumerate(top) if b]
+        for i, row in enumerate(rows):
+            if i != r and row[col]:
+                c = row[col]
+                for j in support:
+                    row[j] -= c * top[j]
+        pivots.append(col)
+    return pivots, det
 
 
 def resultant(f, g):
-    """Resultant of two rational univariate polynomials via the Sylvester
-    determinant, exact Gaussian elimination over Q."""
+    """Resultant of two rational univariate polynomials: the determinant
+    of their Sylvester matrix (f0^m when f = f0 is constant and g has
+    degree m)."""
     f = [_as_fraction(c) for c in poly_trim(f)]
     g = [_as_fraction(c) for c in poly_trim(g)]
     n, m = len(f) - 1, len(g) - 1
     if n < 0 or m < 0:
         return Fraction(0)
-    if n == 0:
-        return f[0] ** m
-    if m == 0:
-        return g[0] ** n
-    size = n + m
-    rows = []
-    frev, grev = f[::-1], g[::-1]
-    for i in range(m):
-        rows.append([Fraction(0)] * i + frev + [Fraction(0)] * (m - 1 - i))
-    for i in range(n):
-        rows.append([Fraction(0)] * i + grev + [Fraction(0)] * (n - 1 - i))
-    det = Fraction(1)
-    for col in range(size):
-        pivot = None
-        for r in range(col, size):
-            if rows[r][col]:
-                pivot = r
-                break
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            rows[col], rows[pivot] = rows[pivot], rows[col]
-            det = -det
-        det *= rows[col][col]
-        inv = 1 / rows[col][col]
-        for r in range(col + 1, size):
-            if rows[r][col]:
-                factor = rows[r][col] * inv
-                for c in range(col, size):
-                    rows[r][c] -= factor * rows[col][c]
-    return det
+    zero = [Fraction(0)]
+    rows = ([zero * i + f[::-1] + zero * (m - 1 - i) for i in range(m)]
+            + [zero * i + g[::-1] + zero * (n - 1 - i) for i in range(n)])
+    pivots, det = gauss_jordan(rows)
+    return det if len(pivots) == n + m else Fraction(0)
 
 
 def discriminant(f):

@@ -2,7 +2,10 @@
 irreducibility certificates, reduction maps to prime fields, and exact
 integer-lattice calculations on coordinate vectors.
 
-Everything here is Fraction arithmetic; nothing is floated.
+Everything here is Fraction arithmetic; nothing is floated.  Elements
+multiply on the `mpoly` toolkit (product, then remainder by the defining
+polynomial) and take powers through `mpoly.power`; Q-linear relations
+come from `mpoly.gauss_jordan`.
 """
 
 from __future__ import annotations
@@ -14,8 +17,9 @@ from math import gcd
 from . import fppoly
 from .errors import CharsumError
 from .ffield import _is_irreducible_mod
-from .mpoly import (Lowered, MPoly, discriminant, frac_mod,
-                    poly_derivative, poly_gcd, poly_trim)
+from .mpoly import (Lowered, MPoly, discriminant, frac_mod, gauss_jordan,
+                    poly_derivative, poly_gcd, poly_mul, poly_rem, poly_trim,
+                    power, primitive_integers)
 from .parser import poly_to_string
 from .polyroots import roots_mod_p
 from .primes import EXACT_LIMIT, next_prime, primes_in
@@ -183,37 +187,18 @@ class NFElem:
         other = self._check(other)
         if other is NotImplemented:
             return NotImplemented
-        deg = self.field.degree
-        prod = [Fraction(0)] * (2 * deg - 1)
-        for i, a in enumerate(self.coords):
-            if not a:
-                continue
-            for j, b in enumerate(other.coords):
-                if b:
-                    prod[i + j] += a * b
-        f = self.field.coeffs
-        for k in range(len(prod) - 1, deg - 1, -1):
-            c = prod[k]
-            if not c:
-                continue
-            prod[k] = Fraction(0)
-            for i in range(deg):
-                prod[k - deg + i] -= c * f[i]
-        return NFElem(self.field, prod[:deg])
+        f = [Fraction(c) for c in self.field.coeffs]
+        prod = poly_rem(poly_mul(self.coords, other.coords), f)
+        return NFElem(self.field, prod + [0] * (self.field.degree - len(prod)))
 
     __rmul__ = __mul__
 
     def __pow__(self, e):
         if not isinstance(e, int) or e < 0:
             raise CharsumError("exponent must be a nonnegative integer")
-        out = NFElem.rational(self.field, 1)
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
+        if e == 0:
+            return NFElem.rational(self.field, 1)
+        return power(self, e, NFElem.__mul__)
 
     def __eq__(self, other):
         return (isinstance(other, NFElem) and other.field == self.field
@@ -350,25 +335,7 @@ def qlin_relations(elems):
     k = len(elems)
     # columns of m are the elements; relations are the nullspace
     m = [[elems[i].coords[r] for i in range(k)] for r in range(deg)]
-    pivots = []
-    row = 0
-    for col in range(k):
-        piv = None
-        for i in range(row, deg):
-            if m[i][col]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        m[row], m[piv] = m[piv], m[row]
-        inv = 1 / m[row][col]
-        m[row] = [a * inv for a in m[row]]
-        for i in range(deg):
-            if i != row and m[i][col]:
-                c = m[i][col]
-                m[i] = [a - c * b for a, b in zip(m[i], m[row])]
-        pivots.append(col)
-        row += 1
+    pivots, _ = gauss_jordan(m)
     free = [c for c in range(k) if c not in pivots]
     relations = []
     for fc in free:
@@ -376,11 +343,7 @@ def qlin_relations(elems):
         vec[fc] = Fraction(1)
         for r, pc in enumerate(pivots):
             vec[pc] = -m[r][fc]
-        ints = Lowered.univariate(vec).nums
-        g = 0
-        for v in ints:
-            g = gcd(g, v)
-        ints = [v // g for v in ints]
+        ints = primitive_integers(vec)
         lead = next(v for v in ints if v)
         if lead < 0:
             ints = [-v for v in ints]

@@ -24,8 +24,7 @@ import numpy as np
 
 from . import fppoly
 from .errors import CharsumError
-from .ffield import (TABLE_LIMIT, ExtFieldDesc, FqElem, packed_field,
-                     sqrt_mod)
+from .ffield import TABLE_LIMIT, ExtFieldDesc, packed_field, sqrt_mod
 from .mpoly import (check_int64_modulus, poly_add, poly_divmod, poly_gcd,
                     poly_monic, poly_mul, poly_powmod, poly_rem, poly_sub,
                     poly_trim)

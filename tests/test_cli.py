@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from charsum import primes_in
+from charsum.cli import main
 
 BASE = [sys.executable, "-m", "charsum"]
 
@@ -472,6 +473,52 @@ def test_counts_must_be_positive():
         assert r.returncode == 2, args
         assert "must be at least 1" in r.stderr
         assert "Traceback" not in r.stderr
+
+
+@pytest.mark.parametrize("p", ["0", "1", "4", "-3"])
+@pytest.mark.parametrize("source", [["--const", "1"], ["--delta"],
+                                    ["--input", "table.csv"],
+                                    ["--indicator", "x"]],
+                         ids=["const", "delta", "input", "indicator"])
+def test_fourier_refuses_a_non_prime(tmp_path, capsys, p, source):
+    table = tmp_path / "table.csv"
+    table.write_text("0,1,0\n")
+    source = [str(table) if a == "table.csv" else a for a in source]
+    report = tmp_path / "out.json"
+    assert main(["fourier", "--prime=" + p, *source,
+                 "--json", str(report)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: %s is not prime\n" % p
+    assert not report.exists()
+
+
+@pytest.mark.parametrize("argv, option", [
+    (["dfi", "--poly", "x^2+1", "--xlimit", "30", "--weyl-depth", "-1"],
+     "--weyl-depth"),
+    (["dfi", "--poly", "x^2+1", "--xlimit", "30", "--hist-bins", "-3"],
+     "--hist-bins"),
+    (["dfiext", "--poly", "x^2+1", "--g", "x", "--xlimit", "30",
+      "--weyl-depth", "-2"], "--weyl-depth"),
+    (["pushforward", "--system", "y - x", "--prime", "7",
+      "--max-moment", "-1"], "--max-moment")])
+def test_counts_must_be_nonnegative(capsys, argv, option):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument %s: must be at least 0, got -" % option in err
+
+
+def test_zero_counts_keep_their_meaning(tmp_path):
+    out = tmp_path / "dfi.json"
+    assert main(["dfi", "--poly", "x^2+1", "--xlimit", "30",
+                 "--weyl-depth", "0", "--hist-bins", "0",
+                 "--json", str(out)]) == 0
+    agg = json.loads(out.read_text())["aggregate"]
+    assert agg["weyl"] == [] and agg["hist"] is None
+    assert main(["pushforward", "--system", "y - x", "--prime", "7",
+                 "--max-moment", "0", "--json", str(out)]) == 0
+    assert [r["m"] for r in json.loads(out.read_text())["records"]] == [[0, 0]]
 
 
 # One invocation of every subcommand and the header row of its CSV table.

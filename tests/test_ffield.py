@@ -203,6 +203,16 @@ def test_element_coercion_and_reduction():
         F.one() + G.one()
 
 
+@pytest.mark.parametrize("p, e", ((7, 1), (2, 1), (3, 2), (2, 3)))
+def test_comparison_with_an_int_reads_the_coefficients(p, e):
+    F = build_extension(p, e)
+    for a in F.elements():
+        for c in range(-2 * p - 3, 2 * p + 4):
+            want = a.coeffs == (c % p,) + (0,) * (e - 1)
+            assert (a == c) is want and (a != c) is not want
+            assert (a == F.element(c)) is want
+
+
 def test_residue_needs_prime_subfield():
     F = build_extension(3, 2)
     assert (F.one() + F.one()).residue() == 2

@@ -1,7 +1,9 @@
 """Every charsum module imports on its own in a fresh interpreter, before
 the package's __init__ runs, so an import cycle between two modules
 shows whichever of them is loaded first.  Only `angles` reads the table
-of p-th roots of unity; every other module goes through its kernels."""
+of p-th roots of unity; every other module goes through its kernels.  No
+module, in the package or among the tests, imports a name it never
+uses."""
 
 import ast
 import subprocess
@@ -13,6 +15,8 @@ import pytest
 
 PACKAGE = Path(find_spec("charsum").submodule_search_locations[0])
 MODULES = sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "__init__")
+SOURCES = sorted(list(PACKAGE.glob("*.py"))
+                 + list(Path(__file__).parent.glob("*.py")))
 
 LOAD_ALONE = """
 import importlib, sys, types
@@ -38,3 +42,34 @@ def test_only_angles_calls_unit_roots(name):
              and "unit_roots" in (getattr(node.func, "id", None),
                                   getattr(node.func, "attr", None))]
     assert name == "angles" or not calls, calls
+
+
+def _unused_imports(tree):
+    """Names bound by an import (not `from __future__`) that no Name node
+    reads; the strings of `__all__` count as reads."""
+    imported, used = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if getattr(node, "module", None) != "__future__":
+                for alias in node.names:
+                    name = (alias.asname or alias.name).split(".")[0]
+                    imported[name] = node.lineno
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif (isinstance(node, ast.Assign)
+              and any(getattr(t, "id", None) == "__all__"
+                      for t in node.targets)):
+            used.update(e.value for e in node.value.elts)
+    return {name: line for name, line in imported.items() if name not in used}
+
+
+@pytest.mark.parametrize("path", SOURCES,
+                         ids=[p.parent.name + "/" + p.name for p in SOURCES])
+def test_no_unused_imports(path):
+    assert _unused_imports(ast.parse(path.read_text())) == {}
+
+
+def test_unused_import_check_sees_one():
+    tree = ast.parse("import math\nfrom os import path as p, sep\n"
+                     "from __future__ import annotations\nprint(sep)\n")
+    assert _unused_imports(tree) == {"math": 1, "p": 2}

@@ -1,18 +1,21 @@
+import operator
 import random
 from fractions import Fraction
+from itertools import permutations
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from charsum import (MPoly, build_extension, discriminant, prime_field,
-                     resultant)
+from charsum import (MPoly, NFElem, build_extension, discriminant, nf_build,
+                     prime_field, resultant)
 from charsum import fppoly
 from charsum.errors import BadPrimeError, CharsumError
-from charsum.mpoly import (Lowered, frac_mod, poly_add, poly_degree,
-                           poly_derivative, poly_divmod, poly_gcd,
-                           poly_monic, poly_mul, poly_powmod, poly_rem,
-                           poly_sub, poly_trim, pow_mod_array)
+from charsum.mpoly import (Lowered, frac_mod, gauss_jordan, poly_add,
+                           poly_degree, poly_derivative, poly_divmod,
+                           poly_gcd, poly_monic, poly_mul, poly_powmod,
+                           poly_rem, poly_sub, poly_trim, pow_mod_array,
+                           power, primitive_integers)
 from charsum.polyroots import horner
 
 
@@ -430,3 +433,163 @@ def test_toolkit_over_q_agrees_with_the_q_only_routines(case):
         assert poly_rem(f, g) == _old_poly_rem(f, g)
         quot, rem = poly_divmod(f, g)
         assert poly_add(poly_mul(quot, g), rem) == poly_trim(f)
+
+
+# -- the one square-and-multiply ------------------------------------------
+
+def _repeated(x, e, mul):
+    out = x
+    for _ in range(e - 1):
+        out = mul(out, x)
+    return out
+
+
+def _plain(v):
+    return v.tolist() if isinstance(v, np.ndarray) else v
+
+
+_F8, _F9 = build_extension(2, 3), build_extension(3, 2)
+_NF = nf_build([-2, 0, 0, 1])
+_P = 2 ** 31 - 1
+_FP_MOD, _FP_P = [3, 0, 1, 1], 101
+_Q_MOD = [Fraction(1), Fraction(-1), Fraction(0), Fraction(1)]
+_small = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+# name: (strategy for the base, x^e through the caller's wrapper, the
+# product the wrapper squares and multiplies with, the base reduction the
+# wrapper makes first)
+CARRIERS = {
+    "mpoly": (st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                              _small, min_size=1, max_size=2)
+              .map(lambda t: MPoly(2, t)),
+              operator.pow, operator.mul, None),
+    "fq8": (st.tuples(*[st.integers(0, 1)] * 3).map(_F8.element),
+            operator.pow, operator.mul, None),
+    "fq9": (st.tuples(*[st.integers(0, 2)] * 2).map(_F9.element),
+            operator.pow, operator.mul, None),
+    "nfelem": (st.tuples(*[_small] * 3).map(lambda c: NFElem(_NF, c)),
+               operator.pow, operator.mul, None),
+    "int64": (st.lists(st.integers(-2 ** 40, 2 ** 40), min_size=1,
+                       max_size=6).map(lambda v: np.array(v, dtype=np.int64)),
+              lambda a, e: pow_mod_array(a, e, _P),
+              lambda a, b: a * b % _P, lambda a: a % _P),
+    "fppoly": (st.lists(st.integers(0, _FP_P - 1), max_size=6)
+               .map(fppoly.trim),
+               lambda f, e: fppoly.powmod(f, e, _FP_MOD, _FP_P),
+               lambda f, g: fppoly.mulmod(f, g, _FP_MOD, _FP_P),
+               lambda f: fppoly.mod(list(f), _FP_MOD, _FP_P)),
+    "toolkit": (st.lists(_small, max_size=5),
+                lambda f, e: poly_powmod(f, e, _Q_MOD),
+                lambda f, g: poly_rem(poly_mul(f, g), _Q_MOD),
+                lambda f: poly_rem(f, _Q_MOD)),
+}
+
+
+@pytest.mark.parametrize("name", CARRIERS)
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(data=st.data())
+def test_every_power_matches_repeated_multiplication(name, data):
+    base, wrapper, mul, reduce = CARRIERS[name]
+    x = data.draw(base)
+    e = data.draw(st.integers(1, 200))
+    want = _repeated(reduce(x) if reduce else x, e, mul)
+    assert _plain(wrapper(x, e)) == _plain(want)
+    assert _plain(power(reduce(x) if reduce else x, e, mul)) == _plain(want)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.integers(1, 10 ** 9))
+def test_power_never_multiplies_by_one_nor_squares_after_the_last_bit(e):
+    calls = []
+
+    def mul(a, b):
+        calls.append(1)
+        return a * b % _P
+
+    assert power(3, e, mul) == pow(3, e, _P)
+    # a square per bit after the first, a product per set bit after the
+    # lowest: one more would be a product by one or a last squaring
+    assert len(calls) == e.bit_length() - 1 + bin(e).count("1") - 1
+
+
+def test_power_wrappers_keep_their_edge_cases():
+    x = MPoly.variable(0, 2) + 3
+    assert x ** 0 == MPoly.constant(1, 2)
+    with pytest.raises(ValueError):
+        x ** -1
+    for a in _F8.elements():
+        assert a ** 0 == _F8.one()
+        if not a.is_zero():
+            for k in (1, 2, 7, 9):
+                assert a ** -k == a.inverse() ** k
+    with pytest.raises(CharsumError):
+        NFElem.generator(_NF) ** -1
+    assert NFElem.generator(_NF) ** 0 == NFElem.rational(_NF, 1)
+    assert fppoly.powmod([5, 7], 0, _FP_MOD, _FP_P) == [1]
+
+
+# -- the one exact Gauss-Jordan elimination --------------------------------
+
+def _leibniz_det(m):
+    n, total = len(m), Fraction(0)
+    for perm in permutations(range(n)):
+        sign = (-1) ** sum(perm[i] > perm[j]
+                           for i in range(n) for j in range(i + 1, n))
+        term = Fraction(sign)
+        for i, j in enumerate(perm):
+            term *= m[i][j]
+        total += term
+    return total
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.integers(1, 4).flatmap(
+    lambda n: st.lists(st.lists(st.sampled_from([0, 0, 1, -1, 2, 3]),
+                                min_size=n, max_size=n),
+                       min_size=n, max_size=n)))
+def test_gauss_jordan_gives_the_determinant_and_the_echelon_form(m):
+    rows = [[Fraction(a) for a in r] for r in m]
+    pivots, det = gauss_jordan(rows)
+    n = len(m)
+    assert (det if len(pivots) == n else 0) == _leibniz_det(m)
+    assert pivots == sorted(pivots)
+    for r, col in enumerate(pivots):
+        assert [row[col] for row in rows] == [int(i == r) for i in range(n)]
+        assert not any(rows[r][:col])
+    assert not any(any(row) for row in rows[len(pivots):])
+
+
+def _from_roots(lead, roots):
+    f = [Fraction(lead)]
+    for r in roots:
+        f = poly_mul(f, [-r, Fraction(1)])
+    return f
+
+
+_root = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+_lead = st.sampled_from([1, -1, 2, Fraction(1, 2), -3])
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_lead, st.lists(_root, max_size=4), _lead, st.lists(_root, max_size=4))
+def test_resultant_and_discriminant_match_the_root_products(a, rs, b, ss):
+    f, g = _from_roots(a, rs), _from_roots(b, ss)
+    n, m = len(rs), len(ss)
+    want = Fraction(a) ** m * Fraction(b) ** n
+    for r in rs:
+        for s in ss:
+            want *= r - s
+    assert resultant(f, g) == want
+    if n == 0:
+        return
+    disc = Fraction(a) ** (2 * n - 2)
+    for i in range(n):
+        for j in range(i + 1, n):
+            disc *= (rs[i] - rs[j]) ** 2
+    assert discriminant(f) == (disc if n > 1 else 1)
+
+
+def test_primitive_integers_clears_denominators_and_common_factors():
+    assert primitive_integers([Fraction(2, 3), Fraction(-4, 9), 0]) == \
+        [3, -2, 0]
+    assert primitive_integers([0, -6, 10]) == [0, -3, 5]

@@ -1,8 +1,10 @@
 import random
 from fractions import Fraction
+from itertools import combinations, permutations
 from math import gcd, isqrt
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from charsum import (Angle, NFElem, hnf, lattice_basis, nf_build, nf_reduce,
                      qlin_relations, value_set)
@@ -318,3 +320,99 @@ def test_rational_root_test_on_huge_constant_terms():
         nf_build(_poly_mul([-r, 1], [-r - 1, 1]))
     with pytest.raises(CharsumError, match="too large"):
         nf_build([-10 ** 40 - 1, 0, 1])
+
+
+# -- products on the toolkit, relations on the one elimination -------------
+
+def _old_nf_mul(x, y):
+    """The product loop NFElem had before it multiplied on the polynomial
+    toolkit (oracle): schoolbook product, then each coefficient above the
+    degree folded down through the monic defining polynomial."""
+    deg = x.field.degree
+    prod = [Fraction(0)] * (2 * deg - 1)
+    for i, a in enumerate(x.coords):
+        if not a:
+            continue
+        for j, b in enumerate(y.coords):
+            if b:
+                prod[i + j] += a * b
+    f = x.field.coeffs
+    for k in range(len(prod) - 1, deg - 1, -1):
+        c = prod[k]
+        if not c:
+            continue
+        prod[k] = Fraction(0)
+        for i in range(deg):
+            prod[k - deg + i] -= c * f[i]
+    return tuple(prod[:deg])
+
+
+_FIELDS = [nf_build(f) for f in ([3, 1], [-2, 0, 1], [-2, 0, 0, 1],
+                                 [1, -1, 0, 0, 1], [1, 1, 1, 1, 1])]
+_coord = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+
+
+@st.composite
+def field_elements(draw, count):
+    field = draw(st.sampled_from(_FIELDS))
+    coords = st.lists(st.one_of(st.just(Fraction(0)), _coord),
+                      min_size=field.degree, max_size=field.degree)
+    return [NFElem(field, draw(coords)) for _ in range(count)]
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(field_elements(2))
+def test_nfelem_product_matches_the_old_loop(pair):
+    x, y = pair
+    assert (x * y).coords == _old_nf_mul(x, y)
+
+
+def _det(m):
+    n, total = len(m), Fraction(0)
+    for perm in permutations(range(n)):
+        sign = (-1) ** sum(perm[i] > perm[j]
+                           for i in range(n) for j in range(i + 1, n))
+        term = Fraction(sign)
+        for i, j in enumerate(perm):
+            term *= m[i][j]
+        total += term
+    return total
+
+
+def _rank(rows):
+    """The largest size of a nonzero minor (oracle)."""
+    ncols = len(rows[0]) if rows else 0
+    for r in range(min(len(rows), ncols), 0, -1):
+        for rs in combinations(range(len(rows)), r):
+            for cs in combinations(range(ncols), r):
+                if _det([[rows[i][j] for j in cs] for i in rs]):
+                    return r
+    return 0
+
+
+@st.composite
+def dependent_elements(draw):
+    """k elements, some of them integer combinations of the others."""
+    base = draw(field_elements(draw(st.integers(1, 3))))
+    out = list(base)
+    for _ in range(draw(st.integers(0, 2))):
+        coeffs = draw(st.lists(st.integers(-3, 3), min_size=len(out),
+                               max_size=len(out)))
+        out.append(sum((c * x for c, x in zip(coeffs, out)),
+                       NFElem.rational(base[0].field, 0)))
+    return draw(st.permutations(out))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(dependent_elements())
+def test_qlin_relations_annihilate_and_number_k_minus_rank(elems):
+    rels = qlin_relations(elems)
+    k = len(elems)
+    assert len(rels) == k - _rank([e.coords for e in elems])
+    zero = NFElem.rational(elems[0].field, 0)
+    for rel in rels:
+        assert len(rel) == k and all(isinstance(a, int) for a in rel)
+        assert sum((a * x for a, x in zip(rel, elems)), zero) == zero
+        assert gcd(*rel) == 1 and next(a for a in rel if a) > 0
+    if rels:
+        assert _rank(rels) == len(rels)

@@ -10,7 +10,6 @@ from charsum import (MPoly, build_extension, count_points, enumerate_points,
                      parse_polynomial, prime_field, primes_in, sample_points)
 from charsum.errors import BadPrimeError, BudgetError, CharsumError
 from charsum.measure import mu0_sweep
-from charsum.mpoly import frac_mod
 from charsum.mpoly import Lowered
 from charsum.points import _eliminate, lower
 from charsum.polyroots import horner
