@@ -37,7 +37,7 @@ from .measure import (ValueTable, _check_table_size, _table_array,
 from .mpoly import poly_rem
 from .nfield import NFElem, lattice_basis, nf_build, value_set
 from .parser import parse_polynomial, print_polynomial
-from .points import DEFAULT_BUDGET, enumerate_points
+from .points import DEFAULT_BUDGET, _point_matrix
 from .primes import primes_in
 from .report import build_report, write_csv, write_json
 from .rootsums import (kappa_eval, make_term, psi_sum, psisym_add,
@@ -346,8 +346,8 @@ def cmd_fourier(args):
     elif args.indicator is not None:
         (system,), _ = _parse_system(args.indicator, nvars=n)
         _check_table_size(p, n)
-        pts = enumerate_points(system, p, nvars=n, budget=args.budget)
-        table = ValueTable.indicator(p, n, pts)
+        table = ValueTable.indicator(
+            p, n, _point_matrix(system, p, n, None, args.budget))
     else:
         table = _read_table_csv(args.input, p, n)
     out = fourier_table(table)

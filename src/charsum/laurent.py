@@ -80,19 +80,23 @@ class LaurentPoly:
         return total
 
     def eval_real_on_residues(self, mat, p) -> np.ndarray:
-        """Real values of h(Psi(x_1), ..., Psi(x_n)) for rows x of mat,
-        vectorized; requires real mode."""
+        """Real values of h(Psi(x_1), ..., Psi(x_n)) for the rows x of
+        mat, an (N, n) int array of residues; requires real mode.  All
+        exponent vectors, reduced mod p, meet the points in one matrix
+        product."""
         if not self.is_real_mode():
             raise CharsumError("Laurent polynomial is not real-valued")
         _check_table_size(p, 1)  # character_values reads a table of p values
+        if mat.shape[1] != self.nvars:
+            raise CharsumError("points have %d coordinates, h has %d "
+                               "variables" % (mat.shape[1], self.nvars))
+        terms = self.sorted_terms()
+        exps = np.array([m for m, _ in terms], dtype=np.int64)
+        # (terms, points)
+        dots = (exps.reshape(-1, self.nvars) % p) @ mat.T % p
         total = np.zeros(len(mat), dtype=np.complex128)
-        for m, (re, im) in self.sorted_terms():
-            dots = np.zeros(len(mat), dtype=np.int64)
-            for i, e in enumerate(m):
-                if e:
-                    dots = (dots + mat[:, i] * e) % p
-            total += (complex(float(re), float(im))
-                      * character_values(dots, p))
+        for (_, (re, im)), row in zip(terms, dots):
+            total += complex(float(re), float(im)) * character_values(row, p)
         return total.real
 
 

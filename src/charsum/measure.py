@@ -18,7 +18,8 @@ import numpy as np
 from .angles import character_sum
 from .errors import BadPrimeError, BudgetError, CharsumError
 from .parallel import pmap
-from .points import DEFAULT_BUDGET, count_points, enumerate_points, lower
+from .points import (_CHUNK, DEFAULT_BUDGET, _free_grid, _point_matrix,
+                     count_points, lower)
 
 FOURIER_BUDGET = 1 << 24
 
@@ -143,9 +144,11 @@ class ValueTable:
 
     @classmethod
     def indicator(cls, p, n, points):
+        """1 on the points (an (N, n) int array or a sequence of n-tuples,
+        each coordinate taken mod p), 0 elsewhere."""
         arr = _table_array(p, n)
-        for pt in points:
-            arr[tuple(int(v) % p for v in pt)] = 1.0
+        pts = np.asarray(points, dtype=np.int64).reshape(-1, n) % p
+        arr[tuple(pts.T)] = 1.0
         return cls._adopt(p, n, arr)
 
     def __getitem__(self, idx):
@@ -230,21 +233,28 @@ def pushforward_weyl(system, p, max_moment, nvars=None,
                      budget=DEFAULT_BUDGET) -> PushforwardMoments:
     """Moments W_m = |D|^{-1} sum_x Psi_p(m.x) of the pushforward of the
     normalized counting measure of D under x -> (Psi(x_1), ..., Psi(x_n)).
+
+    The (2M+1)^n - 1 nonzero moment vectors m, |m_i| <= M = max_moment,
+    meet the N points in one product of at most _CHUNK cells per block of
+    moments; more than `budget` cells in all is refused before the first.
     """
     _check_table_size(p, 1)  # character_sum reads a table of p values
-    pts = enumerate_points(system, p, nvars=nvars, budget=budget)
-    if not pts:
+    mat = _point_matrix(system, p, nvars, None, budget)
+    npts, n = mat.shape
+    if not npts:
         raise CharsumError("no points mod %d" % p)
-    mat = np.array(pts, dtype=np.int64)
-    n = mat.shape[1]
+    side = 2 * max_moment + 1
+    total = side ** n
+    if (total - 1) * npts > budget:
+        raise BudgetError("moment budget exceeded: %d moments x %d points "
+                          "> %d" % (total - 1, npts, budget))
     moments = [((0,) * n, 1.0 + 0.0j)]
-    for m in np.ndindex(*((2 * max_moment + 1,) * n)):
-        vec = tuple(int(v) - max_moment for v in m)
-        if all(v == 0 for v in vec):
-            continue
-        dots = np.zeros(len(mat), dtype=np.int64)
-        for i, c in enumerate(vec):
-            if c:
-                dots = (dots + mat[:, i] * c) % p
-        moments.append((vec, character_sum(dots, p) / len(mat)))
-    return PushforwardMoments(p=p, npoints=len(mat), moments=tuple(moments))
+    step = max(1, _CHUNK // npts)
+    for start in range(0, total, step):
+        flat = np.arange(start, min(start + step, total), dtype=np.int64)
+        flat = flat[flat != total // 2]  # the zero vector is the centre
+        vecs = np.stack(_free_grid(n, side, flat), axis=1) - max_moment
+        dots = (vecs % p) @ mat.T % p   # (moments, points)
+        moments += [(vec, character_sum(row, p) / npts)
+                    for vec, row in zip(map(tuple, vecs.tolist()), dots)]
+    return PushforwardMoments(p=p, npoints=npts, moments=tuple(moments))

@@ -25,6 +25,11 @@ dividing a numerator or denominator of any polynomial the elimination
 over Q produced are exceptional: there, as for a system passed as it is,
 the system is lowered over F_p.
 
+Over F_p, enumeration yields one (N, n) int64 matrix of residues, its
+rows sorted lexicographically (`_point_matrix`); the package's F_p
+consumers read that matrix, and `enumerate_points` is its tuple view.
+`sample_points` is likewise the tuple view of `_sample_matrix`.
+
 Extension fields take the plain object scan (small q only): every
 candidate point goes through `MPoly.evaluate`, with the coefficients
 reduced into the field once per call.
@@ -378,44 +383,51 @@ def _reconstruct(plan, res, columns, p, length):
     return columns
 
 
-def _assemble(columns, n, length, box, p):
-    mat = np.empty((length, n), dtype=np.int64)
-    for i in range(n):
-        mat[:, i] = columns[i]
+def _assemble(columns, n, box):
+    """The int64 matrix of the aligned columns, cut to the box, its rows
+    sorted lexicographically."""
+    mat = np.stack([columns[i] for i in range(n)], axis=1)
     if box is not None:
-        mask = np.ones(length, dtype=bool)
-        for i, (lo, hi) in enumerate(box):
-            mask &= (mat[:, i] >= lo) & (mat[:, i] < hi)
-        mat = mat[mask]
-    order = np.lexsort(tuple(mat[:, i] for i in range(n - 1, -1, -1)))
-    mat = mat[order]
-    return [tuple(int(v) for v in row) for row in mat]
+        lo, hi = np.array(box, dtype=np.int64).T
+        mat = mat[((mat >= lo) & (mat < hi)).all(axis=1)]
+    return mat[np.lexsort(mat.T[::-1])]
+
+
+def _point_matrix(system, p, nvars, box, budget):
+    """All common zeros over F_p as one (N, n) int64 matrix of residues,
+    rows sorted lexicographically: the one F_p enumeration.  Arguments as
+    for enumerate_points, with p a prime."""
+    prime_field(p)  # refuses a non-prime
+    n = _unpack(system, nvars)[1]
+    _check_budget(p, n, budget)
+    box = _validate_box(box, n, p)
+    plan, res = _plan_at(system, n, p)
+    if plan.empty:
+        return np.zeros((0, n), dtype=np.int64)
+    columns, length = _solve(plan, res, p)
+    _reconstruct(plan, res, columns, p, length)
+    return _assemble(columns, n, box)
 
 
 def enumerate_points(system, field, nvars=None, box=None,
                      budget=DEFAULT_BUDGET):
-    """All common zeros, sorted lexicographically.
+    """All common zeros, sorted lexicographically, as tuples.
 
     `system` is a list of MPolys or the plan `lower` made of one; `field`
     is an ExtFieldDesc or a prime.  Boxes (half-open residue ranges, one
-    per variable) are a prime-field notion.
+    per variable) are a prime-field notion.  Over F_p this is the tuple
+    view of `_point_matrix`.
     """
     if isinstance(field, int):
         field = prime_field(field)
+    if field.e == 1:
+        mat = _point_matrix(system, field.p, nvars, box, budget)
+        return list(map(tuple, mat.tolist()))
     polys, n = _unpack(system, nvars)
     _check_budget(field.order, n, budget)
-    if field.e > 1:
-        if box is not None:
-            raise CharsumError("box requires prime field")
-        return _enumerate_fq(polys, field, n)
-    p = field.p
-    box = _validate_box(box, n, p)
-    plan, res = _plan_at(system, n, p)
-    if plan.empty:
-        return []
-    columns, length = _solve(plan, res, p)
-    _reconstruct(plan, res, columns, p, length)
-    return _assemble(columns, n, length, box, p)
+    if box is not None:
+        raise CharsumError("box requires prime field")
+    return _enumerate_fq(polys, field, n)
 
 
 def count_points(system, field, nvars=None, box=None, budget=DEFAULT_BUDGET):
@@ -424,9 +436,11 @@ def count_points(system, field, nvars=None, box=None, budget=DEFAULT_BUDGET):
     if isinstance(field, int):
         field = prime_field(field)
     n = _unpack(system, nvars)[1]
-    if box is not None or field.e > 1:
+    if field.e > 1:
         return len(enumerate_points(system, field, nvars=n, box=box,
                                     budget=budget))
+    if box is not None:
+        return len(_point_matrix(system, field.p, n, box, budget))
     _check_budget(field.order, n, budget)
     plan, res = _plan_at(system, n, field.p)
     if plan.empty:
@@ -448,13 +462,8 @@ def _enumerate_fq(system, field, n):
             if all(f.evaluate(point, coeff).is_zero() for f in system)]
 
 
-def sample_points(system, p, count, nvars=None):
-    """Deterministic point sampling for large p < 2^31 (no full
-    enumeration); `system` as for enumerate_points.
-
-    Supports systems that reduce, after unit-linear elimination, to at
-    most a plane curve.  Raises when it cannot produce `count` points.
-    """
+def _sample_matrix(system, p, count, nvars=None):
+    """The points of `sample_points` as one (count, n) int64 matrix."""
     n = _unpack(system, nvars)[1]
     plan, res = _plan_at(system, n, p)
     if plan.empty:
@@ -477,8 +486,17 @@ def sample_points(system, p, count, nvars=None):
                            % (length, count, p))
     columns = {v: col[:count] for v, col in columns.items()}
     _reconstruct(plan, res, columns, p, count)
-    mat = np.stack([columns[i] for i in range(n)], axis=1)
-    return [tuple(row) for row in mat.tolist()]
+    return np.stack([columns[i] for i in range(n)], axis=1)
+
+
+def sample_points(system, p, count, nvars=None):
+    """Deterministic point sampling for large p < 2^31 (no full
+    enumeration); `system` as for enumerate_points.
+
+    Supports systems that reduce, after unit-linear elimination, to at
+    most a plane curve.  Raises when it cannot produce `count` points.
+    """
+    return list(map(tuple, _sample_matrix(system, p, count, nvars).tolist()))
 
 
 def _sample_plane(plan, res, p, count):

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd
 
 import numpy as np
@@ -23,8 +24,8 @@ from .ffield import prime_field
 from .laurent import LaurentPoly
 from .mpoly import Lowered, MPoly
 from .points import (_CHUNK, DEFAULT_BUDGET, _check_budget, _field_coeffs,
-                     _free_grid, _system_nvars, enumerate_points, lower,
-                     sample_points)
+                     _free_grid, _point_matrix, _sample_matrix,
+                     _system_nvars, enumerate_points, lower)
 from .polyroots import eval_many
 from .primes import next_prime
 from .rootsums import psi_sum
@@ -82,6 +83,13 @@ def _lowered(f):
     inverse."""
     if not isinstance(f, MPoly):
         f = MPoly.from_univariate(f)
+    return _lowered_poly(f)
+
+
+@lru_cache(maxsize=16)
+def _lowered_poly(f):
+    """`_lowered` of an MPoly, kept for the next prime: a caller checking
+    one polynomial prime by prime lowers it once."""
     return Lowered.univariate(f.univariate_coeffs())
 
 
@@ -183,14 +191,13 @@ def axiom3_sup(system, h: LaurentPoly, p, nvars=None,
     if h.has_constant_term():
         raise CharsumError("h must have no constant term")
     n = nvars or h.nvars
-    pts = enumerate_points(system, p, nvars=n, budget=budget)
-    if not pts:
+    mat = _point_matrix(system, p, n, None, budget)
+    if not len(mat):
         raise CharsumError("no points on the curve mod %d" % p)
-    mat = np.array(pts, dtype=np.int64)
     vals = h.eval_real_on_residues(mat, p)
     sup = float(vals.max())
-    tol = h.coeff_abs_sum() * math.sqrt(p) / len(pts)
-    return SupResult(sup=sup, tolerance=tol, npoints=len(pts),
+    tol = h.coeff_abs_sum() * math.sqrt(p) / len(mat)
+    return SupResult(sup=sup, tolerance=tol, npoints=len(mat),
                      passed=sup >= -tol)
 
 
@@ -204,19 +211,39 @@ class HyperplaneResult:
 
 def _candidate_vectors(n, m):
     """Primitive integer vectors with sup norm <= m, last nonzero entry
-    positive, by increasing height then lex order.  Each height's cube
-    is scanned in numpy pieces of at most _CHUNK vectors."""
+    positive, by increasing height then lex order, as the rows of int64
+    matrices.  Each height's cube is scanned in numpy pieces of at most
+    _CHUNK vectors; each piece yields one matrix."""
     for height in range(1, m + 1):
         side = 2 * height + 1
         for start in range(0, side ** n, _CHUNK):
             flat = np.arange(start, min(start + _CHUNK, side ** n),
                              dtype=np.int64)
-            vecs = np.stack(_free_grid(n, side, flat), axis=1) - height
-            last = n - 1 - np.argmax(vecs[:, ::-1] != 0, axis=1)
-            keep = ((np.abs(vecs).max(axis=1) == height)
-                    & (vecs[np.arange(len(vecs)), last] > 0)
-                    & (np.gcd.reduce(vecs, axis=1) == 1))
-            yield from map(tuple, vecs[keep].tolist())
+            vecs = np.array(_free_grid(n, side, flat)) - height  # (n, piece)
+            positive = np.zeros(len(flat), dtype=bool)  # last nonzero > 0
+            for col in vecs:
+                positive = np.where(col != 0, col > 0, positive)
+            keep = (positive & (np.abs(vecs).max(axis=0) == height)
+                    & (np.gcd.reduce(vecs, axis=0) == 1))
+            yield vecs.T[keep]
+
+
+def _constant_on_samples(n, m, samples):
+    """(vector, constants) for each candidate of `_candidate_vectors(n, m)`
+    whose dot product with the sample points is one constant mod each
+    prime, in search order; `samples` maps each prime to its sample
+    matrix, and constants holds the constant at each prime.  A piece of
+    candidates meets a prime's samples in one matrix product."""
+    for vecs in _candidate_vectors(n, m):
+        consts = np.zeros((len(vecs), 0), dtype=np.int64)
+        for q, pts in samples.items():
+            dots = pts @ (vecs % q).T % q   # (samples, candidates)
+            ok = (dots == dots[0]).all(axis=0)
+            vecs = vecs[ok]
+            consts = np.column_stack([consts[ok], dots[0, ok]])
+            if not len(vecs):
+                break
+        yield from zip(map(tuple, vecs.tolist()), consts.tolist())
 
 
 def hyperplane_height_test(system, m, nvars=None):
@@ -245,24 +272,10 @@ def hyperplane_height_test(system, m, nvars=None):
             continue
         primes.append(q)
     plan = lower(system, n)
-    samples = {}
-    for q in primes:
-        samples[q] = sample_points(plan, q, points_per_prime)
+    samples = {q: _sample_matrix(plan, q, points_per_prime) for q in primes}
 
     graph = not plan.empty and not plan.residual
-    for vec in _candidate_vectors(n, m):
-        consts = []
-        ok = True
-        for q in primes:
-            pts = samples[q]
-            c0 = sum(a * x for a, x in zip(vec, pts[0])) % q
-            if any(sum(a * x for a, x in zip(vec, pt)) % q != c0
-                   for pt in pts[1:]):
-                ok = False
-                break
-            consts.append(c0)
-        if not ok:
-            continue
+    for vec, consts in _constant_on_samples(n, m, samples):
         if graph:
             expr = sum((a * MPoly.variable(v, n) for v, a in enumerate(vec)),
                        MPoly(n, {}))
@@ -299,8 +312,7 @@ def box_count(system, p, box, declared_dim, nvars=None, flag_height=None,
     random-model expectation p^dim * prod(box fractions) and a contained-
     in-a-hyperplane flag (the one caveat to that model)."""
     n = _system_nvars(system, nvars)
-    pts = enumerate_points(system, p, nvars=n, box=box, budget=budget)
-    count = len(pts)
+    count = len(_point_matrix(system, p, n, box, budget))
     fraction = count / p ** declared_dim
     expected = float(p ** declared_dim)
     for lo, hi in box:

@@ -124,6 +124,17 @@ def test_character_table_over_budget_is_refused_before_allocation(argv):
     assert "out of memory" not in r.stderr
 
 
+def test_pushforward_moment_count_is_refused_before_any_moment(tmp_path):
+    # 36M nonzero moments against 1012 points, over the 10^9 budget
+    out = tmp_path / "moments.json"
+    r = run("pushforward", "--system", "x*y - 1", "--prime", "1013",
+            "--max-moment", "3000", "--json", str(out))
+    assert r.returncode == 2
+    assert "moment budget exceeded" in r.stderr
+    assert "Traceback" not in r.stderr
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("source", [["--const", "1"], ["--delta"],
                                     ["--input", "table.csv"],
                                     ["--indicator", "x"]],

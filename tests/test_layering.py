@@ -1,9 +1,10 @@
 """Every charsum module imports on its own in a fresh interpreter, before
 the package's __init__ runs, so an import cycle between two modules
 shows whichever of them is loaded first.  Only `angles` reads the table
-of p-th roots of unity; every other module goes through its kernels.  No
-module, in the package or among the tests, imports a name it never
-uses."""
+of p-th roots of unity; every other module goes through its kernels.
+F_p consumers read the point matrix, not the tuples of
+`enumerate_points`.  No module, in the package or among the tests,
+imports a name it never uses."""
 
 import ast
 import subprocess
@@ -42,6 +43,32 @@ def test_only_angles_calls_unit_roots(name):
              and "unit_roots" in (getattr(node.func, "id", None),
                                   getattr(node.func, "attr", None))]
     assert name == "angles" or not calls, calls
+
+
+# (module, function) pairs that may call enumerate_points: exact-angle
+# sums, also over F_q, and count_points' F_q branch
+TUPLE_POINT_CALLERS = {("weil", "exp_sum"), ("points", "count_points")}
+
+
+def _calls_by_function(tree, name):
+    """(function, line) of every call of `name` inside a def."""
+    out = []
+    for fn in ast.walk(tree):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            out += [(fn.name, node.lineno) for node in ast.walk(fn)
+                    if isinstance(node, ast.Call)
+                    and name in (getattr(node.func, "id", None),
+                                 getattr(node.func, "attr", None))]
+    return out
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_fp_consumers_read_the_point_matrix(name):
+    tree = ast.parse((PACKAGE / (name + ".py")).read_text())
+    calls = [(fn, line)
+             for fn, line in _calls_by_function(tree, "enumerate_points")
+             if (name, fn) not in TUPLE_POINT_CALLERS]
+    assert not calls, calls
 
 
 def _unused_imports(tree):

@@ -13,7 +13,7 @@ from charsum import (axiom3_sup, box_count, exp_sum, exp_sum_points,
                      weil_check_curve, weil_sweep)
 from charsum import weil
 from charsum.errors import BadPrimeError, CharsumError
-from charsum.mpoly import frac_mod
+from charsum.mpoly import Lowered, frac_mod
 from charsum.weil import _candidate_vectors
 
 TOL = 1e-9
@@ -157,8 +157,14 @@ def test_axiom3_fails_on_a_line_with_a_negative_witness():
     assert not res.passed
 
 
+def candidate_list(n, m):
+    """The rows of every piece _candidate_vectors yields, as tuples."""
+    return [tuple(v) for vecs in _candidate_vectors(n, m)
+            for v in vecs.tolist()]
+
+
 def test_candidate_vectors_order_and_primitivity():
-    got = list(_candidate_vectors(2, 2))
+    got = candidate_list(2, 2)
     assert got[:4] == [(-1, 1), (0, 1), (1, 0), (1, 1)]
     assert all(max(abs(c) for c in v) <= 2 for v in got)
     assert (2, 2) not in got          # not primitive
@@ -187,10 +193,10 @@ def candidate_vectors_scan(n, m):
 def test_candidate_vectors_match_the_tuple_scan(n, monkeypatch):
     full = list(candidate_vectors_scan(n, 20))
     for m in range(1, 21):
-        assert list(_candidate_vectors(n, m)) == \
+        assert candidate_list(n, m) == \
             [v for v in full if max(abs(c) for c in v) <= m]
     monkeypatch.setattr(weil, "_CHUNK", 1000)  # cubes split into pieces
-    assert list(_candidate_vectors(n, 20)) == full
+    assert candidate_list(n, 20) == full
 
 
 def test_hyperplane_found_for_affine_graphs():
@@ -306,6 +312,21 @@ def test_common_denominator_residues_match_frac_mod():
                 assert str(got.value) == str(exc)
             else:
                 assert split.residues(p) == expect
+
+
+def test_weil_check_lowers_each_polynomial_once():
+    weil._lowered_poly.cache_clear()
+    f = poly("x^3 + 1/2*x + 5")
+    primes = primes_in(200)[2:]  # 2 divides a denominator, 3 the degree
+    records = [weil_check(f, p) for p in primes]
+    info = weil._lowered_poly.cache_info()
+    assert (info.misses, info.hits) == (1, len(primes) - 1)
+    # a list goes through MPoly.from_univariate, so an equal list hits too
+    coeffs = [Fraction(5), Fraction(1, 2), 0, 1]
+    assert [weil_check(coeffs, p) for p in primes] == records
+    assert weil._lowered_poly.cache_info().misses == 1
+    assert records == [weil._weil_record(
+        Lowered.univariate(f.univariate_coeffs()), p, 1) for p in primes]
 
 
 def test_quadratic_gauss_sum_near_a_million():
