@@ -7,9 +7,8 @@ turn); complex floats appear only when angles are finally summed.
 """
 
 from ._version import __version__
-from .angles import (Angle, CharacterDesc, angle_to_complex, psi_p, psi_q,
-                     standard_character, trivial_character,
-                     twisted_character, unit_roots)
+from .angles import (Angle, CharacterDesc, psi_p, standard_character,
+                     trivial_character, twisted_character, unit_roots)
 from .equidist import (SPReport, SweepReport, dfi_extended_sweep, dfi_sweep,
                        ks_statistic, multi_weyl, sample_histogram, sp_check,
                        weyl_sum)
@@ -38,9 +37,8 @@ from .weil import (BoxCountResult, HyperplaneResult, SupResult, WeilRecord,
 
 __all__ = [
     "__version__",
-    "Angle", "CharacterDesc", "angle_to_complex", "psi_p", "psi_q",
-    "standard_character", "trivial_character", "twisted_character",
-    "unit_roots",
+    "Angle", "CharacterDesc", "psi_p", "standard_character",
+    "trivial_character", "twisted_character", "unit_roots",
     "SPReport", "SweepReport", "dfi_extended_sweep", "dfi_sweep",
     "ks_statistic", "multi_weyl", "sample_histogram", "sp_check", "weyl_sum",
     "BadPrimeError", "BudgetError", "CharsumError", "ParseError",

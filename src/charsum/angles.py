@@ -77,10 +77,6 @@ class Angle:
     def to_complex(self) -> complex:
         return cmath.exp(2j * cmath.pi * float(self.frac))
 
-    def circle_distance(self, other) -> Fraction:
-        d = (self - Angle(other)).frac
-        return min(d, 1 - d)
-
     def nearest_multiple(self, n: int):
         """(t, distance): the index t in [0, n) of the closest multiple
         t/n on the circle, and the exact distance to it."""
@@ -91,10 +87,6 @@ class Angle:
             2 * scaled.denominator)  # floor(scaled + 1/2)
         dist = abs(scaled - t) / n
         return t % n, dist
-
-
-def angle_to_complex(angle: Angle) -> complex:
-    return angle.to_complex()
 
 
 def psi_p(a: int, p: int) -> Angle:
@@ -127,11 +119,6 @@ def twisted_character(field: ExtFieldDesc, c) -> CharacterDesc:
 
 def trivial_character(field: ExtFieldDesc) -> CharacterDesc:
     return CharacterDesc(field, field.zero())
-
-
-def psi_q(x, char: CharacterDesc) -> Angle:
-    """Character value at x as an exact angle."""
-    return char.psi(x)
 
 
 # Bytes of root tables kept between calls.  A sweep over the 303 primes

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .angles import Angle, character_values
+from .angles import character_values
 from .errors import CharsumError
 from .measure import _check_table_size
 from .parser import parse_polynomial
@@ -44,12 +44,6 @@ class LaurentPoly:
                 cleaned[m] = c
         self.terms = cleaned
 
-    def degree_bound(self):
-        """Max sup-norm of any exponent vector."""
-        if not self.terms:
-            return 0
-        return max(max(abs(e) for e in m) for m in self.terms)
-
     def has_constant_term(self):
         return (0,) * self.nvars in self.terms
 
@@ -67,17 +61,6 @@ class LaurentPoly:
 
     def sorted_terms(self):
         return sorted(self.terms.items())
-
-    def eval_at_angles(self, angles) -> complex:
-        """Exact-angle evaluation; angles is a tuple of Angle values."""
-        total = 0j
-        for m, (re, im) in self.sorted_terms():
-            theta = Angle(0)
-            for a, e in zip(angles, m):
-                if e:
-                    theta = theta + a * e
-            total += complex(float(re), float(im)) * theta.to_complex()
-        return total
 
     def eval_real_on_residues(self, mat, p) -> np.ndarray:
         """Real values of h(Psi(x_1), ..., Psi(x_n)) for the rows x of

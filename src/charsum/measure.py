@@ -136,13 +136,6 @@ class ValueTable:
         return table
 
     @classmethod
-    def from_function(cls, p, n, fn):
-        arr = _table_array(p, n)
-        for idx in np.ndindex(*arr.shape):
-            arr[idx] = fn(idx)
-        return cls._adopt(p, n, arr)
-
-    @classmethod
     def indicator(cls, p, n, points):
         """1 on the points (an (N, n) int array or a sequence of n-tuples,
         each coordinate taken mod p), 0 elsewhere."""
@@ -168,7 +161,7 @@ def sum_abs_sq(values) -> float:
     return float(np.sum(sq))
 
 
-def fourier_table(table: ValueTable, budget=FOURIER_BUDGET) -> ValueTable:
+def fourier_table(table: ValueTable) -> ValueTable:
     """F(phi)(y) = p^{-n} sum_x Psi_p(x.y) phi(x).
 
     This is exactly numpy's inverse FFT, whose kernel is e(+x.y/p) with
@@ -180,9 +173,7 @@ def fourier_table(table: ValueTable, budget=FOURIER_BUDGET) -> ValueTable:
     oracle this is checked against.
     """
     p, n = table.p, table.n
-    if p ** n > budget:
-        raise BudgetError("transform budget exceeded: %d^%d > %d"
-                          % (p, n, budget))
+    _check_table_size(p, n)
     out = np.empty_like(table.values)
     np.fft.ifftn(table.values, out=out)
     return ValueTable._adopt(p, n, out)

@@ -235,17 +235,6 @@ class MPoly:
                 out[e] = r
         return out
 
-    def eval_mod(self, p, point):
-        """Exact evaluation at a residue tuple."""
-        total = 0
-        for e, c in self.terms.items():
-            t = frac_mod(c, p)
-            for x, k in zip(point, e):
-                if k:
-                    t = t * pow(int(x), k, p) % p
-            total = (total + t) % p
-        return total
-
     def evaluate(self, point, coeff=Fraction):
         """Value at a point whose coordinates support +, * and ** (say
         Fractions or FqElems); `coeff` maps a rational coefficient, and 0,
@@ -258,9 +247,6 @@ class MPoly:
                     t = t * x ** k
             total = total + t
         return total
-
-    def eval_exact(self, point):
-        return self.evaluate([Fraction(x) for x in point])
 
 
 def check_int64_modulus(p):
@@ -366,11 +352,6 @@ def poly_trim(coeffs):
     while coeffs and coeffs[-1] == 0:
         coeffs.pop()
     return coeffs
-
-
-def poly_degree(coeffs):
-    coeffs = poly_trim(coeffs)
-    return len(coeffs) - 1 if coeffs else -1
 
 
 def poly_derivative(coeffs):

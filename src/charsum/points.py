@@ -14,9 +14,12 @@ held as one `mpoly.Lowered`.  The fibre equation is solved for y by the
 quadratic formula, vectorized over the grid of the other free variables
 (p odd); the other equations filter those solutions, and counting needs
 only whether each discriminant is a square.  Without such an equation
-(or at p = 2) the grid over all free variables is scanned in chunks; a
-single free variable takes the root finder.  Every polynomial is
-evaluated by `polyroots.horner`.
+(or at p = 2) the grid over all free variables is scanned in chunks.
+On grids every polynomial is evaluated by `polyroots.horner`.  One free
+variable, the others fixed, is solved in one step: each equation's
+coefficients in that variable (`_coeffs_in`), then their common roots
+(`_common_roots`).  It serves a single free variable and each line that
+sampling walks.
 
 `lower` makes the plan once over Q, for counting or enumerating one
 system at many primes.  At an ordinary prime that plan only reduces its
@@ -28,7 +31,9 @@ the system is lowered over F_p.
 Over F_p, enumeration yields one (N, n) int64 matrix of residues, its
 rows sorted lexicographically (`_point_matrix`); the package's F_p
 consumers read that matrix, and `enumerate_points` is its tuple view.
-`sample_points` is likewise the tuple view of `_sample_matrix`.
+`sample_points` is likewise the tuple view of `_sample_matrix`, which
+walks a plane curve along the lines x = t and, when those give too few
+points, along the lines y = t.
 
 Extension fields take the plain object scan (small q only): every
 candidate point goes through `MPoly.evaluate`, with the coefficients
@@ -40,7 +45,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import product, zip_longest
 
 import numpy as np
 
@@ -315,6 +320,34 @@ def _fibre_points(coeffs, ev, p, rows):
     return pieces
 
 
+def _coeffs_in(tree, v, res, p, at):
+    """Residues of a `Lowered` tree's coefficients in the variable v,
+    little-endian, with each other variable w of the tree fixed at the
+    int at[w]."""
+    if isinstance(tree, int):
+        return [res[tree]]
+    w, kids = tree
+    parts = [_coeffs_in(kid, v, res, p, at) for kid in kids]
+    if w == v:
+        return [c for c, in parts]  # the kids are free of v
+    out = []
+    for part in reversed(parts):  # Horner in at[w]
+        out = [(a * at[w] + b) % p
+               for a, b in zip_longest(out, part, fillvalue=0)]
+    return out
+
+
+def _common_roots(polys, p):
+    """Sorted common roots over F_p of residue lists (little-endian, one
+    per equation); None when every list is zero, so that no equation
+    constrains the variable."""
+    polys = [f for f in (fppoly.trim(list(g)) for g in polys) if f]
+    if not polys:
+        return None
+    return [r for r in sorted(set(roots_mod_p(polys[0], p)))
+            if all(fppoly.evaluate(f, r, p) == 0 for f in polys[1:])]
+
+
 def _solve(plan, res, p, count_only=False):
     """Solutions of the plan's residual system over its free variables,
     given its residues at p.
@@ -333,11 +366,10 @@ def _solve(plan, res, p, count_only=False):
         return {}, p ** k
     if k == 1 and plan.residual:
         v = free[0]
-        _, base = plan.residual[0]
-        arr = np.array(sorted(set(roots_mod_p([res[i] for i in base], p))),
+        # each residual equation is nonzero mod p: the roots are a list
+        arr = np.array(_common_roots([_coeffs_in(g, v, res, p, {})
+                                      for g in plan.residual], p),
                        dtype=np.int64)
-        for g in plan.residual[1:]:
-            arr = arr[horner(g, res, p, {v: arr}) == 0]
         return {v: arr}, len(arr)
 
     y, coeffs = plan.fibre or (None, None)
@@ -462,8 +494,9 @@ def _enumerate_fq(system, field, n):
             if all(f.evaluate(point, coeff).is_zero() for f in system)]
 
 
-def _sample_matrix(system, p, count, nvars=None):
-    """The points of `sample_points` as one (count, n) int64 matrix."""
+def _sample_matrix(system, p, count, nvars=None, across=False):
+    """The points of `sample_points` as one (count, n) int64 matrix;
+    `across` as for `_sample_plane`."""
     n = _unpack(system, nvars)[1]
     plan, res = _plan_at(system, n, p)
     if plan.empty:
@@ -477,7 +510,7 @@ def _sample_matrix(system, p, count, nvars=None):
     elif k == 1:
         columns, length = _solve(plan, res, p)
     elif k == 2:
-        columns, length = _sample_plane(plan, res, p, count)
+        columns, length = _sample_plane(plan, res, p, count, across)
     else:
         raise CharsumError("insufficient samples: system too wide for "
                            "large-prime sampling")
@@ -499,30 +532,23 @@ def sample_points(system, p, count, nvars=None):
     return list(map(tuple, _sample_matrix(system, p, count, nvars).tolist()))
 
 
-def _sample_plane(plan, res, p, count):
+def _sample_plane(plan, res, p, count, across=False):
     """(columns, length) of the first points of a residual system in two
     free variables x < y, line by line: on x = t, t = 0, 1, ... below p,
-    each equation is univariate in y (its tree's top variable)."""
+    the common roots in y.  A line that no equation constrains lies in
+    the curve and adds no points; the crossing lines sample it.  When
+    these lines give fewer than count points, the lines y = t follow;
+    `across` walks the lines y = t first."""
     xv, yv = plan.free
-    xs, ys = [], []
-    for t in range(min(p, 60 * count + 120)):
-        at = {xv: np.array([t], dtype=np.int64)}
-        uni = []
-        for g in plan.residual:
-            kids = g[1] if isinstance(g, tuple) and g[0] == yv else [g]
-            c = fppoly.trim([int(np.ravel(horner(kid, res, p, at))[0])
-                             for kid in kids])
-            if len(c) == 1:
-                break  # a nonzero constant: no points on this line
-            if c:
-                uni.append(c)
-        else:
-            roots = [0] if not uni else [
-                r for r in sorted(set(roots_mod_p(uni[0], p)))
-                if all(fppoly.evaluate(h, r, p) == 0 for h in uni[1:])]
-            xs += [t] * len(roots)
-            ys += roots
-            if len(xs) >= count:
+    lines = ((xv, yv), (yv, xv))
+    found = {}  # ordered set: a point on lines of both kinds counts once
+    for line, v in lines[::-1] if across else lines:
+        for t in range(min(p, 60 * count + 120)):
+            if len(found) >= count:
                 break
-    return ({xv: np.array(xs, dtype=np.int64),
-             yv: np.array(ys, dtype=np.int64)}, len(xs))
+            roots = _common_roots([_coeffs_in(g, v, res, p, {line: t})
+                                   for g in plan.residual], p)
+            for r in roots or ():
+                found[(t, r) if line == xv else (r, t)] = None
+    xs, ys = np.array(list(found), dtype=np.int64).reshape(-1, 2).T
+    return {xv: xs, yv: ys}, len(found)

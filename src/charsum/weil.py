@@ -1,12 +1,14 @@
 """Exponential sums, Weil-bound records, the curve sup test, hyperplane
 detection, and box counts.
 
-Every sum over the affine line F_p goes through `_line_sum`: Horner
-evaluation of the reduced polynomial at all of F_p, summed by
+Every sum over the affine line F_p goes through `_line_sum`: the
+enumeration budget checked for p points, then Horner evaluation of the
+twisted, reduced polynomial at all of F_p, summed by
 `angles.character_sum`.  `weil_check` makes one Weil record at one
 prime; `weil_sweep` makes them along a prime list, splitting the
 polynomial's coefficients over one common denominator once, so each
-prime costs one inverse.
+prime costs one inverse.  Every record, on the line or on a curve, is
+built by `_record`, which holds the one pass/fail rule.
 """
 
 from __future__ import annotations
@@ -64,17 +66,20 @@ def exp_sum(system, f: MPoly, char: CharacterDesc, box=None,
     if (field.e == 1 and not system and n == 1 and box is None
             and field.p < 1 << 31):
         p = field.p
-        _check_budget(p, 1, budget)
-        twist = char.twist.residue()
-        return _line_sum([c * twist % p for c in _lowered(f).residues(p)], p)
+        return _line_sum(_lowered(f).residues(p), p, char.twist.residue(),
+                         budget)
     pts = enumerate_points(system, field, nvars=n, box=box, budget=budget)
     return exp_sum_points(pts, f, char)
 
 
-def _line_sum(red, p):
-    """Sum of e(g(x)/p) over x in F_p, where red holds the residues of
-    g's coefficients, little-endian."""
-    return character_sum(eval_many(red, p, np.arange(p, dtype=np.int64)), p)
+def _line_sum(red, p, twist, budget=DEFAULT_BUDGET):
+    """Sum of e(twist * g(x) / p) over x in F_p, where red holds the
+    residues of g's coefficients, little-endian; p points must fit the
+    enumeration budget."""
+    _check_budget(p, 1, budget)
+    twisted = [c * twist % p for c in red]
+    return character_sum(eval_many(twisted, p,
+                                   np.arange(p, dtype=np.int64)), p)
 
 
 def _lowered(f):
@@ -109,13 +114,18 @@ def _weil_record(coeffs, p, twist) -> WeilRecord:
     if twist == 0:
         raise CharsumError("trivial character (twist = 0 mod %d); bound "
                            "not applicable" % p)
-    _check_budget(p, 1, DEFAULT_BUDGET)
-    value = _line_sum([c * twist % p for c in red], p)
+    return _record(p, d, _line_sum(red, p, twist), d - 1)
+
+
+def _record(p, degree, value, constant, heuristic=False) -> WeilRecord:
+    """The record of a sum `value` at p against the bound constant *
+    sqrt(p): the one pass/fail rule."""
     magnitude = abs(value)
-    bound = (d - 1) * math.sqrt(p)
-    return WeilRecord(p=p, degree=d, value=value, magnitude=magnitude,
+    bound = constant * math.sqrt(p)
+    return WeilRecord(p=p, degree=degree, value=value, magnitude=magnitude,
                       bound=bound, normalized=magnitude / math.sqrt(p),
-                      passed=magnitude <= bound + PASS_SLACK)
+                      passed=magnitude <= bound + PASS_SLACK,
+                      heuristic=heuristic)
 
 
 def weil_check(f, p, char=None) -> WeilRecord:
@@ -160,15 +170,10 @@ def weil_check_curve(system, f, p, constant=None,
     char = standard_character(field)
     value = exp_sum(system, f, char, budget=budget)
     sysdeg = max((g.total_degree() for g in system), default=0)
+    degree = max(f.total_degree(), 0)
     if constant is None:
-        constant = (sysdeg + max(f.total_degree(), 0)) ** 2
-    magnitude = abs(value)
-    bound = constant * math.sqrt(p)
-    return WeilRecord(p=p, degree=max(f.total_degree(), 0), value=value,
-                      magnitude=magnitude, bound=bound,
-                      normalized=magnitude / math.sqrt(p),
-                      passed=magnitude <= bound + PASS_SLACK,
-                      heuristic=True)
+        constant = (sysdeg + degree) ** 2
+    return _record(p, degree, value, constant, heuristic=True)
 
 
 @dataclass(frozen=True)
@@ -253,8 +258,12 @@ def hyperplane_height_test(system, m, nvars=None):
     The system is lowered once over Q; when its elimination leaves no
     equation, the variety is the graph of the substitutions over its free
     variables, and A.x composed with them is exactly constant or the
-    candidate is a sampling coincidence.  Returns None when nothing is
-    found (a probabilistic answer), else a HyperplaneResult.
+    candidate is a sampling coincidence.  A plane curve is sampled along
+    the lines x = t; before a candidate found on those samples is
+    returned, it must also hold, with the same constants, on samples
+    taken along the lines y = t (a component that is itself a line x = t
+    gives no samples on those lines).  Returns None when nothing is found
+    (a probabilistic answer), else a HyperplaneResult.
     """
     n = _system_nvars(system, nvars)
     if m < 1 or m > HEIGHT_CAP:
@@ -275,6 +284,7 @@ def hyperplane_height_test(system, m, nvars=None):
     samples = {q: _sample_matrix(plan, q, points_per_prime) for q in primes}
 
     graph = not plan.empty and not plan.residual
+    across = None
     for vec, consts in _constant_on_samples(n, m, samples):
         if graph:
             expr = sum((a * MPoly.variable(v, n) for v, a in enumerate(vec)),
@@ -283,6 +293,13 @@ def hyperplane_height_test(system, m, nvars=None):
                 expr = expr.substitute(v, repl)
             if not expr.is_constant():
                 continue  # sampling coincidence; symbolic check rules it out
+        elif len(plan.free) == 2:
+            across = across or {q: _sample_matrix(plan, q, points_per_prime,
+                                                  across=True)
+                                for q in primes}
+            if any((pts @ np.array(vec) % q != c).any()
+                   for (q, pts), c in zip(across.items(), consts)):
+                continue  # the lines y = t leave the hyperplane
         constant = _consistent_constant(consts, primes)
         return HyperplaneResult(vector=vec, constant=constant, exact=graph,
                                 primes=tuple(primes))

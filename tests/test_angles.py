@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from charsum import (Angle, build_extension, next_prime, prime_field,
-                     primes_in, psi_p, psi_q, standard_character,
+                     primes_in, psi_p, standard_character,
                      trivial_character, twisted_character, unit_roots)
 from charsum import angles
 from charsum.angles import character_sum, character_values
@@ -47,14 +47,6 @@ def test_to_complex_on_quadrants():
     assert abs(Angle(Fraction(1, 4)).to_complex() - 1j) < 1e-15
     assert abs(Angle(Fraction(1, 2)).to_complex() + 1) < 1e-15
     assert abs(Angle(Fraction(3, 4)).to_complex() + 1j) < 1e-15
-
-
-def test_circle_distance_wraps():
-    a = Angle(Fraction(1, 10))
-    b = Angle(Fraction(9, 10))
-    assert a.circle_distance(b) == Fraction(1, 5)
-    assert a.circle_distance(a) == 0
-    assert Angle(0).circle_distance(Angle(Fraction(1, 2))) == Fraction(1, 2)
 
 
 def test_nearest_multiple():
@@ -113,7 +105,7 @@ def test_psi_q_prime_field_reduces_to_psi_p():
     F = prime_field(7)
     char = standard_character(F)
     for a in range(7):
-        assert psi_q(a, char) == psi_p(a, 7)
+        assert char.psi(a) == psi_p(a, 7)
 
 
 def test_unit_roots_match_numpy_and_are_read_only():

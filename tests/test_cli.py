@@ -253,6 +253,20 @@ def test_boxcount_warns_on_hyperplane(tmp_path):
     assert "WARNING" not in clean.stdout
 
 
+def test_boxcount_flags_a_cylinder_but_not_two_axes():
+    # x*y = 0 is two lines through the origin, in no one line; the
+    # cylinder (x - 1)^2 = 0 is the line x = 1
+    axes = run("boxcount", "--system", "x*y", "--prime", "101",
+               "--box", "0:50,0:50", "--dim", "1")
+    assert axes.returncode == 0
+    assert "WARNING" not in axes.stdout
+    cylinder = run("boxcount", "--system", "(x-1)^2", "--nvars", "2",
+                   "--prime", "101", "--box", "0:50,0:50", "--dim", "1")
+    assert cylinder.returncode == 0
+    assert "WARNING: variety lies in the hyperplane [1, 0] . x = 1 " \
+        "(sampled over 3 large primes)" in cylinder.stdout
+
+
 def test_boxcount_box_format_errors():
     r = run("boxcount", "--system", "y - x", "--prime", "11",
             "--box", "0-5,0-5", "--dim", "1")

@@ -8,6 +8,19 @@ from charsum import Angle, LaurentPoly, laurent_from_expression
 from charsum.errors import CharsumError
 
 
+def eval_at_angles(h, angles) -> complex:
+    """h at the points e(a) of exact angles a, term by term: the oracle
+    for the vectorized values."""
+    total = 0j
+    for m, (re, im) in h.sorted_terms():
+        theta = Angle(0)
+        for a, e in zip(angles, m):
+            if e:
+                theta = theta + a * e
+        total += complex(float(re), float(im)) * theta.to_complex()
+    return total
+
+
 def test_expression_parsing_maps_zb_to_inverse():
     h = laurent_from_expression("z1 + zb1")
     assert h.nvars == 1
@@ -44,10 +57,9 @@ def test_real_mode_detection():
     assert h.is_real_mode()
 
 
-def test_constant_term_and_degree_bound():
+def test_constant_term_and_coefficient_sum():
     h = laurent_from_expression("z1^3 + zb1^3 + z1 + zb1")
     assert not h.has_constant_term()
-    assert h.degree_bound() == 3
     assert h.coeff_abs_sum() == 4.0
 
 
@@ -58,7 +70,7 @@ def test_eval_at_angles_matches_direct_formula():
     z1 = cmath.exp(2j * cmath.pi / 7)
     z2 = cmath.exp(4j * cmath.pi / 5)
     direct = z1 ** 2 + z1 ** -2 + 3 * z1 / z2
-    assert abs(h.eval_at_angles((a1, a2)) - direct) < 1e-12
+    assert abs(eval_at_angles(h, (a1, a2)) - direct) < 1e-12
 
 
 def test_eval_real_on_residues_matches_pointwise():
@@ -70,7 +82,7 @@ def test_eval_real_on_residues_matches_pointwise():
     for row, got in zip(mat, vals):
         angles = (Angle(Fraction(int(row[0]), p)),
                   Angle(Fraction(int(row[1]), p)))
-        expect = h.eval_at_angles(angles)
+        expect = eval_at_angles(h, angles)
         assert abs(expect.imag) < 1e-12
         assert abs(got - expect.real) < 1e-12
 

@@ -3,8 +3,9 @@ the package's __init__ runs, so an import cycle between two modules
 shows whichever of them is loaded first.  Only `angles` reads the table
 of p-th roots of unity; every other module goes through its kernels.
 F_p consumers read the point matrix, not the tuples of
-`enumerate_points`.  No module, in the package or among the tests,
-imports a name it never uses."""
+`enumerate_points`.  Each kernel step has one copy: the one-variable
+solve, the line sum's budget guard and the Weil verdict.  No module, in
+the package or among the tests, imports a name it never uses."""
 
 import ast
 import subprocess
@@ -50,16 +51,24 @@ def test_only_angles_calls_unit_roots(name):
 TUPLE_POINT_CALLERS = {("weil", "exp_sum"), ("points", "count_points")}
 
 
-def _calls_by_function(tree, name):
-    """(function, line) of every call of `name` inside a def."""
+def _by_function(tree, match):
+    """(function, line) of every node inside a def that `match` accepts."""
     out = []
     for fn in ast.walk(tree):
         if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
             out += [(fn.name, node.lineno) for node in ast.walk(fn)
-                    if isinstance(node, ast.Call)
-                    and name in (getattr(node.func, "id", None),
-                                 getattr(node.func, "attr", None))]
+                    if match(node)]
     return out
+
+
+def _is_call(node, name):
+    return isinstance(node, ast.Call) and name in (
+        getattr(node.func, "id", None), getattr(node.func, "attr", None))
+
+
+def _calls_by_function(tree, name):
+    """(function, line) of every call of `name` inside a def."""
+    return _by_function(tree, lambda node: _is_call(node, name))
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -69,6 +78,38 @@ def test_fp_consumers_read_the_point_matrix(name):
              for fn, line in _calls_by_function(tree, "enumerate_points")
              if (name, fn) not in TUPLE_POINT_CALLERS]
     assert not calls, calls
+
+
+# (module, what, the one function that may do it): root finding for one
+# free variable, building a Weil record and reading its pass/fail slack
+SINGLE_COPIES = [
+    ("points", lambda node: _is_call(node, "roots_mod_p"), "_common_roots"),
+    ("weil", lambda node: _is_call(node, "WeilRecord"), "_record"),
+    ("weil", lambda node: getattr(node, "id", None) == "PASS_SLACK",
+     "_record"),
+]
+
+
+@pytest.mark.parametrize("module, match, owner", SINGLE_COPIES,
+                         ids=["roots_mod_p", "WeilRecord", "PASS_SLACK"])
+def test_each_kernel_step_has_one_copy(module, match, owner):
+    tree = ast.parse((PACKAGE / (module + ".py")).read_text())
+    assert {fn for fn, _ in _by_function(tree, match)} == {owner}
+
+
+def _one_point_budget_check(node):
+    """A `_check_budget(q, 1, ...)` call: the guard of a sum over F_q."""
+    return (_is_call(node, "_check_budget") and len(node.args) > 1
+            and isinstance(node.args[1], ast.Constant)
+            and node.args[1].value == 1)
+
+
+def test_only_the_line_sum_guards_a_line():
+    guards = {(name, fn) for name in MODULES
+              for fn, _ in _by_function(
+                  ast.parse((PACKAGE / (name + ".py")).read_text()),
+                  _one_point_budget_check)}
+    assert guards == {("weil", "_line_sum")}
 
 
 def _unused_imports(tree):

@@ -14,6 +14,14 @@ from charsum.measure import inversion_error
 TOL = 1e-9
 
 
+def table_from_function(p, n, fn):
+    """The table of fn at every index tuple of F_p^n."""
+    vals = np.zeros((p,) * n, dtype=np.complex128)
+    for idx in np.ndindex(*vals.shape):
+        vals[idx] = fn(idx)
+    return ValueTable(p, n, vals)
+
+
 def poly(text, names=None):
     return parse_polynomial(text, variables=names).poly
 
@@ -107,7 +115,7 @@ def test_value_table_shape_checks():
 
 
 def test_from_function_and_indicator():
-    t = ValueTable.from_function(7, 2, lambda idx: idx[0] + 1j * idx[1])
+    t = table_from_function(7, 2, lambda idx: idx[0] + 1j * idx[1])
     assert t[(3, 4)] == 3 + 4j
     s = ValueTable.indicator(7, 1, [(1,), (5,), (8,)])
     assert s[1] == 1 and s[5] == 1 and s[0] == 0
@@ -205,7 +213,7 @@ def test_value_table_copies_and_adopted_tables_are_read_only():
     assert arr.flags.writeable  # the caller's array stays theirs
     for table in (t, fourier_table(t), delta_table(5, 2),
                   constant_table(5, 2), ValueTable.indicator(5, 1, [(2,)]),
-                  ValueTable.from_function(5, 1, lambda idx: idx[0])):
+                  table_from_function(5, 1, lambda idx: idx[0])):
         assert table.values.flags.writeable is False
         with pytest.raises(ValueError):
             table.values[(0,) * table.n] = 1
@@ -239,12 +247,13 @@ def test_inversion_error_propagates_nan():
     assert math.isnan(inversion_error(t, constant_table(11, 1)))
 
 
-def test_fourier_budget():
+def test_fourier_budget(monkeypatch):
     with pytest.raises(BudgetError):
-        ValueTable.from_function(499, 3, lambda idx: 0.0)
+        constant_table(499, 3)
     t = constant_table(257, 1)
+    monkeypatch.setattr(measure, "FOURIER_BUDGET", 100)
     with pytest.raises(BudgetError):
-        fourier_table(t, budget=100)
+        fourier_table(t)
 
 
 # -- pushforward moments --------------------------------------------------

@@ -1,7 +1,7 @@
 import operator
 import random
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, zip_longest
 
 import numpy as np
 import pytest
@@ -12,11 +12,23 @@ from charsum import (MPoly, NFElem, build_extension, discriminant, nf_build,
 from charsum import fppoly
 from charsum.errors import BadPrimeError, CharsumError
 from charsum.mpoly import (Lowered, frac_mod, gauss_jordan, poly_add,
-                           poly_degree, poly_derivative, poly_divmod,
-                           poly_gcd, poly_monic, poly_mul, poly_powmod,
-                           poly_rem, poly_sub, poly_trim, pow_mod_array,
-                           power, primitive_integers)
+                           poly_derivative, poly_divmod, poly_gcd,
+                           poly_monic, poly_mul, poly_powmod, poly_rem,
+                           poly_sub, poly_trim, pow_mod_array, power,
+                           primitive_integers)
 from charsum.polyroots import horner
+from oracles import eval_mod
+
+
+def poly_degree(coeffs):
+    """Degree of a coefficient list, -1 for the zero polynomial."""
+    return len(poly_trim(coeffs)) - 1
+
+
+def fp_add(f, g, p):
+    """Sum of two residue lists mod p, trimmed: the oracle for poly_add."""
+    return fppoly.trim([(a + b) % p
+                        for a, b in zip_longest(f, g, fillvalue=0)])
 
 
 def random_poly(rng, nvars, nterms=6, maxdeg=3, span=9):
@@ -36,13 +48,13 @@ def test_ring_laws_against_exact_evaluation():
         h = random_poly(rng, n)
         pt = tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 3))
                    for _ in range(n))
-        fv, gv, hv = f.eval_exact(pt), g.eval_exact(pt), h.eval_exact(pt)
-        assert (f + g).eval_exact(pt) == fv + gv
-        assert (f - g).eval_exact(pt) == fv - gv
-        assert (f * g).eval_exact(pt) == fv * gv
-        assert ((f + g) * h).eval_exact(pt) == (fv + gv) * hv
-        assert (f ** 2).eval_exact(pt) == fv * fv
-        assert (-f).eval_exact(pt) == -fv
+        fv, gv, hv = f.evaluate(pt), g.evaluate(pt), h.evaluate(pt)
+        assert (f + g).evaluate(pt) == fv + gv
+        assert (f - g).evaluate(pt) == fv - gv
+        assert (f * g).evaluate(pt) == fv * gv
+        assert ((f + g) * h).evaluate(pt) == (fv + gv) * hv
+        assert (f ** 2).evaluate(pt) == fv * fv
+        assert (-f).evaluate(pt) == -fv
 
 
 def test_constant_and_variable_builders():
@@ -51,7 +63,7 @@ def test_constant_and_variable_builders():
     x = MPoly.variable(0, 2)
     y = MPoly.variable(1, 2)
     f = x * y + 2 * x
-    assert f.eval_exact((3, 4)) == 18
+    assert f.evaluate([Fraction(v) for v in (3, 4)]) == 18
     assert f.total_degree() == 2
     assert f.degree_in(0) == 1 and f.degree_in(1) == 1
     assert f.variables_used() == {0, 1}
@@ -64,8 +76,7 @@ def test_substitute_matches_evaluation():
         repl = random_poly(rng, 2, nterms=3, maxdeg=2)
         g = f.substitute(0, repl)
         pt = (Fraction(rng.randint(-3, 3)), Fraction(rng.randint(-3, 3)))
-        assert g.eval_exact(pt) == \
-            f.eval_exact((repl.eval_exact(pt), pt[1]))
+        assert g.evaluate(pt) == f.evaluate((repl.evaluate(pt), pt[1]))
 
 
 def test_univariate_round_trip():
@@ -109,8 +120,8 @@ def test_eval_mod_agrees_with_exact():
         n = rng.randint(1, 3)
         f = random_poly(rng, n)
         pt = tuple(rng.randrange(p) for _ in range(n))
-        exact = f.eval_exact(pt)
-        assert f.eval_mod(p, pt) == frac_mod(exact, p)
+        exact = f.evaluate([Fraction(v) for v in pt])
+        assert eval_mod(f, p, pt) == frac_mod(exact, p)
 
 
 def _horner(f, p, cols):
@@ -126,7 +137,7 @@ def test_horner_agrees_with_scalar():
     ys = (xs * 3 + 1) % p
     vals = _horner(f, p, {0: xs, 1: ys})
     for i in (0, 1, 17, 50, 96):
-        assert int(vals[i]) == f.eval_mod(p, (int(xs[i]), int(ys[i])))
+        assert int(vals[i]) == eval_mod(f, p, (int(xs[i]), int(ys[i])))
 
 
 def test_horner_reads_only_the_variables_that_occur():
@@ -142,7 +153,7 @@ def test_horner_reads_only_the_variables_that_occur():
         vals = _horner(f, p, {0: xs, 1: ys})
         assert np.ndim(vals) == 1 or f.is_constant()
         assert np.broadcast_to(vals, xs.shape).tolist() == \
-            [f.eval_mod(p, (int(x), int(y), 0)) for x, y in zip(xs, ys)]
+            [eval_mod(f, p, (int(x), int(y), 0)) for x, y in zip(xs, ys)]
     assert _horner(MPoly.constant(Fraction(-1, 3), 3), p, {}) == \
         frac_mod(Fraction(-1, 3), p)
 
@@ -175,7 +186,7 @@ def test_horner_matches_eval_mod(case):
         with pytest.raises(BadPrimeError):
             _horner(f, p, cols)
         return
-    expect = [f.eval_mod(p, pt) for pt in zip(*case[2])]
+    expect = [eval_mod(f, p, pt) for pt in zip(*case[2])]
     got = _horner(f, p, cols)
     assert np.broadcast_to(got, len(expect)).tolist() == expect
 
@@ -211,9 +222,6 @@ def test_frac_mod():
 def test_poly_helpers():
     assert poly_trim([1, 2, 0, 0]) == [1, 2]
     assert poly_trim([0, 0]) == []
-    assert poly_degree([5]) == 0
-    assert poly_degree([]) == -1
-    assert poly_degree([0, 0, 3]) == 2
     assert poly_derivative([Fraction(4), Fraction(3), Fraction(2)]) == \
         [Fraction(3), Fraction(4)]
     assert poly_derivative([Fraction(9)]) == []
@@ -301,11 +309,11 @@ def test_evaluate_agrees_with_eval_mod_and_eval_exact(case):
     f, p, residues, point = case
     exact = sum((c * _monomial(point, e) for e, c in f.terms.items()),
                 Fraction(0))
-    assert f.evaluate(point) == exact == f.eval_exact(point)
+    assert f.evaluate(point) == exact
     F = prime_field(p)
     elems = [F.element(x) for x in residues]
     try:
-        want = f.eval_mod(p, residues)
+        want = eval_mod(f, p, residues)
     except BadPrimeError:
         with pytest.raises(BadPrimeError):
             f.evaluate(elems, F.rational)
@@ -374,7 +382,7 @@ def test_toolkit_on_prime_field_elements_agrees_with_fppoly(case):
         return [c.residue() for c in h]
 
     f, g = fppoly.trim(list(f)), fppoly.trim(list(g))
-    assert ints(poly_add(F, G)) == fppoly.add(f, g, p)
+    assert ints(poly_add(F, G)) == fp_add(f, g, p)
     assert ints(poly_sub(F, G)) == fppoly.sub(f, g, p)
     assert ints(poly_mul(F, G)) == fppoly.mul(f, g, p)
     assert ints(poly_monic(poly_trim(F))) == fppoly.monic(f, p)

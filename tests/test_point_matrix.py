@@ -18,8 +18,11 @@ from charsum.angles import character_sum, character_values
 from charsum.errors import BudgetError, CharsumError
 from charsum.points import DEFAULT_BUDGET, _point_matrix
 from charsum.weil import _candidate_vectors
+from oracles import eval_mod
 
 PRIMES = {2: primes_in(200), 3: primes_in(47)}  # 3 variables: p^3 grids
+# reducible, cylinder and doubled plane curves, some containing a line x = t
+PLANE_SPECIALS = ("x*y", "(x-1)*y", "(x-1)^2", "x^2 - 1", "(x + 2*y - 3)^2")
 
 
 def system_of(texts, names):
@@ -29,20 +32,27 @@ def system_of(texts, names):
 @st.composite
 def curves(draw):
     """(system, n, p, box): one conic or cubic in 2 or 3 variables with
-    small integer coefficients, a prime up to 200 (47 in 3 variables) and
-    a box of half-open residue ranges."""
+    small integer coefficients, or in one plane case of four one of
+    PLANE_SPECIALS, a prime up to 200 (47 in 3 variables) and a box of
+    half-open residue ranges."""
     n = draw(st.integers(2, 3))
-    deg = draw(st.integers(2, 3))
     p = draw(st.sampled_from(PRIMES[n]))
-    exps = [e for e in product(range(deg + 1), repeat=n) if sum(e) <= deg]
-    terms = draw(st.dictionaries(st.sampled_from(exps), st.integers(-5, 5),
-                                 max_size=5))
-    top = draw(st.sampled_from([e for e in exps if sum(e) == deg]))
-    terms[top] = draw(st.sampled_from([1, -1, 2, 3]))
+    if n == 2 and draw(st.integers(0, 3)) == 0:
+        system = system_of([draw(st.sampled_from(PLANE_SPECIALS))],
+                           ("x", "y"))
+    else:
+        deg = draw(st.integers(2, 3))
+        exps = [e for e in product(range(deg + 1), repeat=n)
+                if sum(e) <= deg]
+        terms = draw(st.dictionaries(st.sampled_from(exps),
+                                     st.integers(-5, 5), max_size=5))
+        top = draw(st.sampled_from([e for e in exps if sum(e) == deg]))
+        terms[top] = draw(st.sampled_from([1, -1, 2, 3]))
+        system = [MPoly(n, terms)]
     box = [tuple(sorted(draw(st.lists(st.integers(0, p), min_size=2,
                                       max_size=2))))
            for _ in range(n)]
-    return [MPoly(n, terms)], n, p, box
+    return system, n, p, box
 
 
 def bits(moments):
@@ -64,7 +74,7 @@ def test_point_matrix_is_the_sorted_enumeration(case):
     rows = [tuple(r) for r in full.tolist()]
     assert rows == sorted(set(rows))
     assert all(0 <= v < p for r in rows for v in r)
-    assert all(f.eval_mod(p, r) == 0 for f in system for r in rows)
+    assert all(eval_mod(f, p, r) == 0 for f in system for r in rows)
     inside = [r for r in rows
               if all(lo <= v < hi for v, (lo, hi) in zip(r, box))]
     assert [tuple(r) for r in mat.tolist()] == inside

@@ -11,8 +11,11 @@ from charsum import (MPoly, build_extension, count_points, enumerate_points,
 from charsum.errors import BadPrimeError, BudgetError, CharsumError
 from charsum.measure import mu0_sweep
 from charsum.mpoly import Lowered
-from charsum.points import _eliminate, lower
+from charsum import fppoly
+from charsum.points import (_coeffs_in, _common_roots, _eliminate,
+                            _sample_matrix, lower)
 from charsum.polyroots import horner
+from oracles import eval_mod
 
 
 def system_of(texts, names):
@@ -22,7 +25,7 @@ def system_of(texts, names):
 def brute_points(system, p, n):
     pts = []
     for x in product(range(p), repeat=n):
-        if all(f.eval_mod(p, x) == 0 for f in system):
+        if all(eval_mod(f, p, x) == 0 for f in system):
             pts.append(x)
     return pts
 
@@ -240,7 +243,7 @@ def test_sample_points_on_curve_mod_large_prime():
     assert len(pts) == 12
     assert len(set(pts)) == 12
     for pt in pts:
-        assert all(f.eval_mod(p, pt) == 0 for f in system)
+        assert all(eval_mod(f, p, pt) == 0 for f in system)
 
 
 def test_sample_points_on_graph_system():
@@ -273,6 +276,85 @@ def test_sample_points_above_a_million_are_unchanged():
                          1000033, 6) == [
         (0, 1), (0, 1000032), (1, 0), (2, 325379), (2, 674654),
         (3, 438418)]
+
+
+@pytest.mark.parametrize("text, count, expect", [
+    # x = 0 constrains nothing, so the axis x = 0 comes from the lines y = t
+    ("x*y", 6, [(1, 0), (2, 0), (3, 0), (4, 0), (5, 0), (6, 0)]),
+    # every line x = t misses the cylinder or lies in it
+    ("(x-1)^2", 3, [(1, 0), (1, 1), (1, 2)]),
+    ("x^2 - 1", 4, [(1, 0), (1000002, 0), (1, 1), (1000002, 1)]),
+])
+def test_sample_points_skip_unconstrained_lines(text, count, expect):
+    system = system_of([text], ("x", "y"))
+    assert sample_points(system, 1000003, count) == expect
+
+
+def test_sample_points_across_walks_the_lines_y_first():
+    system = system_of(["x*y"], ("x", "y"))
+    mat = _sample_matrix(system, 1000003, 3, across=True)
+    assert mat.tolist() == [[0, 1], [0, 2], [0, 3]]
+    # two directions find each point once: 7 points of this curve mod 7
+    cubic = system_of(["y^2 - x^3 - x"], ("x", "y"))
+    assert len(_sample_matrix(cubic, 7, 7, across=True)) == 7
+
+
+@st.composite
+def residue_lists(draw):
+    """(p, lists): equations in one variable as residue lists mod a small
+    prime, among them zero lists, nonzero constants, products with
+    repeated roots and several equations at once."""
+    p = draw(st.sampled_from([2, 3, 5, 7, 11, 13]))
+    residue = st.integers(0, p - 1)
+
+    def one():
+        kind = draw(st.sampled_from(["zero", "constant", "random",
+                                     "repeated"]))
+        if kind == "zero":
+            return [0] * draw(st.integers(0, 3))
+        if kind == "constant":
+            return [draw(st.integers(1, p - 1))]
+        if kind == "random":
+            return draw(st.lists(residue, min_size=1, max_size=6))
+        f = [1]  # a product of linear factors, some repeated
+        for r in draw(st.lists(residue, min_size=1, max_size=4)):
+            f = [(a - r * b) % p for a, b in zip([0] + f, f + [0])]
+        return f
+
+    return p, [one() for _ in range(draw(st.integers(1, 3)))]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(residue_lists())
+def test_common_roots_match_a_scan_of_the_field(case):
+    p, polys = case
+    kept = [list(f) for f in polys]
+    got = _common_roots(polys, p)
+    assert polys == kept  # the caller's lists are left alone
+    if not any(c % p for f in polys for c in f):
+        assert got is None
+    else:
+        assert got == [r for r in range(p)
+                       if all(fppoly.evaluate(f, r, p) == 0 for f in polys)]
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.data())
+def test_coefficients_in_one_variable_match_evaluation(data):
+    n = data.draw(st.integers(1, 3))
+    p = data.draw(st.sampled_from([3, 7, 101]))
+    terms = data.draw(st.dictionaries(st.tuples(*[st.integers(0, 3)] * n),
+                                      st.integers(-9, 9), max_size=6))
+    f = MPoly(n, terms)
+    v = data.draw(st.integers(0, n - 1))
+    point = data.draw(st.lists(st.integers(0, p - 1), min_size=n,
+                               max_size=n))
+    low = Lowered([f])
+    at = {w: x for w, x in enumerate(point) if w != v}
+    coeffs = _coeffs_in(low.trees[0], v, low.residues(p), p, at)
+    for r in range(p):
+        point[v] = r
+        assert fppoly.evaluate(coeffs, r, p) == eval_mod(f, p, point)
 
 
 def test_sample_points_failure_is_loud():

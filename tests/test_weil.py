@@ -239,6 +239,23 @@ def test_hyperplane_absent_for_parabola():
     assert hyperplane_height_test(system, 3) is None
 
 
+@pytest.mark.parametrize("text, vector, constant", [
+    ("x*y", None, None),            # two axes: the lines y = t refute y = 0
+    ("(x-1)*y", None, None),
+    ("(x-1)^2", (1, 0), 1),         # a cylinder: found on the lines y = t
+    ("x^2 - 1", None, None),        # two parallel lines, in no one plane
+    ("(x + 2*y - 3)^2", (1, 2), 3),
+])
+def test_hyperplane_on_reducible_and_cylinder_curves(text, vector,
+                                                     constant):
+    res = hyperplane_height_test([poly(text, ("x", "y"))], 20, nvars=2)
+    if vector is None:
+        assert res is None
+    else:
+        assert (res.vector, res.constant, res.exact) == (vector, constant,
+                                                         False)
+
+
 def test_hyperplane_height_cap():
     names = ("x", "y")
     system = [poly("y - x", names)]
