@@ -126,6 +126,8 @@ def _element_repr(x):
 def cmd_weil(args):
     pe = parse_polynomial(args.poly)
     if args.prime is not None:
+        if args.mod is not None or args.res is not None:
+            raise CharsumError("--mod and --res need --xlimit")
         char = None
         if args.twist is not None:
             char = twisted_character(prime_field(args.prime), args.twist)
@@ -232,19 +234,18 @@ def cmd_kappa(args):
                                "input" % args.root_var)
         root_var = names.index(args.root_var)
     value = kappa_eval(P, Q, b, field, root_var=root_var)
-    char = standard_character(field)
+    angle = standard_character(field).psi(value)
     print("variables: %s (root variable: %s)"
           % (", ".join(names),
              names[root_var if root_var is not None else len(names) - 1]))
     print("common value: %s" % (_element_repr(value),))
-    print("character angle: %s" % char.psi(value))
+    print("character angle: %s" % angle)
     return Outcome(
         {"p_poly": args.p_poly, "q_poly": args.q_poly, "point": args.point,
          "prime": args.prime, "ext": args.ext, "root_var": args.root_var},
         ["value", "angle"],
-        lambda: [(_element_repr(value), char.psi(value))],
-        records=[{"value": _element_repr(value),
-                  "angle": str(char.psi(value))}])
+        lambda: [(_element_repr(value), angle)],
+        records=[{"value": _element_repr(value), "angle": angle}])
 
 
 def cmd_boxcount(args):
@@ -340,6 +341,8 @@ def cmd_fourier(args):
     p, n = args.prime, args.nvars
     prime_field(p)  # refuses a non-prime before any table is built
     if args.const is not None:
+        if not np.isfinite(args.const):
+            raise CharsumError("--const must be finite, got %s" % args.const)
         table = constant_table(p, n, complex(args.const))
     elif args.delta:
         table = delta_table(p, n)
@@ -356,11 +359,12 @@ def cmd_fourier(args):
     print("transform of a %d^%d table" % (p, n))
     print("plancherel: p^-n sum|f|^2 = %.12g, sum|F f|^2 = %.12g, "
           "diff = %.3g" % (lhs, rhs, abs(lhs - rhs)))
-    inversion_err = None
+    inversion_err, failed = None, False
     if args.verify:
         inversion_err = inversion_error(table, fourier_table(out))
+        failed = not inversion_err <= 1e-9
         print("inversion error: %.3g -> %s"
-              % (inversion_err, "PASS" if inversion_err <= 1e-9 else "FAIL"))
+              % (inversion_err, "FAIL" if failed else "PASS"))
 
     def rows():
         if p ** n > CSV_TABLE_CAP:
@@ -376,7 +380,7 @@ def cmd_fourier(args):
         aggregate={"plancherel_lhs": lhs, "plancherel_rhs": rhs,
                    "plancherel_diff": abs(lhs - rhs),
                    "inversion_error": inversion_err},
-        failed=inversion_err is not None and inversion_err > 1e-9)
+        failed=failed)
 
 
 def cmd_pushforward(args):
@@ -392,7 +396,7 @@ def cmd_pushforward(args):
         ["m", "re", "im", "abs"],
         lambda: [(" ".join(str(c) for c in m), v.real, v.imag, abs(v))
                  for m, v in res.moments],
-        records=[{"m": list(m), "value": v} for m, v in res.moments],
+        records=[{"m": m, "value": v} for m, v in res.moments],
         aggregate={"npoints": res.npoints, "max_nonzero": peak})
 
 
@@ -499,8 +503,8 @@ def cmd_latbasis(args):
                  for i, b in enumerate(lat.basis)]
         + [("expression", i, " ".join(str(c) for c in row))
            for i, row in enumerate(lat.expression)],
-        records=[{"basis": [[c for c in b.coords] for b in lat.basis],
-                  "expression": [list(r) for r in lat.expression]}])
+        records=[{"basis": [b.coords for b in lat.basis],
+                  "expression": lat.expression}])
 
 
 def cmd_valueset(args):
@@ -523,12 +527,9 @@ def cmd_valueset(args):
         ["index", "exponents"],
         lambda: [(i, " ".join(str(c) for c in row))
                  for i, row in enumerate(vs.exponents)],
-        records=[{
-            "basis": [[c for c in b.coords] for b in lat.basis],
-            "exponents": [list(r) for r in vs.exponents],
-            "annotations": [{"index": a.index, "value": a.value,
-                             "values": [[ang, k] for ang, k in a.values]}
-                            for a in vs.annotations]}])
+        records=[{"basis": [b.coords for b in lat.basis],
+                  "exponents": vs.exponents,
+                  "annotations": vs.annotations}])
 
 
 # -- parser and runner -------------------------------------------------

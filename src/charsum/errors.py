@@ -1,4 +1,7 @@
-"""Shared exception types."""
+"""Shared exception types, and the work budget they enforce."""
+
+# default cap on enumerated cells, summed lines and sieved integers
+DEFAULT_BUDGET = 10 ** 9
 
 
 class CharsumError(Exception):

@@ -217,8 +217,6 @@ class MPoly:
         """Project onto the variables that actually occur (for canonical
         comparison after printing).  Returns (poly, kept_indices)."""
         used = sorted(self.variables_used())
-        if not used and self.terms:
-            used = []
         terms = {}
         for e, c in self.terms.items():
             terms[tuple(e[i] for i in used)] = c

@@ -7,13 +7,18 @@ be picklable module-level callables (functools.partial is fine).
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 
 
 def pmap(fn, items, jobs=1):
+    """[fn(it) for it in items] on at most `jobs` worker processes, and
+    never more than one per item or per CPU: the pool starts all of its
+    workers at once."""
     items = list(items)
-    if jobs is None or jobs <= 1 or len(items) <= 1:
+    workers = min(jobs or 1, len(items), os.cpu_count() or 1)
+    if workers <= 1:
         return [fn(it) for it in items]
-    chunksize = max(1, len(items) // (4 * jobs))
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    chunksize = max(1, len(items) // (4 * workers))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items, chunksize=chunksize))

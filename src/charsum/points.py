@@ -50,12 +50,11 @@ from itertools import product, zip_longest
 import numpy as np
 
 from . import fppoly
-from .errors import BudgetError, CharsumError
+from .errors import DEFAULT_BUDGET, BudgetError, CharsumError
 from .ffield import prime_field
 from .mpoly import Lowered, MPoly, pow_mod_array
 from .polyroots import horner, roots_mod_p
 
-DEFAULT_BUDGET = 10 ** 9
 _CHUNK = 1 << 19
 
 

@@ -2,17 +2,13 @@
 
 from math import gcd
 
-from .errors import BudgetError, CharsumError
+from .errors import DEFAULT_BUDGET, BudgetError, CharsumError
 
 # The first twelve primes as Miller-Rabin witnesses decide primality
 # for every n below EXACT_LIMIT = psi_12, about 3.2 * 10^23 (Sorenson and
 # Webster, Math. Comp. 86 (2017)).
 _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 EXACT_LIMIT = 318665857834031151167461
-
-# Largest sieve limit (a byte per integer): points.DEFAULT_BUDGET, which
-# this module cannot import, since points imports ffield and ffield this.
-_SIEVE_BUDGET = 10 ** 9
 
 
 def is_prime(n: int) -> bool:
@@ -56,9 +52,9 @@ def primes_in(limit: int, congruence=None) -> list:
             raise CharsumError(
                 "empty congruence class beyond finitely many primes: "
                 "gcd(%d, %d) = %d" % (k, m, gcd(k, m)))
-    if limit > _SIEVE_BUDGET:
+    if limit > DEFAULT_BUDGET:
         raise BudgetError("sieve budget exceeded: %d > %d"
-                          % (limit, _SIEVE_BUDGET))
+                          % (limit, DEFAULT_BUDGET))
     if limit < 2:
         return []
     sieve = bytearray([1]) * (limit + 1)

@@ -3,13 +3,16 @@
 JSON output is canonical: keys sorted, two-space indent, trailing
 newline, floats via Python's shortest-repr.  Runs that differ only in
 --jobs produce byte-identical files; wall-clock time is never written,
-only printed.  Exact rationals are serialized as "a/b" strings, complex
-numbers as {"re": ..., "im": ...} pairs.
+only printed.  Reports hold library values as they are, and the writer
+encodes each in the one walk that writes the text: exact rationals and
+angles as "a/b" strings, complex numbers as {"im": ..., "re": ...}
+pairs, numpy scalars and arrays as their `tolist()`, and dataclasses as
+objects of their fields.
 
 The writer is hand-rolled: `json.dumps` with an indent runs the
-encoder's pure-Python path, which is slower.  Its output is byte for
-byte `json.dumps(doc, sort_keys=True, indent=2)`, and the tests hold it
-to that with `json.dumps` as the oracle.
+encoder's pure-Python path, which is slower.  On JSON's own types its
+output is byte for byte `json.dumps(doc, sort_keys=True, indent=2)`, and
+the tests hold it to that, with the other types converted first.
 """
 
 from __future__ import annotations
@@ -28,54 +31,17 @@ from .angles import Angle
 SCHEMA = 1
 
 
-@functools.cache
-def _field_names(cls):
-    return tuple(f.name for f in dataclasses.fields(cls))
-
-
-def jsonable(obj):
-    t = type(obj)
-    if t is float or t is int or t is str or t is bool or obj is None:
-        return obj
-    if t is complex:
-        return {"re": obj.real, "im": obj.imag}
-    if isinstance(obj, (bool, int, str)):
-        return obj
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, Angle):
-        return str(obj)
-    if isinstance(obj, Fraction):
-        return "%d/%d" % (obj.numerator, obj.denominator)
-    if isinstance(obj, complex):
-        return {"re": float(obj.real), "im": float(obj.imag)}
-    if isinstance(obj, (float, np.floating)):
-        return float(obj)
-    if isinstance(obj, dict):
-        return {str(k): jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [jsonable(v) for v in obj.tolist()]
-    if dataclasses.is_dataclass(obj):
-        return {name: jsonable(getattr(obj, name))
-                for name in _field_names(type(obj))}
-    raise TypeError("cannot serialize %r" % type(obj))
-
-
 def build_report(command, params, records=(), aggregate=None, skipped=(),
                  seed=0):
     return {
         "schema": SCHEMA,
         "version": __version__,
         "command": command,
-        "params": jsonable(params),
+        "params": params,
         "seed": seed,
-        "records": jsonable(list(records)),
-        "aggregate": jsonable(aggregate if aggregate is not None else {}),
-        "skipped": jsonable(list(skipped)),
+        "records": list(records),
+        "aggregate": aggregate if aggregate is not None else {},
+        "skipped": list(skipped),
     }
 
 
@@ -102,9 +68,31 @@ def _layout(depth):
     return "[" + inner, "{" + inner, "," + inner, pad + "]", pad + "}"
 
 
+@functools.cache
+def _sorted_fields(cls):
+    return tuple(sorted(f.name for f in dataclasses.fields(cls)))
+
+
+def _encode_members(keys, get, depth, out):
+    """Append the JSON object that maps each of `keys`, in their order,
+    to `get(key)`; an int key is written as its decimal string, as json
+    writes it."""
+    if not keys:
+        out.append("{}")
+        return
+    _, sep, comma, _, close = _layout(depth)
+    for k in keys:
+        out.append(sep)
+        out.append(encode_basestring_ascii(str(k)))
+        out.append(": ")
+        _encode(get(k), depth + 1, out)
+        sep = comma
+    out.append(close)
+
+
 def _encode(obj, depth, out):
     """Append the JSON text of obj, a value at nesting depth `depth`, to
-    the list out.  Types are tested in json's order."""
+    the list out.  JSON's own types are tested first, in json's order."""
     if isinstance(obj, str):
         out.append(encode_basestring_ascii(obj))
     elif obj is None:
@@ -128,17 +116,20 @@ def _encode(obj, depth, out):
             sep = comma
         out.append(close)
     elif isinstance(obj, dict):
-        if not obj:
-            out.append("{}")
-            return
+        _encode_members(sorted(obj), obj.__getitem__, depth, out)
+    elif isinstance(obj, complex):
         _, sep, comma, _, close = _layout(depth)
-        for k in sorted(obj):
-            out.append(sep)
-            out.append(encode_basestring_ascii(k))
-            out.append(": ")
-            _encode(obj[k], depth + 1, out)
-            sep = comma
-        out.append(close)
+        out += (sep, '"im": ', _float_text(obj.imag), comma, '"re": ',
+                _float_text(obj.real), close)
+    elif dataclasses.is_dataclass(type(obj)):
+        _encode_members(_sorted_fields(type(obj)),
+                        functools.partial(getattr, obj), depth, out)
+    elif isinstance(obj, Fraction):
+        out.append('"%d/%d"' % (obj.numerator, obj.denominator))
+    elif isinstance(obj, Angle):
+        out.append('"%s"' % obj)
+    elif isinstance(obj, (np.generic, np.ndarray)):
+        _encode(obj.tolist(), depth, out)
     else:
         raise TypeError("Object of type %s is not JSON serializable"
                         % type(obj).__name__)
@@ -146,7 +137,8 @@ def _encode(obj, depth, out):
 
 def write_json(path, doc):
     """`json.dumps(doc, sort_keys=True, indent=2)` and a newline, for
-    documents with string keys, as `jsonable` makes them."""
+    documents with string or int keys, with the values of other types
+    encoded as the module docstring says."""
     out = []
     _encode(doc, 0, out)
     out.append("\n")
@@ -163,8 +155,6 @@ def fmt_cell(v):
         return "%.12g" % float(v)
     if isinstance(v, Fraction):
         return "%d/%d" % (v.numerator, v.denominator)
-    if isinstance(v, Angle):
-        return str(v)
     return str(v)
 
 

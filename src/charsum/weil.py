@@ -327,20 +327,24 @@ def box_count(system, p, box, declared_dim, nvars=None, flag_height=None,
               budget=DEFAULT_BUDGET) -> BoxCountResult:
     """Points of the variety inside a product of residue ranges, with the
     random-model expectation p^dim * prod(box fractions) and a contained-
-    in-a-hyperplane flag (the one caveat to that model)."""
+    in-a-hyperplane flag (the one caveat to that model), searched up to
+    height flag_height in [0, HEIGHT_CAP]; 0 skips the search."""
     n = _system_nvars(system, nvars)
+    if flag_height is None:
+        flag_height = HEIGHT_CAP
+    if not 0 <= flag_height <= HEIGHT_CAP:
+        raise CharsumError("hyperplane height must be in [0, %d], got %d"
+                           % (HEIGHT_CAP, flag_height))
     count = len(_point_matrix(system, p, n, box, budget))
     fraction = count / p ** declared_dim
     expected = float(p ** declared_dim)
     for lo, hi in box:
         expected *= (hi - lo) / p
     flag = None
-    if flag_height is None:
-        flag_height = HEIGHT_CAP
     if flag_height:
         try:
             flag = hyperplane_height_test(system, flag_height, nvars=n)
-        except CharsumError:
+        except CharsumError:  # too few sample points
             flag = None
     return BoxCountResult(count=count, fraction=fraction, expected=expected,
                           hyperplane=flag)

@@ -1,6 +1,13 @@
-"""Plain scalar evaluators the tests check the package's kernels against;
-none of them is reached by the package itself."""
+"""Plain scalar evaluators the tests check the package's kernels against,
+and the converter to JSON's own types that the report writer is checked
+against; none of them is reached by the package itself."""
 
+import dataclasses
+from fractions import Fraction
+
+import numpy as np
+
+from charsum.angles import Angle
 from charsum.mpoly import frac_mod
 
 
@@ -15,3 +22,31 @@ def eval_mod(f, p, point):
                 t = t * pow(int(x), k, p) % p
         total = (total + t) % p
     return total
+
+
+def jsonable(obj):
+    """obj as JSON's own types, converted as `report.write_json` encodes
+    it: complex as {"re", "im"}, Fraction and Angle as "a/b", numpy values
+    by their Python equivalents, dataclasses as dicts of their fields."""
+    if obj is None or isinstance(obj, (bool, int, float, str)):
+        return obj
+    if isinstance(obj, np.bool_):
+        return bool(obj)
+    if isinstance(obj, np.integer):
+        return int(obj)
+    if isinstance(obj, np.floating):
+        return float(obj)
+    if isinstance(obj, (complex, np.complexfloating)):
+        return {"re": float(obj.real), "im": float(obj.imag)}
+    if isinstance(obj, Angle):
+        obj = obj.frac
+    if isinstance(obj, Fraction):
+        return "%d/%d" % (obj.numerator, obj.denominator)
+    if isinstance(obj, dict):
+        return {k: jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple, np.ndarray)):
+        return [jsonable(v) for v in obj]
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return {f.name: jsonable(getattr(obj, f.name))
+                for f in dataclasses.fields(obj)}
+    raise TypeError("cannot convert %r" % type(obj))

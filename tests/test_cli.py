@@ -267,6 +267,22 @@ def test_boxcount_flags_a_cylinder_but_not_two_axes():
         "(sampled over 3 large primes)" in cylinder.stdout
 
 
+@pytest.mark.parametrize("height, code, warning", [
+    ("21", 2, None), ("-3", 2, None), ("0", 0, None),
+    ("5", 0, "[1, 0] . x = 0 (exact)")])
+def test_boxcount_flag_height_range(capsys, height, code, warning):
+    assert main(["boxcount", "--system", "x + 0*y", "--prime", "101",
+                 "--box", "0:50,0:50", "--dim", "1",
+                 "--flag-height", height]) == code
+    out, err = capsys.readouterr()
+    if code:
+        assert "error: hyperplane height must be in [0, 20]" in err
+        assert "points in box" not in out  # refused before counting
+    else:
+        assert ("WARNING" in out) == (warning is not None)
+        assert warning is None or warning in out
+
+
 def test_boxcount_box_format_errors():
     r = run("boxcount", "--system", "y - x", "--prime", "11",
             "--box", "0-5,0-5", "--dim", "1")
@@ -303,6 +319,30 @@ def test_fourier_const_verify(tmp_path):
     doc = json.loads(out.read_text())
     assert doc["aggregate"]["plancherel_diff"] <= 1e-9
     assert doc["aggregate"]["inversion_error"] <= 1e-9
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_fourier_refuses_a_non_finite_const(tmp_path, capsys, value):
+    report = tmp_path / "out.json"
+    assert main(["fourier", "--prime", "7", "--nvars", "1", "--const", value,
+                 "--verify", "--json", str(report)]) == 2
+    assert "error: --const must be finite, got %s" % value \
+        in capsys.readouterr().err
+    assert not report.exists()
+
+
+def test_fourier_verdict_and_exit_code_agree_on_nan(capsys, monkeypatch):
+    from charsum import cli
+    monkeypatch.setattr(cli, "inversion_error", lambda *args: float("nan"))
+    assert main(["fourier", "--prime", "7", "--const", "1",
+                 "--verify"]) == 1
+    assert "inversion error: nan -> FAIL" in capsys.readouterr().out
+
+
+def test_weil_congruence_needs_a_limit(capsys):
+    assert main(["weil", "--poly", "x^3+x+1", "--prime", "7", "--mod", "4",
+                 "--res", "1"]) == 2
+    assert "error: --mod and --res need --xlimit" in capsys.readouterr().err
 
 
 def test_fourier_csv_round_trip(tmp_path):

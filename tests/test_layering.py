@@ -4,8 +4,9 @@ shows whichever of them is loaded first.  Only `angles` reads the table
 of p-th roots of unity; every other module goes through its kernels.
 F_p consumers read the point matrix, not the tuples of
 `enumerate_points`.  Each kernel step has one copy: the one-variable
-solve, the line sum's budget guard and the Weil verdict.  No module, in
-the package or among the tests, imports a name it never uses."""
+solve, the line sum's budget guard and the Weil verdict.  Report values
+are turned into text in one walk, by the writer.  No module, in the
+package or among the tests, imports a name it never uses."""
 
 import ast
 import subprocess
@@ -110,6 +111,30 @@ def test_only_the_line_sum_guards_a_line():
                   ast.parse((PACKAGE / (name + ".py")).read_text()),
                   _one_point_budget_check)}
     assert guards == {("weil", "_line_sum")}
+
+
+# (module, function) pairs that may test for Fraction: the report writer
+# and the CSV cell formatter, which turn it into text, and the operand
+# checks of exact arithmetic.  Another place that tests for it would be a
+# second walk that converts report values.
+FRACTION_TESTS = {("report", "_encode"), ("report", "fmt_cell"),
+                  ("angles", "__eq__"), ("mpoly", "_as_fraction"),
+                  ("mpoly", "_binop"), ("mpoly", "__mul__"),
+                  ("mpoly", "substitute"), ("nfield", "_check")}
+
+
+def _tests_for_fraction(node):
+    return (_is_call(node, "isinstance") and len(node.args) == 2
+            and any(getattr(n, "id", None) == "Fraction"
+                    for n in ast.walk(node.args[1])))
+
+
+def test_only_the_writers_turn_fractions_into_text():
+    tests = {(name, fn) for name in MODULES
+             for fn, _ in _by_function(
+                 ast.parse((PACKAGE / (name + ".py")).read_text()),
+                 _tests_for_fraction)}
+    assert tests == FRACTION_TESTS
 
 
 def _unused_imports(tree):

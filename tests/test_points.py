@@ -7,13 +7,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from charsum import (MPoly, build_extension, count_points, enumerate_points,
-                     parse_polynomial, prime_field, primes_in, sample_points)
-from charsum.errors import BadPrimeError, BudgetError, CharsumError
+                     hyperplane_height_test, parse_polynomial, prime_field,
+                     primes_in, sample_points)
+from charsum.errors import (DEFAULT_BUDGET, BadPrimeError, BudgetError,
+                            CharsumError)
 from charsum.measure import mu0_sweep
 from charsum.mpoly import Lowered
-from charsum import fppoly
+from charsum import fppoly, points
 from charsum.points import (_coeffs_in, _common_roots, _eliminate,
-                            _sample_matrix, lower)
+                            _point_matrix, _sample_matrix, lower)
 from charsum.polyroots import horner
 from oracles import eval_mod
 
@@ -297,6 +299,30 @@ def test_sample_points_across_walks_the_lines_y_first():
     # two directions find each point once: 7 points of this curve mod 7
     cubic = system_of(["y^2 - x^3 - x"], ("x", "y"))
     assert len(_sample_matrix(cubic, 7, 7, across=True)) == 7
+
+
+# the conics of the point_tables benchmark catalogue
+CATALOGUE_CONICS = ("y - x^2", "x*y - 1", "x^2 + y^2 - 1", "y^2 - x^3 - x",
+                    "x^2 - 3*y^2 - 1", "y - x^3 + x")
+
+
+def test_sqrt_table_is_left_to_budgeted_grids(monkeypatch):
+    # the table holds 8p bytes: neither a one-variable system nor sampling
+    # at a large prime may build it
+    def refuse(p):
+        raise AssertionError("square-root table built for p = %d" % p)
+
+    monkeypatch.setattr(points, "_sqrt_table", refuse)
+    p = 1000003  # 3 mod 8, so 2 is not a square
+    for text, roots in (("x^2 - 2", []), ("x^2 - 4", [[2], [p - 2]])):
+        system = system_of([text], ("x",))
+        assert _point_matrix(system, p, 1, None, DEFAULT_BUDGET).tolist() \
+            == roots
+    for text in CATALOGUE_CONICS:
+        system = system_of([text], ("x", "y"))
+        for across in (False, True):
+            assert len(_sample_matrix(system, p, 6, across=across)) == 6
+        hyperplane_height_test(system, 20)
 
 
 @st.composite

@@ -1,7 +1,7 @@
 import pytest
 
 from charsum import CharsumError, is_prime, next_prime, primes_in
-from charsum.errors import BudgetError
+from charsum.errors import DEFAULT_BUDGET, BudgetError
 
 
 def test_small_primality():
@@ -56,9 +56,7 @@ def test_empty_congruence_class_rejected():
 
 
 def test_sieve_limit_is_capped_before_allocation():
-    from charsum import points, primes
-    assert primes._SIEVE_BUDGET == points.DEFAULT_BUDGET
-    for limit in (primes._SIEVE_BUDGET + 1, 10 ** 12):
+    for limit in (DEFAULT_BUDGET + 1, 10 ** 12):
         with pytest.raises(BudgetError, match="budget exceeded"):
             primes_in(limit)
         with pytest.raises(BudgetError):

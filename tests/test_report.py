@@ -9,49 +9,46 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from charsum import Angle
-from charsum.report import (build_report, fmt_cell, jsonable, write_csv,
-                            write_json)
+from charsum.report import build_report, fmt_cell, write_csv, write_json
+from oracles import jsonable
 
 
-def test_jsonable_scalar_types():
-    assert jsonable(None) is None
-    assert jsonable(True) is True
-    assert jsonable(7) == 7
-    assert jsonable("s") == "s"
-    assert jsonable(1.5) == 1.5
-    assert jsonable(np.float64(2.5)) == 2.5
-    assert jsonable(np.int64(9)) == 9
-    assert isinstance(jsonable(np.int64(9)), int)
-    assert jsonable(np.bool_(True)) is True
-    assert jsonable(Fraction(3, 7)) == "3/7"
-    assert jsonable(Angle(Fraction(5, 4))) == "1/4"
-    assert jsonable(2 + 3j) == {"re": 2.0, "im": 3.0}
+def _written(tmp_path, doc):
+    """The document `write_json` writes for doc, read back."""
+    path = tmp_path / "doc.json"
+    write_json(path, doc)
+    return json.loads(path.read_text())
 
 
-def test_jsonable_containers_and_dataclasses():
-    assert jsonable([1, (2, 3)]) == [1, [2, 3]]
-    assert jsonable({"k": Fraction(1, 2)}) == {"k": "1/2"}
-    assert jsonable({1: "v"}) == {"1": "v"}
-    assert jsonable(np.arange(3)) == [0, 1, 2]
+def test_written_scalar_types(tmp_path):
+    values = [None, True, 7, "s", 1.5, np.float64(2.5), np.int64(9),
+              np.bool_(True), Fraction(3, 7), Angle(Fraction(5, 4)), 2 + 3j]
+    got = _written(tmp_path, values)
+    assert got == [None, True, 7, "s", 1.5, 2.5, 9, True, "3/7", "1/4",
+                   {"re": 2.0, "im": 3.0}]
+    assert got[0] is None and got[1] is True and got[7] is True
+    assert isinstance(got[6], int)
 
-    @dataclass
-    class Row:
-        p: int
-        angle: Angle
 
-    assert jsonable(Row(5, Angle(Fraction(1, 5)))) == \
+@dataclass
+class Row:
+    p: int
+    angle: Angle
+
+
+def test_written_containers_and_dataclasses(tmp_path):
+    assert _written(tmp_path, [1, (2, 3)]) == [1, [2, 3]]
+    assert _written(tmp_path, {"k": Fraction(1, 2)}) == {"k": "1/2"}
+    assert _written(tmp_path, {1: "v"}) == {"1": "v"}
+    assert _written(tmp_path, np.arange(3)) == [0, 1, 2]
+    assert _written(tmp_path, Row(5, Angle(Fraction(1, 5)))) == \
         {"p": 5, "angle": "1/5"}
 
 
-def test_jsonable_rejects_unknown_types():
-    with pytest.raises(TypeError):
-        jsonable(object())
-
-
-def test_build_report_shape():
-    doc = build_report("demo", {"x": 1}, records=[{"a": Fraction(1, 3)}],
-                       aggregate={"ok": True}, skipped=[(2, "why")],
-                       seed=42)
+def test_build_report_shape(tmp_path):
+    doc = _written(tmp_path, build_report(
+        "demo", {"x": 1}, records=[{"a": Fraction(1, 3)}],
+        aggregate={"ok": True}, skipped=[(2, "why")], seed=42))
     assert set(doc) == {"schema", "version", "command", "params", "seed",
                         "records", "aggregate", "skipped"}
     assert doc["schema"] == 1
@@ -85,8 +82,33 @@ SCALARS = st.one_of(
     st.text(),
     st.sampled_from(["", "\x00\x1f\x7f\n\t\"\\", "caf\u00e9 \u2713 \U0001f600",
                      "\ud800"]))
+
+
+@dataclass(frozen=True)
+class Pair:  # fields declared out of sorted order
+    weight: float
+    label: object
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+# values of the types reports hold besides JSON's own
+LIBRARY_VALUES = st.one_of(
+    st.builds(complex, st.floats(), st.floats()),
+    st.builds(Fraction, st.integers(-10 ** 30, 10 ** 30),
+              st.integers(1, 10 ** 30)),
+    st.builds(Angle, st.builds(Fraction, st.integers(-1000, 1000),
+                               st.integers(1, 1000))),
+    st.integers(-(1 << 63), (1 << 63) - 1).map(np.int64),
+    st.booleans().map(np.bool_),
+    st.floats().map(np.float64),
+    st.lists(FINITE, max_size=4).map(np.array),
+    st.lists(st.integers(-5, 5), max_size=6).map(
+        lambda xs: np.array(xs[:len(xs) // 2 * 2]).reshape(-1, 2)),
+    st.lists(st.builds(complex, FINITE, FINITE), max_size=3).map(np.array),
+    st.builds(Pair, st.floats(),
+              st.one_of(st.none(), st.integers(), st.text(max_size=3))))
 DOCUMENTS = st.recursive(
-    SCALARS,
+    st.one_of(SCALARS, LIBRARY_VALUES),
     lambda inner: st.one_of(
         st.lists(inner, max_size=5),
         st.lists(inner, max_size=3).map(tuple),
@@ -104,14 +126,22 @@ def test_write_json_matches_json_dumps(doc):
         write_json(path, doc)
         with open(path, "rb") as fh:
             text = fh.read()
-    expect = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    expect = json.dumps(jsonable(doc), sort_keys=True, indent=2) + "\n"
     assert text == expect.encode("ascii")
+
+
+def test_written_rejects_unknown_types(tmp_path):
+    for doc in (object(), {1, 2}, Row):
+        with pytest.raises(TypeError):
+            jsonable(doc)
+        with pytest.raises(TypeError):
+            write_json(tmp_path / "bad.json", doc)
 
 
 def test_write_json_rejects_what_json_rejects(tmp_path):
     for doc in (object(), {"k": {1j}}):
         with pytest.raises(TypeError):
-            json.dumps(doc)
+            json.dumps(jsonable(doc))
         with pytest.raises(TypeError):
             write_json(tmp_path / "bad.json", doc)
 
