@@ -321,15 +321,22 @@ def cmd_mu1(args):
 
 
 def _read_table_csv(path, p, n):
+    """The table of rows x1..xn,re,im; blank lines are skipped, and so is
+    a first line that is not such a row (a header)."""
     import csv as _csv
     arr = _table_array(p, n)
     with open(path, newline="") as fh:
         for line, row in enumerate(_csv.reader(fh), start=1):
             try:
+                if len(row) != n + 2:
+                    raise ValueError(row)
                 idx = tuple(int(v) % p for v in row[:n])
                 value = complex(float(row[n]), float(row[n + 1]))
-            except (ValueError, IndexError):
-                continue  # header, blank or ragged line
+            except ValueError:
+                if line == 1 or not any(v.strip() for v in row):
+                    continue
+                raise CharsumError("row %d of %s is not %d indices, re, "
+                                   "im: %s" % (line, path, n, ",".join(row)))
             if not np.isfinite(value):
                 raise CharsumError("row %d of %s is not finite: %s"
                                    % (line, path, ",".join(row)))
@@ -584,7 +591,7 @@ def _build_parser():
     sweep = argparse.ArgumentParser(add_help=False, parents=[congruence])
     sweep.add_argument("--xlimit", type=int, required=True,
                        help="walk primes up to this bound")
-    sweep.add_argument("--jobs", type=int, default=1,
+    sweep.add_argument("--jobs", type=positive_int, default=1,
                        help="worker processes for the sweep")
 
     roots = argparse.ArgumentParser(add_help=False, parents=[sweep])
@@ -640,7 +647,7 @@ def _build_parser():
     s.add_argument("--system", required=True)
     s.add_argument("--prime", type=int, required=True)
     s.add_argument("--box", required=True, help="lo:hi,lo:hi,...")
-    s.add_argument("--dim", type=int, required=True)
+    s.add_argument("--dim", type=nonnegative_int, required=True)
     s.add_argument("--flag-height", dest="flag_height", type=int,
                    default=HEIGHT_CAP,
                    help="hyperplane search height (0 disables)")
@@ -648,13 +655,13 @@ def _build_parser():
     s = command(cmd_mu0, "leading-order measure sweep |D| / p^dim",
                 [budget, nvars, sweep])
     s.add_argument("--system", required=True)
-    s.add_argument("--dim", type=int, required=True)
+    s.add_argument("--dim", type=nonnegative_int, required=True)
 
     s = command(cmd_mu1, "sqrt-scale signed comparison of two varieties",
                 [budget, nvars, sweep])
     s.add_argument("--system", required=True)
     s.add_argument("--system2", required=True)
-    s.add_argument("--dim", type=int, required=True)
+    s.add_argument("--dim", type=nonnegative_int, required=True)
 
     s = command(cmd_fourier, "finite Fourier transform of a table on F_p^n",
                 [budget])

@@ -18,8 +18,8 @@ import numpy as np
 from .angles import character_sum
 from .errors import BadPrimeError, BudgetError, CharsumError
 from .parallel import pmap
-from .points import (_CHUNK, DEFAULT_BUDGET, _free_grid, _point_matrix,
-                     count_points, lower)
+from .points import (_CHUNK, DEFAULT_BUDGET, _check_budget, _free_grid,
+                     _point_matrix, _system_nvars, count_points, lower)
 
 FOURIER_BUDGET = 1 << 24
 
@@ -63,7 +63,11 @@ def _count_worker(plans, budget, p):
 def _count_series(systems, declared_dim, primes, budget, jobs, normalize):
     """Records (p, counts..., normalize(p, counts...)) along the primes;
     the dimension slope is taken from the first count.  Each system is
-    lowered once, here, so the workers receive the plans."""
+    lowered once, here, so the workers receive the plans.  A system in n
+    variables with 2^n over the budget exceeds it at every prime, since
+    p^n >= 2^n, and is refused before it is lowered."""
+    for system, nvars in systems:
+        _check_budget(2, _system_nvars(system, nvars), budget)
     plans = tuple(lower(system, nvars) for system, nvars in systems)
     worker = partial(_count_worker, plans, budget)
     records, skipped = [], []

@@ -12,6 +12,7 @@ elimination over Q.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 
 from .errors import BadPrimeError, CharsumError
@@ -46,8 +47,8 @@ class MPoly:
     def __init__(self, nvars, terms=None):
         cleaned = {}
         for expts, c in (terms or {}).items():
-            expts = tuple(int(e) for e in expts)
-            if len(expts) != nvars or any(e < 0 for e in expts):
+            expts = tuple(map(int, expts))
+            if len(expts) != nvars or (expts and min(expts) < 0):
                 raise ValueError("bad exponent tuple %r for %d variables"
                                  % (expts, nvars))
             c = _as_fraction(c)
@@ -115,7 +116,7 @@ class MPoly:
         terms = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
+                e = tuple(map(operator.add, e1, e2))
                 terms[e] = terms.get(e, Fraction(0)) + c1 * c2
         return MPoly(self.nvars, terms)
 

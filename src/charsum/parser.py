@@ -11,6 +11,10 @@ Grammar (juxtaposition is NOT multiplication; '*' is required):
 
 The optional leading '-' is the only extension over the stated grammar;
 canonical printing never emits anything the grammar cannot re-read.
+Numbers are decimal.  The parse is one loop over the token list with an
+explicit stack of open parentheses, so neither the length nor the nesting
+depth of an expression is limited; it runs once to check the tokens and
+once to build the polynomial.
 """
 
 from __future__ import annotations
@@ -46,152 +50,136 @@ def _normal_form(pe):
     return (names, poly.nvars, frozenset(poly.terms.items()))
 
 
-class _Tokenizer:
-    def __init__(self, text):
-        self.text = text
-        self.pos = 0
-
-    def _skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self):
-        self._skip_ws()
-        if self.pos >= len(self.text):
-            return ("end", "", self.pos)
-        ch = self.text[self.pos]
-        start = self.pos
+def _tokens(text):
+    """The (kind, text, offset) tokens of `text`.  The list ends with
+    ("end", "", len(text)), or with ("bad", ch, offset) at the first
+    character that starts no token; that one raises only when the parse
+    reaches it, so the first error in reading order is the one reported."""
+    out, i, n = [], 0, len(text)
+    while True:
+        while i < n and text[i].isspace():
+            i += 1
+        if i == n:
+            out.append(("end", "", n))
+            return out
+        start, ch = i, text[i]
         if ch.isdigit():
-            j = start
-            while j < len(self.text) and self.text[j].isdigit():
-                j += 1
-            return ("nat", self.text[start:j], start)
-        if ch.isalpha():
-            j = start
-            while j < len(self.text) and (self.text[j].isalnum()
-                                          or self.text[j] == "_"):
-                j += 1
-            return ("name", self.text[start:j], start)
-        if ch in "+-*/^()":
-            return (ch, ch, start)
-        raise ParseError("unexpected character %r" % ch, start)
-
-    def take(self):
-        tok = self.peek()
-        self.pos = tok[2] + len(tok[1])
-        return tok
+            while i < n and text[i].isdigit():
+                i += 1
+            kind = "nat"
+        elif ch.isalpha():
+            while i < n and (text[i].isalnum() or text[i] == "_"):
+                i += 1
+            kind = "name"
+        elif ch in "+-*/^()":
+            i, kind = i + 1, ch
+        else:
+            out.append(("bad", ch, start))
+            return out
+        out.append((kind, text[start:i], start))
 
 
-class _Parser:
-    def __init__(self, text, variables=None):
-        self.toks = _Tokenizer(text)
-        self.declared = list(variables) if variables is not None else None
-        self.seen = []
+def _token(tokens, i):
+    kind, text, pos = tok = tokens[i]
+    if kind == "bad":
+        raise ParseError("unexpected character %r" % text, pos)
+    return tok
 
-    def var_index(self, name, pos):
-        if self.declared is not None:
-            if name not in self.declared:
-                raise ParseError("unknown variable %r" % name, pos)
-        if name not in self.seen:
-            self.seen.append(name)
-        return name
 
-    # First pass builds an AST keyed by names; exponent tuples are
-    # assigned after the full variable set is known.
+def _nat(text, pos):
+    """The value of a digits token.  '²' is a digit to the tokenizer, so
+    in "x ²" it is reported as trailing input; only a number the grammar
+    reads must be decimal."""
+    if not text.isdecimal():
+        raise ParseError("not a decimal number %r" % text, pos)
+    try:
+        return int(text)
+    except ValueError:  # more digits than int() converts
+        raise ParseError("number too long: %d digits" % len(text),
+                         pos) from None
 
-    def parse_expr(self):
-        kind, _, _ = self.toks.peek()
-        negate = False
-        if kind == "-":
-            self.toks.take()
-            negate = True
-        node = self.parse_term()
-        if negate:
-            node = ("neg", node)
-        while True:
-            kind, _, _ = self.toks.peek()
-            if kind == "+":
-                self.toks.take()
-                node = ("add", node, self.parse_term())
-            elif kind == "-":
-                self.toks.take()
-                node = ("sub", node, self.parse_term())
-            else:
-                return node
 
-    def parse_term(self):
-        node = self.parse_factor()
-        while True:
-            kind, _, _ = self.toks.peek()
-            if kind == "*":
-                self.toks.take()
-                node = ("mul", node, self.parse_factor())
-            else:
-                return node
+def _sum(polys, nvars):
+    """The sum of `polys`, merged in one pass over their terms."""
+    if len(polys) == 1:
+        return polys[0]
+    terms = {}
+    for poly in polys:
+        for expts, c in poly.terms.items():
+            terms[expts] = terms.get(expts, 0) + c
+    return MPoly(nvars, terms)
 
-    def parse_factor(self):
-        node = self.parse_base()
-        kind, _, _ = self.toks.peek()
-        if kind == "^":
-            self.toks.take()
-            k2, text, pos = self.toks.peek()
-            if k2 != "nat":
-                raise ParseError("expected a natural number exponent", pos)
-            self.toks.take()
-            e = int(text)
-            if e >= EXPONENT_CAP:
-                raise ParseError("exponent %d exceeds cap 2^32" % e, pos)
-            node = ("pow", node, e)
-        return node
 
-    def parse_base(self):
-        kind, text, pos = self.toks.take()
+def _read(tokens, index, nvars, build):
+    """The polynomial the tokens spell.  With `build` false the same walk
+    only checks them and builds nothing, so the first error is raised
+    before any expansion, however large, is begun."""
+    # Each open parenthesis saves the enclosing sum: its finished terms,
+    # the sign of its current term and that term's product so far.
+    stack, terms, sign, product = [], [], 1, None
+    i, opening = 0, True  # at the start of a sum, where a '-' may stand
+    while True:
+        kind, tok, pos = _token(tokens, i)
+        i += 1
+        if opening and kind == "-":
+            sign, opening = -1, False
+            continue
+        opening = kind == "("
+        if opening:
+            stack.append((terms, sign, product))
+            terms, sign, product = [], 1, None
+            continue
         if kind == "nat":
-            k2, t2, _ = self.toks.peek()
-            if k2 == "/":
-                self.toks.take()
-                k3, t3, pos3 = self.toks.peek()
-                if k3 != "nat":
-                    raise ParseError("expected a denominator", pos3)
-                self.toks.take()
-                if int(t3) == 0:
-                    raise ParseError("zero denominator", pos3)
-                return ("const", Fraction(int(text), int(t3)))
-            return ("const", Fraction(int(text)))
-        if kind == "name":
-            return ("var", self.var_index(text, pos))
-        if kind == "(":
-            node = self.parse_expr()
-            k2, _, pos2 = self.toks.peek()
-            if k2 != ")":
-                raise ParseError("expected ')'", pos2)
-            self.toks.take()
-            return node
-        raise ParseError("expected a rational, a variable or '('", pos)
-
-    def finish(self):
-        kind, text, pos = self.toks.peek()
-        if kind != "end":
-            raise ParseError("unexpected trailing input %r" % text, pos)
-
-
-def _build(node, index, nvars):
-    op = node[0]
-    if op == "const":
-        return MPoly.constant(node[1], nvars)
-    if op == "var":
-        return MPoly.variable(index[node[1]], nvars)
-    if op == "neg":
-        return -_build(node[1], index, nvars)
-    if op == "add":
-        return _build(node[1], index, nvars) + _build(node[2], index, nvars)
-    if op == "sub":
-        return _build(node[1], index, nvars) - _build(node[2], index, nvars)
-    if op == "mul":
-        return _build(node[1], index, nvars) * _build(node[2], index, nvars)
-    if op == "pow":
-        return _build(node[1], index, nvars) ** node[2]
-    raise AssertionError(op)
+            den = 1
+            if _token(tokens, i)[0] == "/":
+                dkind, dtext, dpos = _token(tokens, i + 1)
+                if dkind != "nat":
+                    raise ParseError("expected a denominator", dpos)
+                den = _nat(dtext, dpos)
+                if den == 0:
+                    raise ParseError("zero denominator", dpos)
+                i += 2
+            value = Fraction(_nat(tok, pos), den)
+            base = MPoly.constant(value, nvars) if build else None
+        elif kind == "name":
+            if tok not in index:
+                raise ParseError("unknown variable %r" % tok, pos)
+            base = MPoly.variable(index[tok], nvars) if build else None
+        else:
+            raise ParseError("expected a rational, a variable or '('", pos)
+        while True:  # after a base; each ')' closes a sum into a new base
+            kind, tok, pos = _token(tokens, i)
+            if kind == "^":
+                kind, tok, pos = _token(tokens, i + 1)
+                if kind != "nat":
+                    raise ParseError("expected a natural number exponent",
+                                     pos)
+                e = _nat(tok, pos)
+                if e >= EXPONENT_CAP:
+                    raise ParseError("exponent %d exceeds cap 2^32" % e, pos)
+                if build:
+                    base = base ** e
+                i += 2
+                kind, tok, pos = _token(tokens, i)
+            if build:
+                product = base if product is None else product * base
+                if kind != "*":  # the term is finished
+                    terms.append(product if sign > 0 else -product)
+            if kind == "*":
+                i += 1
+                break
+            if kind in ("+", "-"):
+                sign, product, i = (1 if kind == "+" else -1), None, i + 1
+                break
+            if not stack and kind != "end":
+                raise ParseError("unexpected trailing input %r" % tok, pos)
+            if stack and kind != ")":
+                raise ParseError("expected ')'", pos)
+            base = _sum(terms, nvars)
+            if not stack:
+                return base
+            i += 1
+            terms, sign, product = stack.pop()
 
 
 def parse_polynomial(text, variables=None) -> PolyExpr:
@@ -200,16 +188,14 @@ def parse_polynomial(text, variables=None) -> PolyExpr:
     With `variables` the name table and its ordering are pinned (unknown
     names are errors); otherwise names are collected and sorted.
     """
-    parser = _Parser(text, variables)
-    ast = parser.parse_expr()
-    parser.finish()
-    if variables is not None:
-        names = tuple(variables)
+    tokens = _tokens(text)
+    if variables is None:
+        names = tuple(sorted({t for kind, t, _ in tokens if kind == "name"}))
     else:
-        names = tuple(sorted(parser.seen))
+        names = tuple(variables)
     index = {name: i for i, name in enumerate(names)}
-    poly = _build(ast, index, len(names))
-    return PolyExpr(text, poly, names)
+    _read(tokens, index, len(names), build=False)
+    return PolyExpr(text, _read(tokens, index, len(names), True), names)
 
 
 def _fmt_coeff(c: Fraction) -> str:

@@ -178,6 +178,29 @@ def test_parse_error_is_exit_2():
     assert "error:" in r.stderr
 
 
+def test_thousand_term_polynomial_runs():
+    poly = " + ".join("x^%d" % k for k in range(1, 1001))
+    r = run("weil", "--poly", poly, "--prime", "1000003")
+    assert r.returncode == 0, r.stderr
+    assert "Traceback" not in r.stderr
+
+
+def test_non_decimal_exponent_is_a_parse_error():
+    r = run("weil", "--poly", "x^\u00b2", "--prime", "7")
+    assert r.returncode == 2
+    assert "not a decimal number" in r.stderr
+    assert "(at offset 2)" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
+def test_sweep_of_a_system_that_fits_at_no_prime_is_refused():
+    system = "*".join("a%d" % k for k in range(1, 1201))
+    r = run("mu0", "--system", system, "--dim", "1", "--xlimit", "10")
+    assert r.returncode == 2
+    assert "budget exceeded" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
 def test_congruence_flags_must_pair():
     r = run("dfi", "--poly", "x^2 + 1", "--xlimit", "50", "--mod", "4")
     assert r.returncode == 2
@@ -373,6 +396,26 @@ def test_fourier_refuses_non_finite_csv_values(tmp_path, cell):
     assert not report.exists()
 
 
+@pytest.mark.parametrize("bad", ["2,1O,0", "4.5,1,0", "5,1", "6,1,0,0"])
+def test_fourier_refuses_a_malformed_csv_row(tmp_path, bad):
+    rows = ["x,re,im"] + ["%d,1,0" % x for x in range(7)] + [bad]
+    table = tmp_path / "t.csv"
+    table.write_text("\n".join(rows) + "\n")
+    r = run("fourier", "--prime", "7", "--input", str(table))
+    assert r.returncode == 2
+    assert "row 9 of" in r.stderr and bad in r.stderr
+    assert "Traceback" not in r.stderr
+
+
+def test_fourier_reads_a_csv_without_header_and_with_blank_lines(tmp_path):
+    table = tmp_path / "t.csv"
+    table.write_text("0,1,0\n\n" + "".join("%d,1,0\n" % x
+                                            for x in range(1, 7)) + "\n")
+    r = run("fourier", "--prime", "7", "--input", str(table))
+    assert r.returncode == 0, r.stderr
+    assert "p^-n sum|f|^2 = 1," in r.stdout
+
+
 def test_fourier_large_prime_const_runs(tmp_path):
     # p^n is inside the transform budget; no p x p kernel is built
     out = tmp_path / "f.json"
@@ -533,11 +576,28 @@ def test_counts_must_be_positive():
                   "--nvars", "0"),
                  ("psisym", "--prime", "7", "--ext", "0", "--coeffs", "1"),
                  ("kappa", "--p-poly", "y^2 - b", "--q-poly", "y",
-                  "--point", "4", "--prime", "11", "--ext", "0")):
+                  "--point", "4", "--prime", "11", "--ext", "0"),
+                 ("mu0", "--system", "x", "--dim", "0", "--xlimit", "20",
+                  "--jobs", "0"),
+                 ("dfi", "--poly", "x^2 + 1", "--xlimit", "50",
+                  "--jobs", "-3")):
         r = run(*args)
         assert r.returncode == 2, args
         assert "must be at least 1" in r.stderr
         assert "Traceback" not in r.stderr
+
+
+@pytest.mark.parametrize("args", [
+    ("boxcount", "--system", "y - x^2", "--prime", "101",
+     "--box", "0:50,0:50"),
+    ("mu0", "--system", "x", "--xlimit", "20"),
+    ("mu1", "--system", "x", "--system2", "x - 1", "--xlimit", "20")],
+    ids=["boxcount", "mu0", "mu1"])
+def test_dimension_must_not_be_negative(args):
+    r = run(*args, "--dim", "-1")
+    assert r.returncode == 2
+    assert "--dim: must be at least 0" in r.stderr
+    assert "Traceback" not in r.stderr
 
 
 @pytest.mark.parametrize("p", ["0", "1", "4", "-3"])

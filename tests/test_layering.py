@@ -5,7 +5,8 @@ of p-th roots of unity; every other module goes through its kernels.
 F_p consumers read the point matrix, not the tuples of
 `enumerate_points`.  Each kernel step has one copy: the one-variable
 solve, the line sum's budget guard and the Weil verdict.  Report values
-are turned into text in one walk, by the writer.  No module, in the
+are turned into text in one walk, by the writer.  The parser does not
+recurse.  No module, in the
 package or among the tests, imports a name it never uses."""
 
 import ast
@@ -135,6 +136,43 @@ def test_only_the_writers_turn_fractions_into_text():
                  ast.parse((PACKAGE / (name + ".py")).read_text()),
                  _tests_for_fraction)}
     assert tests == FRACTION_TESTS
+
+
+def _recursive_functions(tree):
+    """Functions of a module that reach themselves through calls, by name,
+    of functions the same module defines."""
+    defs = {fn.name: fn for fn in ast.walk(tree)
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))}
+    calls = {name: {callee for node in ast.walk(fn)
+                    if isinstance(node, ast.Call)
+                    for callee in (getattr(node.func, "id", None),
+                                   getattr(node.func, "attr", None))
+                    if callee in defs}
+             for name, fn in defs.items()}
+    out = set()
+    for start in defs:
+        seen, todo = set(), list(calls[start])
+        while todo:
+            name = todo.pop()
+            if name == start:
+                out.add(start)
+            elif name not in seen:
+                seen.add(name)
+                todo.extend(calls[name])
+    return out
+
+
+def test_the_parser_does_not_recurse():
+    # one loop with an explicit stack: no limit on length or nesting
+    tree = ast.parse((PACKAGE / "parser.py").read_text())
+    assert _recursive_functions(tree) == set()
+
+
+def test_recursion_check_sees_a_cycle():
+    tree = ast.parse("def f(n):\n    return g(n)\n"
+                     "def g(n):\n    return n and f(n - 1)\n"
+                     "def h(n):\n    return f(n)\n")
+    assert _recursive_functions(tree) == {"f", "g"}
 
 
 def _unused_imports(tree):

@@ -74,6 +74,20 @@ def test_mu0_budget_is_reported_per_prime():
     assert (31, "budget exceeded") in series.skipped
 
 
+@pytest.mark.parametrize("nvars", [31, 40, 1200])
+def test_mu0_refuses_a_system_that_fits_at_no_prime(nvars, monkeypatch):
+    # p^n >= 2^n > budget at every prime, so the sweep is refused before
+    # the system is lowered (1200 variables would exceed the recursion
+    # limit there)
+    monkeypatch.setattr(measure, "lower", None)
+    names = ["a%d" % k for k in range(1, nvars + 1)]
+    system = [poly("*".join(names))]
+    with pytest.raises(BudgetError, match=r"exceeded: 2\^%d" % nvars):
+        mu0_sweep(system, 1, primes_in(10))
+    with pytest.raises(BudgetError):
+        mu1_sweep(system, system, 1, primes_in(10))
+
+
 def test_mu0_parallel_results_identical():
     system = [poly("y^2 - x^3 - x", ("x", "y"))]
     a = mu0_sweep(system, 1, primes_in(80), jobs=1)
