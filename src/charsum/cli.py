@@ -31,12 +31,11 @@ from .errors import CharsumError
 from .ffield import build_extension, prime_field
 from .laurent import laurent_from_expression
 from .measure import (ValueTable, _check_table_size, _table_array,
-                      constant_table, delta_table, fourier_table,
-                      inversion_error, mu0_sweep, mu1_sweep,
-                      pushforward_weyl, sum_abs_sq)
+                      constant_table, delta_table, fourier_check,
+                      fourier_table, mu0_sweep, mu1_sweep, pushforward_weyl)
 from .mpoly import poly_rem
 from .nfield import NFElem, lattice_basis, nf_build, value_set
-from .parser import parse_polynomial, print_polynomial
+from .parser import parse_polynomial, print_polynomial, variable_names
 from .points import DEFAULT_BUDGET, _point_matrix
 from .primes import primes_in
 from .report import build_report, write_csv, write_json
@@ -68,16 +67,19 @@ def _parse_system(*texts, nvars=None):
     per text, variable names)."""
     parts = [[s.strip() for s in text.split(";") if s.strip()]
              for text in texts]
-    names = sorted({v for ps in parts for s in ps
-                    for v in parse_polynomial(s).variables})
+    names = sorted(set().union(*(variable_names(s)
+                                 for ps in parts for s in ps)))
+    used = len(names)
     if nvars is not None:
-        if nvars < len(names):
-            raise CharsumError("--nvars %d is below the %d variables the "
-                               "system uses" % (nvars, len(names)))
         # "_k" cannot be written in a polynomial, so it names no input
-        names += ["_%d" % k for k in range(len(names), nvars)]
-    return ([[parse_polynomial(s, variables=names).poly for s in ps]
-             for ps in parts], names)
+        names += ["_%d" % k for k in range(used, nvars)]
+    systems = [[parse_polynomial(s, variables=names).poly for s in ps]
+               for ps in parts]
+    # after the parse, so a malformed polynomial is reported first
+    if nvars is not None and nvars < used:
+        raise CharsumError("--nvars %d is below the %d variables the "
+                           "system uses" % (nvars, used))
+    return systems, names
 
 
 def _systems_nvars(args, *texts):
@@ -322,7 +324,8 @@ def cmd_mu1(args):
 
 def _read_table_csv(path, p, n):
     """The table of rows x1..xn,re,im; blank lines are skipped, and so is
-    a first line that is not such a row (a header)."""
+    a first line that is not such a row (a header).  The table is real
+    until a row has a nonzero imaginary part."""
     import csv as _csv
     arr = _table_array(p, n)
     with open(path, newline="") as fh:
@@ -340,7 +343,9 @@ def _read_table_csv(path, p, n):
             if not np.isfinite(value):
                 raise CharsumError("row %d of %s is not finite: %s"
                                    % (line, path, ",".join(row)))
-            arr[idx] = value
+            if value.imag and not np.iscomplexobj(arr):
+                arr = arr.astype(np.complex128)
+            arr[idx] = value if np.iscomplexobj(arr) else value.real
     return ValueTable._adopt(p, n, arr)
 
 
@@ -350,7 +355,7 @@ def cmd_fourier(args):
     if args.const is not None:
         if not np.isfinite(args.const):
             raise CharsumError("--const must be finite, got %s" % args.const)
-        table = constant_table(p, n, complex(args.const))
+        table = constant_table(p, n, args.const)
     elif args.delta:
         table = delta_table(p, n)
     elif args.indicator is not None:
@@ -360,15 +365,12 @@ def cmd_fourier(args):
             p, n, _point_matrix(system, p, n, None, args.budget))
     else:
         table = _read_table_csv(args.input, p, n)
-    out = fourier_table(table)
-    lhs = table.norm_sq_mean()
-    rhs = sum_abs_sq(out.values)
+    lhs, rhs, inversion_err = fourier_check(table, args.verify)
     print("transform of a %d^%d table" % (p, n))
     print("plancherel: p^-n sum|f|^2 = %.12g, sum|F f|^2 = %.12g, "
           "diff = %.3g" % (lhs, rhs, abs(lhs - rhs)))
-    inversion_err, failed = None, False
+    failed = False
     if args.verify:
-        inversion_err = inversion_error(table, fourier_table(out))
         failed = not inversion_err <= 1e-9
         print("inversion error: %.3g -> %s"
               % (inversion_err, "FAIL" if failed else "PASS"))
@@ -378,7 +380,7 @@ def cmd_fourier(args):
             raise CharsumError("table too large for CSV: %d^%d > %d"
                                % (p, n, CSV_TABLE_CAP))
         return [idx + (v.real, v.imag)
-                for idx, v in np.ndenumerate(out.values)]
+                for idx, v in np.ndenumerate(fourier_table(table).values)]
 
     return Outcome(
         {"prime": p, "nvars": n, "const": args.const, "delta": args.delta,

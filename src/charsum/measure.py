@@ -107,23 +107,25 @@ def _check_table_size(p, n):
                           % (p, n, FOURIER_BUDGET))
 
 
-def _table_array(p, n, fill=0):
-    """A fresh (p,)*n complex array, refused before allocation when it
-    would exceed FOURIER_BUDGET cells."""
+def _table_array(p, n, fill=0, dtype=np.float64):
+    """A fresh (p,)*n array, real unless `dtype` says otherwise, refused
+    before allocation when it would exceed FOURIER_BUDGET cells."""
     _check_table_size(p, n)
-    arr = np.zeros((p,) * n, dtype=np.complex128)
+    arr = np.zeros((p,) * n, dtype=dtype)
     if fill:
         arr.fill(fill)
     return arr
 
 
 class ValueTable:
-    """A complex-valued function on F_p^n, stored densely."""
+    """A real- or complex-valued function on F_p^n, stored densely: a
+    float64 table when every value is real, else complex128."""
 
     __slots__ = ("p", "n", "values")
 
     def __init__(self, p, n, values):
-        """Wraps a copy of `values`, so the caller's array stays theirs."""
+        """Wraps a complex copy of `values`, so the caller's array stays
+        theirs."""
         values = np.array(values, dtype=np.complex128)
         if values.shape != (p,) * n:
             raise CharsumError("value table must have shape (p,)*n")
@@ -132,8 +134,9 @@ class ValueTable:
 
     @classmethod
     def _adopt(cls, p, n, arr):
-        """Wraps a fresh (p,)*n complex128 array without copying it; the
-        array is made read-only, so no one may write to it afterwards."""
+        """Wraps a fresh (p,)*n float64 or complex128 array without
+        copying it; the array is made read-only, so no one may write to
+        it afterwards."""
         arr.setflags(write=False)
         table = cls.__new__(cls)
         table.p, table.n, table.values = p, n, arr
@@ -142,7 +145,7 @@ class ValueTable:
     @classmethod
     def indicator(cls, p, n, points):
         """1 on the points (an (N, n) int array or a sequence of n-tuples,
-        each coordinate taken mod p), 0 elsewhere."""
+        each coordinate taken mod p), 0 elsewhere; a real table."""
         arr = _table_array(p, n)
         pts = np.asarray(points, dtype=np.int64).reshape(-1, n) % p
         arr[tuple(pts.T)] = 1.0
@@ -158,15 +161,23 @@ class ValueTable:
         return sum_abs_sq(self.values) / self.p ** self.n
 
 
+_BLOCK_CELLS = 1 << 14  # cells per block of a blockwise pass
+
+
 def sum_abs_sq(values) -> float:
-    """sum |v|^2 over a complex table, squaring one float table in place."""
-    sq = np.abs(values)
-    np.square(sq, out=sq)
-    return float(np.sum(sq))
+    """sum |v|^2 over a real or complex table: the squares of its real
+    and imaginary parts, summed pairwise a block at a time, so no
+    full-size temporary is made."""
+    flat = np.ascontiguousarray(values).reshape(-1)
+    if np.iscomplexobj(flat):
+        flat = flat.view(np.float64)
+    return float(np.sum([np.sum(np.square(flat[at:at + _BLOCK_CELLS]))
+                         for at in range(0, flat.size, _BLOCK_CELLS)]))
 
 
 def fourier_table(table: ValueTable) -> ValueTable:
-    """F(phi)(y) = p^{-n} sum_x Psi_p(x.y) phi(x).
+    """F(phi)(y) = p^{-n} sum_x Psi_p(x.y) phi(x), the full complex table,
+    for a real or complex phi.
 
     This is exactly numpy's inverse FFT, whose kernel is e(+x.y/p) with
     the factor p^{-n}: O(p^n log p) time, prime lengths taking
@@ -178,12 +189,59 @@ def fourier_table(table: ValueTable) -> ValueTable:
     """
     p, n = table.p, table.n
     _check_table_size(p, n)
-    out = np.empty_like(table.values)
+    out = np.empty(table.values.shape, dtype=np.complex128)
     np.fft.ifftn(table.values, out=out)
     return ValueTable._adopt(p, n, out)
 
 
-_BLOCK_CELLS = 1 << 14  # 256 KiB of complex values per block of rows
+def half_spectrum(table: ValueTable):
+    """F(phi) of a real table on the half y_n in [0, p // 2], one complex
+    array of p^(n-1) (p // 2 + 1) cells; the rest of F(phi) is
+    F(-y) = conj F(y).  The real FFT of the last axis is the one
+    allocation; every other axis is transformed in place, and the
+    forward kernel e(-x.y/p) is turned into F's by conjugating, which
+    for a real phi is exact."""
+    p, n = table.p, table.n
+    _check_table_size(p, n)
+    half = np.fft.rfft(table.values, axis=-1)
+    for axis in range(n - 1):
+        np.fft.fft(half, axis=axis, out=half)
+    np.conjugate(half, out=half)
+    half /= p ** n
+    return half
+
+
+def fourier_check(table: ValueTable, verify=False):
+    """(lhs, rhs, inversion error): the Plancherel sides p^{-n} sum|phi|^2
+    and sum|F(phi)|^2, and with `verify` the `inversion_error` of
+    F(F(phi)), else None.
+
+    A complex phi takes the full transforms of `fourier_table`.  A real
+    phi takes its half spectrum: there a column y_n stands for itself
+    and its mirror -y_n, so it counts twice in rhs, except y_n = 0 and,
+    at p = 2 only, y_n = 1, which are their own mirrors.
+    F(F(phi)) = p^{-n} phi(-x) is real, so the second transform runs in
+    place on the half spectrum and its real inverse FFT of the last axis
+    makes one float64 table: at most three real-size tables are held at
+    once."""
+    p, n = table.p, table.n
+    lhs = table.norm_sq_mean()
+    back = None
+    if np.iscomplexobj(table.values):
+        out = fourier_table(table)
+        rhs = sum_abs_sq(out.values)
+        if verify:
+            back = fourier_table(out)
+    else:
+        half = half_spectrum(table)
+        lone = (0,) if p % 2 else (0, p // 2)
+        rhs = 2 * sum_abs_sq(half) - sum(sum_abs_sq(half[..., k])
+                                         for k in lone)
+        if verify:
+            for axis in range(n - 1):
+                np.fft.ifft(half, axis=axis, out=half)
+            back = ValueTable._adopt(p, n, np.fft.irfft(half, n=p, axis=-1))
+    return lhs, rhs, None if back is None else inversion_error(table, back)
 
 
 def inversion_error(table: ValueTable, back: ValueTable) -> float:
@@ -195,9 +253,10 @@ def inversion_error(table: ValueTable, back: ValueTable) -> float:
     neg = (-np.arange(p)) % p
     other = tuple(range(1, n))
     step = max(1, _BLOCK_CELLS // p ** (n - 1))
+    dtype = np.result_type(table.values, back.values)
     worst = []
     for start in range(0, p, step):
-        rows = table.values[neg[start:start + step]]
+        rows = table.values[neg[start:start + step]].astype(dtype, copy=False)
         if other:
             # flipping sends x to p - 1 - x, rolling by one to -x
             rows = np.roll(np.flip(rows, axis=other), 1, axis=other)
@@ -208,13 +267,16 @@ def inversion_error(table: ValueTable, back: ValueTable) -> float:
 
 
 def delta_table(p, n, at=None) -> ValueTable:
+    """A real table, 1 at `at` (the origin by default) and 0 elsewhere."""
     arr = _table_array(p, n)
     arr[tuple((at or (0,) * n))] = 1.0
     return ValueTable._adopt(p, n, arr)
 
 
 def constant_table(p, n, value=1.0) -> ValueTable:
-    return ValueTable._adopt(p, n, _table_array(p, n, value))
+    """The constant `value`: a real table unless `value` is complex."""
+    dtype = np.complex128 if np.iscomplexobj(value) else np.float64
+    return ValueTable._adopt(p, n, _table_array(p, n, value, dtype))
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,7 @@ once to build the polynomial.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -26,6 +27,7 @@ from .errors import ParseError
 from .mpoly import MPoly
 
 EXPONENT_CAP = 1 << 32
+POWER_CAP = 1 << 24  # terms x max(coefficient bits, 64) of one power
 
 
 @dataclass(frozen=True)
@@ -110,6 +112,36 @@ def _sum(polys, nvars):
     return MPoly(nvars, terms)
 
 
+def _check_power(base, e, pos):
+    """Refuses base^e before it is multiplied out when a bound on its
+    size, terms x max(coefficient bits, 64), exceeds POWER_CAP.  A power
+    of t terms has at most C(t+e-1, e) terms, and at most
+    prod_v (e deg_v + 1), one per exponent vector in its box.  With the
+    coefficients written g_i / D over their common denominator, each of
+    its coefficients is a sum of products over D^e of magnitude at most
+    (sum |g_i|)^e / D^e, so its numerator and denominator take at most
+    e log2(D sum |g_i|) bits.  This bounds memory, not time."""
+    terms = base.terms
+    if e < 2 or not terms:
+        return
+    count = 1
+    if len(terms) > 1:
+        count = math.prod(e * max(col) + 1 for col in zip(*terms))
+        k = min(e, len(terms) - 1)
+        if k < count.bit_length():  # else C(t+e-1, k) >= 2^k > count
+            count = min(count, math.comb(len(terms) + e - 1, k))
+    den = math.lcm(*(c.denominator for c in terms.values()))
+    height = sum(abs(c.numerator) * (den // c.denominator)
+                 for c in terms.values()) * den
+    bits = e * math.log2(height)
+    # an int compared with a float is exact, where count * bits could
+    # overflow a float
+    if count > POWER_CAP / max(bits, 64):
+        shown = count if count < 1 << 53 else "2^%d" % count.bit_length()
+        raise ParseError("power too large to expand: up to %s terms of "
+                         "%d bits" % (shown, math.ceil(bits)), pos)
+
+
 def _read(tokens, index, nvars, build):
     """The polynomial the tokens spell.  With `build` false the same walk
     only checks them and builds nothing, so the first error is raised
@@ -158,6 +190,7 @@ def _read(tokens, index, nvars, build):
                 if e >= EXPONENT_CAP:
                     raise ParseError("exponent %d exceeds cap 2^32" % e, pos)
                 if build:
+                    _check_power(base, e, pos)
                     base = base ** e
                 i += 2
                 kind, tok, pos = _token(tokens, i)
@@ -182,6 +215,16 @@ def _read(tokens, index, nvars, build):
             terms, sign, product = stack.pop()
 
 
+def _names(tokens):
+    return {text for kind, text, _ in tokens if kind == "name"}
+
+
+def variable_names(text):
+    """The set of variable names in `text`, read off its tokens without
+    parsing it: the names `parse_polynomial(text)` would collect."""
+    return _names(_tokens(text))
+
+
 def parse_polynomial(text, variables=None) -> PolyExpr:
     """Parse an expression into a PolyExpr.
 
@@ -190,7 +233,7 @@ def parse_polynomial(text, variables=None) -> PolyExpr:
     """
     tokens = _tokens(text)
     if variables is None:
-        names = tuple(sorted({t for kind, t, _ in tokens if kind == "name"}))
+        names = tuple(sorted(_names(tokens)))
     else:
         names = tuple(variables)
     index = {name: i for i, name in enumerate(names)}

@@ -3,6 +3,7 @@ import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from charsum import primes_in
@@ -355,8 +356,9 @@ def test_fourier_refuses_a_non_finite_const(tmp_path, capsys, value):
 
 
 def test_fourier_verdict_and_exit_code_agree_on_nan(capsys, monkeypatch):
-    from charsum import cli
-    monkeypatch.setattr(cli, "inversion_error", lambda *args: float("nan"))
+    from charsum import measure
+    monkeypatch.setattr(measure, "inversion_error",
+                        lambda *args: float("nan"))
     assert main(["fourier", "--prime", "7", "--const", "1",
                  "--verify"]) == 1
     assert "inversion error: nan -> FAIL" in capsys.readouterr().out
@@ -416,6 +418,63 @@ def test_fourier_reads_a_csv_without_header_and_with_blank_lines(tmp_path):
     assert "p^-n sum|f|^2 = 1," in r.stdout
 
 
+def full_transform_aggregate(values):
+    """The Plancherel sides and inversion error of a 1-D table as the full
+    complex transforms give them."""
+    p = len(values)
+    out = np.fft.ifft(values)
+    back = np.fft.ifft(out)
+    lhs = float(np.sum(np.abs(values) ** 2)) / p
+    rhs = float(np.sum(np.abs(out) ** 2))
+    return {"plancherel_lhs": lhs, "plancherel_rhs": rhs,
+            "plancherel_diff": abs(lhs - rhs),
+            "inversion_error": float(np.max(np.abs(
+                back - values[(-np.arange(p)) % p] / p)))}
+
+
+@pytest.mark.parametrize("imag", [0.0, 1.0], ids=["real", "complex"])
+def test_fourier_csv_input_takes_the_path_of_its_values(tmp_path,
+                                                        monkeypatch, imag):
+    # a real table never takes the full transform; a complex one does
+    from charsum import measure
+    full = measure.fourier_table
+    calls = []
+    monkeypatch.setattr(measure, "fourier_table",
+                        lambda table: calls.append(table) or full(table))
+    rng = np.random.default_rng(17)
+    values = rng.standard_normal(13) + imag * 1j * rng.standard_normal(13)
+    table = tmp_path / "t.csv"
+    table.write_text("x,re,im\n" + "".join(
+        "%d,%r,%r\n" % (x, float(v.real), float(v.imag))
+        for x, v in enumerate(values)))
+    report = tmp_path / "out.json"
+    assert main(["fourier", "--prime", "13", "--input", str(table),
+                 "--verify", "--json", str(report)]) == 0
+    got = json.loads(report.read_text())["aggregate"]
+    expect = full_transform_aggregate(values)
+    assert got.keys() == expect.keys()
+    for key in got:
+        assert abs(got[key] - expect[key]) <= 1e-12
+    assert len(calls) == (2 if imag else 0)
+
+
+def test_fourier_csv_rows_are_the_full_complex_transform(tmp_path):
+    from charsum.report import write_csv
+    p = 7
+    out = tmp_path / "out.csv"
+    assert main(["fourier", "--prime", str(p), "--nvars", "2",
+                 "--indicator", "x^2 + y^2 - 1", "--csv", str(out)]) == 0
+    table = np.zeros((p, p), dtype=np.complex128)
+    for x in range(p):
+        for y in range(p):
+            table[x, y] = (x * x + y * y - 1) % p == 0
+    expect = tmp_path / "expect.csv"
+    write_csv(expect, ["x1", "x2", "re", "im"],
+              [idx + (v.real, v.imag)
+               for idx, v in np.ndenumerate(np.fft.ifftn(table))])
+    assert out.read_bytes() == expect.read_bytes()
+
+
 def test_fourier_large_prime_const_runs(tmp_path):
     # p^n is inside the transform budget; no p x p kernel is built
     out = tmp_path / "f.json"
@@ -452,8 +511,9 @@ def test_fourier_verify_holds_at_most_three_tables(capsys):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the input, F(phi) and F(F(phi)), plus the blockwise check
-    assert peak <= 3.5 * 16 * p * p
+    # three real-size tables: the input, its half spectrum, which the
+    # second transform reuses, and F(F(phi)), plus the blockwise check
+    assert peak <= 3.5 * 8 * p * p
     assert "inversion error" in capsys.readouterr().out
 
 
@@ -474,6 +534,35 @@ def test_main_calls_share_a_parser_without_leaking_arguments(tmp_path,
     assert last["params"]["twist"] is None and last["seed"] == 0
     assert [p for p, _ in first["skipped"]] == [2, 3]  # 3 divides twist
     assert [p for p, _ in last["skipped"]] == [2]
+
+
+@pytest.mark.parametrize("power", ["(2*x)^4000000000",
+                                   "(x+1)^4000000000"])
+def test_power_too_large_to_expand_is_refused(power):
+    r = subprocess.run(BASE + ["weil", "--poly", power, "--prime", "7"],
+                       capture_output=True, text=True, timeout=60)
+    assert r.returncode == 2
+    assert "power too large to expand" in r.stderr
+    assert "(at offset 6)" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
+def test_parse_system_parses_each_polynomial_once(monkeypatch):
+    from charsum import cli
+    from charsum.errors import CharsumError, ParseError
+    parse, texts = cli.parse_polynomial, []
+    monkeypatch.setattr(cli, "parse_polynomial",
+                        lambda text, variables=None:
+                        texts.append(text) or parse(text, variables))
+    systems, names = cli._parse_system("x*y - 1; x + z", "y", nvars=4)
+    assert sorted(texts) == ["x + z", "x*y - 1", "y"]
+    assert names == ["x", "y", "z", "_3"]
+    assert systems[1] == [parse("y", names).poly]
+    # a malformed polynomial is reported before a short --nvars
+    with pytest.raises(ParseError, match="offset 5"):
+        cli._parse_system("x*y + ", nvars=1)
+    with pytest.raises(CharsumError, match="--nvars 1 is below the 2"):
+        cli._parse_system("x*y", nvars=1)
 
 
 def test_fourier_needs_exactly_one_source():

@@ -5,9 +5,9 @@ of p-th roots of unity; every other module goes through its kernels.
 F_p consumers read the point matrix, not the tuples of
 `enumerate_points`.  Each kernel step has one copy: the one-variable
 solve, the line sum's budget guard and the Weil verdict.  Report values
-are turned into text in one walk, by the writer.  The parser does not
-recurse.  No module, in the
-package or among the tests, imports a name it never uses."""
+are turned into text in one walk, by the writer.  Only `measure` calls
+numpy's FFT.  The parser does not recurse.  No module, in the package or
+among the tests, imports a name it never uses."""
 
 import ast
 import subprocess
@@ -136,6 +136,27 @@ def test_only_the_writers_turn_fractions_into_text():
                  ast.parse((PACKAGE / (name + ".py")).read_text()),
                  _tests_for_fraction)}
     assert tests == FRACTION_TESTS
+
+
+def _uses_fft(node):
+    """`np.fft` / `numpy.fft`, or an import of numpy's fft module."""
+    if isinstance(node, ast.Attribute):
+        return (node.attr == "fft"
+                and getattr(node.value, "id", None) in ("np", "numpy"))
+    if isinstance(node, ast.Import):
+        return any(alias.name.startswith("numpy.fft") for alias in node.names)
+    if isinstance(node, ast.ImportFrom):
+        return (node.module or "").startswith("numpy.fft") or (
+            node.module == "numpy"
+            and any(alias.name == "fft" for alias in node.names))
+    return False
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_only_measure_calls_the_fft(name):
+    tree = ast.parse((PACKAGE / (name + ".py")).read_text())
+    lines = [node.lineno for node in ast.walk(tree) if _uses_fft(node)]
+    assert bool(lines) == (name == "measure"), lines
 
 
 def _recursive_functions(tree):

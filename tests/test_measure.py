@@ -9,7 +9,8 @@ from charsum import (ValueTable, constant_table, delta_table, fourier_table,
                      pushforward_weyl)
 from charsum import measure
 from charsum.errors import BudgetError, CharsumError
-from charsum.measure import inversion_error
+from charsum.measure import (fourier_check, half_spectrum, inversion_error,
+                             sum_abs_sq)
 
 TOL = 1e-9
 
@@ -216,6 +217,10 @@ def test_fourier_table_equals_numpy_ifftn_bit_for_bit():
         assert np.array_equal(got.view(np.float64),
                               np.fft.ifftn(vals).view(np.float64))
         assert np.array_equal(t.values, vals)  # the input is untouched
+        # a real table gives the bits of its complex copy
+        real = ValueTable._adopt(p, n, vals.real.copy())
+        assert np.array_equal(fourier_table(real).values.view(np.float64),
+                              np.fft.ifftn(vals.real + 0j).view(np.float64))
 
 
 def test_value_table_copies_and_adopted_tables_are_read_only():
@@ -252,6 +257,71 @@ def test_inversion_error_matches_the_whole_table_difference(monkeypatch):
             assert inversion_error(t, back) == expect
         twice = fourier_table(fourier_table(t))
         assert inversion_error(t, twice) < 1e-12
+
+
+def full_transform_check(table):
+    """(lhs, rhs, inversion error) read off numpy's full complex
+    transforms, as the complex path takes them: the half spectrum's
+    oracle."""
+    p, n = table.p, table.n
+    out = np.fft.ifftn(table.values)
+    back = ValueTable(p, n, np.fft.ifftn(out))
+    return (float(np.sum(np.abs(table.values) ** 2)) / p ** n,
+            float(np.sum(np.abs(out) ** 2)),
+            inversion_error(ValueTable(p, n, table.values), back))
+
+
+def real_tables():
+    rng = np.random.default_rng(4242)
+    for p, n in ((97, 1), (1009, 1), (13, 2), (7, 3), (2, 1), (2, 3)):
+        yield ValueTable._adopt(p, n, rng.standard_normal((p,) * n))
+    yield ValueTable.indicator(13, 2, rng.integers(0, 13, (20, 2)))
+    yield ValueTable.indicator(101, 1, [(3,), (50,)])
+    yield delta_table(11, 2, at=(3, 5))
+    yield constant_table(7, 3, 2.5)
+
+
+def test_half_spectrum_check_matches_the_full_transform(monkeypatch):
+    def full_table(table):
+        raise AssertionError("a real table took the full transform")
+
+    monkeypatch.setattr(measure, "fourier_table", full_table)
+    for table in real_tables():
+        p, n = table.p, table.n
+        assert table.values.dtype == np.float64
+        got = fourier_check(table, verify=True)
+        expect = full_transform_check(table)
+        assert max(abs(a - b) for a, b in zip(got, expect)) < 1e-12
+        assert fourier_check(table) == got[:2] + (None,)
+        half = half_spectrum(table)
+        assert half.shape == (p,) * (n - 1) + (p // 2 + 1,)
+        columns = defining_sum(table.values, p, n)[..., :p // 2 + 1]
+        assert np.max(np.abs(half - columns)) < 1e-12
+
+
+def test_complex_tables_keep_the_full_transform():
+    rng = np.random.default_rng(2024)
+    for p, n in ((97, 1), (13, 2), (7, 3)):
+        vals = rng.standard_normal((p,) * n) \
+            + 1j * rng.standard_normal((p,) * n)
+        table = ValueTable(p, n, vals)
+        got = fourier_check(table, verify=True)
+        assert max(abs(a - b) for a, b in
+                   zip(got, full_transform_check(table))) < 1e-12
+    for table in real_tables():  # a real table against a complex F(F(phi))
+        twice = fourier_table(fourier_table(table))
+        assert inversion_error(table, twice) < 1e-12
+
+
+def test_sum_abs_sq_in_blocks(monkeypatch):
+    rng = np.random.default_rng(99)
+    real = rng.standard_normal((31, 31))
+    for values in (real, real + 1j * rng.standard_normal((31, 31)),
+                   real[:, 0], (real + 0j)[:, 3]):
+        expect = float(np.sum(np.abs(values) ** 2))
+        for cells in (1, 5, 64, 1 << 14):
+            monkeypatch.setattr(measure, "_BLOCK_CELLS", cells)
+            assert abs(sum_abs_sq(values) - expect) <= 1e-12 * expect
 
 
 def test_inversion_error_propagates_nan():

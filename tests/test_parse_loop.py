@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from charsum import MPoly, parse_polynomial
+from charsum import MPoly, parse_polynomial, parser
 from charsum.errors import ParseError
 
 # (input, message, offset) of the first error in reading order
@@ -33,6 +33,10 @@ MALFORMED = [
     ("x^4294967296", "exponent 4294967296 exceeds cap 2^32", 2),
     ("(x))", "unexpected trailing input ')'", 3),
     ("1/2/3", "unexpected trailing input '/'", 3),
+    ("(2*x)^4000000000",
+     "power too large to expand: up to 1 terms of 4000000000 bits", 6),
+    ("(x+1)^4000000000", "power too large to expand: up to 4000000001 "
+                         "terms of 4000000000 bits", 6),
 ]
 
 
@@ -67,6 +71,30 @@ def test_an_error_after_a_huge_power_is_reported_before_expanding():
     # the tokens are checked before anything is multiplied out
     with pytest.raises(ParseError, match="unexpected character"):
         parse_polynomial("(x + y + 1)^4000000000 + $")
+
+
+def test_power_guard_bounds_terms_times_bits():
+    # (x+1)^e has e+1 terms of e bits: (e+1) max(e, 64) <= 2^24 up to 4095
+    base = parse_polynomial("x + 1").poly
+    parser._check_power(base, 4095, 0)
+    with pytest.raises(ParseError, match="4097 terms of 4096 bits"):
+        parser._check_power(base, 4096, 0)
+    # about 6.8e5: 81^2 exponent vectors of up to 40 log2(6) bits
+    parser._check_power(parse_polynomial("x^2+x*y+y^2+3").poly, 40, 0)
+    # C(103, 3) monomials beat the 101^3 box; 40 terms in one variable
+    # to a huge power are bounded by the box, C(t+e-1, t-1) >= 2^39
+    with pytest.raises(ParseError, match="up to 176851 terms of 200 bits"):
+        parser._check_power(parse_polynomial("x+y+z+1").poly, 100, 0)
+    e = (1 << 32) - 1
+    with pytest.raises(ParseError, match="up to %d terms" % (39 * e + 1)):
+        parser._check_power(MPoly.from_univariate([1] * 40), e, 0)
+    # C(e+1199, 1199) terms overflow a float: shown as a power of two
+    many = "(" + "+".join("a%d" % k for k in range(1200)) + ")^4000000000"
+    with pytest.raises(ParseError, match=r"up to 2\^\d+ terms of \d+ bits"):
+        parse_polynomial(many)
+    # one term of no bits, and a constant
+    assert parse_polynomial("x^4000000000").poly.terms == {(4000000000,): 1}
+    assert parse_polynomial("(-1)^5000").poly.terms == {(): 1}
 
 
 NAMES = ("x", "y", "z1", "t_2")

@@ -269,7 +269,7 @@ def test_box_count_flag_matches_the_scalar_scan(texts, vector, constant,
 
 def indicator_oracle(p, n, points):
     """The point-by-point fill ValueTable.indicator replaced."""
-    arr = np.zeros((p,) * n, dtype=np.complex128)
+    arr = np.zeros((p,) * n)
     for pt in points:
         arr[tuple(int(v) % p for v in pt)] = 1.0
     return arr
