@@ -25,8 +25,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .angles import standard_character, twisted_character
-from .equidist import (_as_rational_coeffs, dfi_extended_sweep, dfi_sweep,
-                       multi_weyl, sample_histogram, sp_check)
+from .equidist import (dfi_extended_sweep, dfi_sweep, multi_weyl,
+                       sample_histogram, sp_check)
 from .errors import CharsumError
 from .ffield import build_extension, prime_field
 from .laurent import laurent_from_expression
@@ -35,7 +35,8 @@ from .measure import (ValueTable, _check_table_size, _table_array,
                       fourier_table, mu0_sweep, mu1_sweep, pushforward_weyl)
 from .mpoly import poly_rem
 from .nfield import NFElem, lattice_basis, nf_build, value_set
-from .parser import parse_polynomial, print_polynomial, variable_names
+from .parser import (parse_polynomial, print_polynomial, univariate,
+                     variable_names)
 from .points import DEFAULT_BUDGET, _point_matrix
 from .primes import primes_in
 from .report import build_report, write_csv, write_json
@@ -224,7 +225,7 @@ def cmd_psisym(args):
 
 
 def cmd_kappa(args):
-    _, names = _parse_system(args.p_poly, args.q_poly)
+    names = sorted(variable_names(args.p_poly) | variable_names(args.q_poly))
     P = parse_polynomial(args.p_poly, variables=names).poly
     Q = parse_polynomial(args.q_poly, variables=names).poly
     field = build_extension(args.prime, args.ext)
@@ -479,17 +480,12 @@ def cmd_spcheck(args):
 
 def _parse_elements(args):
     """The number field of --poly and the elements of --elems in it."""
-    desc = nf_build(_as_rational_coeffs(args.poly))
+    desc = nf_build(args.poly)
     elems = []
     fq = [Fraction(c) for c in desc.coeffs]
-    for part in args.elems.split(";"):
-        part = part.strip()
-        if not part:
-            continue
-        coeffs = _as_rational_coeffs(part)
-        rem = poly_rem(coeffs, fq)
-        rem = rem + [Fraction(0)] * (desc.degree - len(rem))
-        elems.append(NFElem(desc, rem))
+    for part in filter(None, map(str.strip, args.elems.split(";"))):
+        rem = poly_rem(univariate(part), fq)
+        elems.append(NFElem(desc, rem + [0] * (desc.degree - len(rem))))
     if not elems:
         raise CharsumError("no elements given")
     return desc, elems

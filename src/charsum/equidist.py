@@ -27,12 +27,12 @@ import numpy as np
 from .angles import Angle
 from .errors import CharsumError
 from .fppoly import evaluate
-from .mpoly import (Lowered, MPoly, discriminant, poly_rem, poly_trim,
+from .mpoly import (Lowered, discriminant, poly_rem, poly_trim,
                     primitive_integers)
 from .nfield import (_monic_companion, _poly_str, _refuse_rational_root,
                      nf_build)
 from .parallel import pmap
-from .parser import PolyExpr, parse_polynomial
+from .parser import univariate
 from .polyroots import roots_mod_p
 from .primes import primes_in
 
@@ -84,24 +84,6 @@ class SweepReport:
     samples: tuple      # ((p, residue, Fraction(residue, p)), ...)
     skipped: tuple      # ((p, reason), ...)
     empty: bool
-
-
-def _as_rational_coeffs(f, what="polynomial"):
-    """Little-endian Fraction coefficients of a univariate input, which
-    may be a string, a parsed expression, a polynomial, or a list."""
-    if isinstance(f, str):
-        f = parse_polynomial(f)
-    if isinstance(f, PolyExpr):
-        f = f.poly
-    if isinstance(f, MPoly):
-        f, _ = f.drop_unused_variables()
-        if f.nvars == 0:
-            return [f.constant_value()]
-        return f.univariate_coeffs(0)
-    try:
-        return [Fraction(c) for c in f]
-    except TypeError:
-        raise CharsumError("cannot read %s from %r" % (what, f))
 
 
 def _integer_form(coeffs):
@@ -156,7 +138,7 @@ def dfi_sweep(f, xlimit, congruence=None, weyl_depth=WEYL_DEPTH,
     """Distribution of the roots of an irreducible integer polynomial,
     normalized to [0, 1), over all usable primes up to xlimit: the
     derived-element sweep with g = x."""
-    ints = _integer_form(_as_rational_coeffs(f))
+    ints = _integer_form(univariate(f))
     deg = len(ints) - 1
     if deg < 1:
         raise CharsumError("constant polynomial has no roots to follow")
@@ -211,8 +193,8 @@ def dfi_extended_sweep(f, g, xlimit, congruence=None, split_only=False,
     g is a rational polynomial in the root; it must be non-constant
     modulo f, otherwise the values are forced and there is nothing to
     test."""
-    gq = _as_rational_coeffs(g, what="the derived element")
-    ints = _integer_form(_as_rational_coeffs(f))
+    gq = univariate(g, what="the derived element")
+    ints = _integer_form(univariate(f))
     rem = poly_rem(gq, [Fraction(c) for c in ints])
     if len(rem) <= 1:
         raise CharsumError("element is rational; equidistribution claim "
@@ -235,7 +217,7 @@ def multi_weyl(f, xlimit, hvec, congruence=None, split_only=False,
     if not hvec or all(h == 0 for h in hvec):
         raise CharsumError("h must be a nonzero integer vector")
     gq = [Fraction(0)] + [Fraction(h) for h in hvec]
-    ints = _integer_form(_as_rational_coeffs(f))
+    ints = _integer_form(univariate(f))
     report = _element_sweep("multiweyl", ints, gq, xlimit, congruence,
                             split_only, 1, jobs,
                             {"split_only": split_only, "h": list(hvec)})

@@ -15,7 +15,9 @@ import math
 import operator
 from fractions import Fraction
 
-from .errors import BadPrimeError, CharsumError
+from .errors import BadPrimeError, BudgetError, CharsumError
+
+DEGREE_CAP = 1 << 24  # degree of a dense coefficient list
 
 
 def _as_fraction(c):
@@ -24,6 +26,14 @@ def _as_fraction(c):
     if isinstance(c, int):
         return Fraction(c)
     raise TypeError("coefficients must be int or Fraction, got %r" % (c,))
+
+
+def _dense(d):
+    """d, the degree of a dense form of d + 1 entries; above DEGREE_CAP
+    it is refused before any of them is allocated."""
+    if d > DEGREE_CAP:
+        raise BudgetError("degree %d exceeds the dense-form cap 2^24" % d)
+    return d
 
 
 def power(x, e, mul):
@@ -161,12 +171,7 @@ class MPoly:
         return max(e[var] for e in self.terms)
 
     def variables_used(self):
-        used = set()
-        for e in self.terms:
-            for i, k in enumerate(e):
-                if k:
-                    used.add(i)
-        return used
+        return {i for e in self.terms for i, k in enumerate(e) if k}
 
     def sorted_terms(self):
         """Terms in descending graded-lexicographic order."""
@@ -195,7 +200,7 @@ class MPoly:
 
         Coefficients keep the same nvars with the `var` exponent zeroed.
         """
-        d = max(self.degree_in(var), 0)
+        d = _dense(max(self.degree_in(var), 0))
         coeffs = [dict() for _ in range(d + 1)]
         for e, c in self.terms.items():
             rest = list(e)
@@ -206,22 +211,20 @@ class MPoly:
 
     def univariate_coeffs(self, var=0):
         """Little-endian Fraction list; error if other variables occur."""
-        d = max(self.degree_in(var), 0)
-        out = [Fraction(0)] * (d + 1)
+        if self.variables_used() - {var}:
+            raise CharsumError("polynomial is not univariate")
+        out = [Fraction(0)] * (_dense(max(self.degree_in(var), 0)) + 1)
         for e, c in self.terms.items():
-            if any(k and i != var for i, k in enumerate(e)):
-                raise CharsumError("polynomial is not univariate")
             out[e[var]] = c
         return out
 
-    def drop_unused_variables(self, names=None):
+    def drop_unused_variables(self):
         """Project onto the variables that actually occur (for canonical
-        comparison after printing).  Returns (poly, kept_indices)."""
+        comparison, and for reading a polynomial in one variable).
+        Returns (poly, kept_indices)."""
         used = sorted(self.variables_used())
-        terms = {}
-        for e, c in self.terms.items():
-            terms[tuple(e[i] for i in used)] = c
-        return MPoly(len(used), terms), used
+        return MPoly(len(used), {tuple(e[i] for i in used): c
+                                 for e, c in self.terms.items()}), used
 
     # -- reduction mod p ------------------------------------------------
 
@@ -333,7 +336,7 @@ def _horner_tree(terms, top, coeffs):
     if v < 0:
         coeffs.append(terms[0][1] if terms else Fraction(0))
         return len(coeffs) - 1
-    kids = [[] for _ in range(max(e[v] for e, _ in terms) + 1)]
+    kids = [[] for _ in range(_dense(max(e[v] for e, _ in terms)) + 1)]
     for e, c in terms:
         kids[e[v]].append((e, c))
     return v, [_horner_tree(t, v, coeffs) for t in kids]

@@ -20,7 +20,7 @@ from .ffield import _is_irreducible_mod
 from .mpoly import (Lowered, MPoly, discriminant, frac_mod, gauss_jordan,
                     poly_derivative, poly_gcd, poly_mul, poly_rem, poly_trim,
                     power, primitive_integers)
-from .parser import poly_to_string
+from .parser import poly_to_string, univariate
 from .polyroots import roots_mod_p
 from .primes import EXACT_LIMIT, next_prime, primes_in
 from .angles import Angle
@@ -29,11 +29,9 @@ CERT_PRIME_COUNT = 25
 
 
 def _int_coeffs(f):
-    """Little-endian integer coefficients of a monic defining polynomial."""
-    if isinstance(f, MPoly):
-        f = f.univariate_coeffs()
-    coeffs = [Fraction(c) for c in f]
-    coeffs = poly_trim(coeffs)
+    """Little-endian integer coefficients of a monic defining polynomial,
+    given as anything `parser.univariate` reads."""
+    coeffs = poly_trim(univariate(f, "defining polynomial"))
     if len(coeffs) < 2:
         raise CharsumError("defining polynomial must have degree >= 1")
     if coeffs[-1] != 1:
@@ -237,17 +235,9 @@ def hnf(rows):
     [0, pivot), zero rows are dropped.  Returns a list of row tuples.
     """
     mat = [list(map(int, r)) for r in rows]
-    if not mat:
-        return []
-    ncols = len(mat[0])
-    out = []
     row = 0
-    for col in range(ncols):
-        pivot = None
-        for i in range(row, len(mat)):
-            if mat[i][col]:
-                pivot = i
-                break
+    for col in range(len(mat[0]) if mat else 0):
+        pivot = next((i for i in range(row, len(mat)) if mat[i][col]), None)
         if pivot is None:
             continue
         mat[row], mat[pivot] = mat[pivot], mat[row]

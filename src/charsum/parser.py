@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ParseError
+from .errors import CharsumError, ParseError
 from .mpoly import MPoly
 
 EXPONENT_CAP = 1 << 32
@@ -239,6 +239,24 @@ def parse_polynomial(text, variables=None) -> PolyExpr:
     index = {name: i for i, name in enumerate(names)}
     _read(tokens, index, len(names), build=False)
     return PolyExpr(text, _read(tokens, index, len(names), True), names)
+
+
+def univariate(f, what="polynomial"):
+    """Little-endian Fraction coefficients of a one-variable input: text,
+    a PolyExpr, an MPoly or a sequence of rationals.  An MPoly's unused
+    variables are dropped first, so its one variable may be any of them
+    and a constant is a one-entry list; a second variable is an error."""
+    if isinstance(f, str):
+        f = parse_polynomial(f)
+    if isinstance(f, PolyExpr):
+        f = f.poly
+    if isinstance(f, MPoly):
+        f, _ = f.drop_unused_variables()
+        return f.univariate_coeffs() if f.nvars else [f.constant_value()]
+    try:
+        return [Fraction(c) for c in f]
+    except TypeError:
+        raise CharsumError("cannot read %s from %r" % (what, f))
 
 
 def _fmt_coeff(c: Fraction) -> str:

@@ -44,7 +44,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
 from itertools import product, zip_longest
 
 import numpy as np
@@ -239,7 +238,6 @@ def _plan_at(system, n, p):
     return plan, None if plan.empty else plan.low.residues(p)
 
 
-@lru_cache(maxsize=16)
 def _sqrt_table(p):
     """t[c] = the smaller square root of c, or -1 (p odd)."""
     ys = np.arange((p + 1) // 2, dtype=np.int64)

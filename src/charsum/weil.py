@@ -25,6 +25,7 @@ from .errors import BadPrimeError, CharsumError
 from .ffield import prime_field
 from .laurent import LaurentPoly
 from .mpoly import Lowered, MPoly
+from .parser import univariate
 from .points import (_CHUNK, DEFAULT_BUDGET, _check_budget, _field_coeffs,
                      _free_grid, _point_matrix, _sample_matrix,
                      _system_nvars, enumerate_points, lower)
@@ -83,19 +84,14 @@ def _line_sum(red, p, twist, budget=DEFAULT_BUDGET):
 
 
 def _lowered(f):
-    """f (univariate MPoly or little-endian coefficient list) as the
-    one-variable `Lowered`, so that reducing it mod a prime costs one
-    inverse."""
-    if not isinstance(f, MPoly):
-        f = MPoly.from_univariate(f)
-    return _lowered_poly(f)
+    """f (anything `parser.univariate` reads) as the one-variable
+    `Lowered`, so that reducing it mod a prime costs one inverse.  The
+    last 16 are kept by coefficients, so a caller checking one polynomial
+    prime by prime lowers it once."""
+    return _lowered_coeffs(tuple(univariate(f)))
 
 
-@lru_cache(maxsize=16)
-def _lowered_poly(f):
-    """`_lowered` of an MPoly, kept for the next prime: a caller checking
-    one polynomial prime by prime lowers it once."""
-    return Lowered.univariate(f.univariate_coeffs())
+_lowered_coeffs = lru_cache(maxsize=16)(Lowered.univariate)
 
 
 def _weil_record(coeffs, p, twist) -> WeilRecord:
@@ -132,10 +128,10 @@ def weil_check(f, p, char=None) -> WeilRecord:
     """Archimedean check of |sum Psi(f(x))| <= (d-1) sqrt(p) on the affine
     line over F_p.
 
-    f: univariate MPoly or little-endian rational coefficient list.  The
-    degree is taken after reduction mod p; a degree sharing a factor with
-    p, or a trivial character, is outside the bound's hypotheses and is an
-    error.
+    f: anything `parser.univariate` reads (text, a polynomial in one
+    variable, a coefficient list).  The degree is taken after reduction
+    mod p; a degree sharing a factor with p, or a trivial character, is
+    outside the bound's hypotheses and is an error.
     """
     field = prime_field(p)
     twist = 1 if char is None else char.twist.residue()
@@ -238,7 +234,12 @@ def _constant_on_samples(n, m, samples):
     whose dot product with the sample points is one constant mod each
     prime, in search order; `samples` maps each prime to its sample
     matrix, and constants holds the constant at each prime.  A piece of
-    candidates meets a prime's samples in one matrix product."""
+    candidates meets a prime's samples in one matrix product.  Nothing is
+    scanned when one prime's sample differences span F_q^n: only the zero
+    vector is constant there, and a candidate's entries are below q."""
+    if any(_rank_mod((pts[1:] - pts[0]).tolist(), q) == n
+           for q, pts in samples.items()):
+        return
     for vecs in _candidate_vectors(n, m):
         consts = np.zeros((len(vecs), 0), dtype=np.int64)
         for q, pts in samples.items():
@@ -249,6 +250,20 @@ def _constant_on_samples(n, m, samples):
             if not len(vecs):
                 break
         yield from zip(map(tuple, vecs.tolist()), consts.tolist())
+
+
+def _rank_mod(rows, q):
+    """The rank mod the prime q of a matrix given as a list of int rows."""
+    rank = 0
+    while rows:
+        top = rows.pop()
+        col = next((j for j, a in enumerate(top) if a % q), None)
+        if col is not None:  # clear that column from the other rows
+            inv = pow(top[col], -1, q)
+            rows = [[(a - r[col] * inv * b) % q for a, b in zip(r, top)]
+                    for r in rows]
+            rank += 1
+    return rank
 
 
 def hyperplane_height_test(system, m, nvars=None):
@@ -307,12 +322,9 @@ def hyperplane_height_test(system, m, nvars=None):
 
 
 def _consistent_constant(consts, primes):
-    reps = []
-    for c, q in zip(consts, primes):
-        reps.append(c - q if c > q // 2 else c)
-    if all(r == reps[0] for r in reps):
-        return reps[0]
-    return None
+    """The one integer in (-q/2, q/2] all the constants read as, or None."""
+    reps = {c - q if c > q // 2 else c for c, q in zip(consts, primes)}
+    return reps.pop() if len(reps) == 1 else None
 
 
 @dataclass(frozen=True)

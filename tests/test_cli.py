@@ -2,6 +2,7 @@ import json
 import re
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -85,6 +86,35 @@ def test_weil_sweep_skips_primes_dividing_the_twist(tmp_path):
     assert doc["aggregate"]["all_passed"] is True
 
 
+def test_weil_constant_polynomial_has_degree_0(tmp_path):
+    r = run("weil", "--poly", "5", "--prime", "7")
+    assert r.returncode == 2
+    assert r.stderr == "error: degree mod 7 is 0; need >= 1\n"
+    # a sweep skips every prime with its reason, as it does for "0"; the
+    # zero polynomial, 5 mod 5 among them, has degree -1
+    for text in ("5", "0"):
+        out = tmp_path / "weil.json"
+        r = run("weil", "--poly", text, "--xlimit", "10", "--json", str(out))
+        assert r.returncode == 0 and "Traceback" not in r.stderr
+        doc = json.loads(out.read_text())
+        assert doc["records"] == []
+        assert doc["skipped"] == [
+            [p, "degree mod %d is %d; need >= 1"
+             % (p, 0 if int(text) % p else -1)] for p in (2, 3, 5, 7)]
+
+
+def test_weil_and_dfi_read_an_unused_variable_alike(capsys):
+    # "+ 0*x" names a variable the polynomial does not use
+    for argv in (["weil", "--prime", "101"], ["weil", "--xlimit", "60"],
+                 ["dfi", "--xlimit", "60"], ["latbasis", "--elems", "1; y"]):
+        outs = []
+        for text in ("y^3 + y + 1 + 0*x", "y^3 + y + 1"):
+            assert main(argv + ["--poly", text]) == 0
+            outs.append([line for line in capsys.readouterr().out
+                         .splitlines() if not line.startswith("wall time:")])
+        assert outs[0] == outs[1]
+
+
 def test_weil_prime_over_budget_is_usage_error():
     r = run("weil", "--poly", "x^3 + x", "--prime", "1000000000000037")
     assert r.returncode == 2
@@ -92,9 +122,9 @@ def test_weil_prime_over_budget_is_usage_error():
     assert "Traceback" not in r.stderr
 
 
-def run_capped(*args):
-    """run() in a child that caps its own address space at 2 GiB."""
-    cap = 2 << 30
+def run_capped(*args, cap=2 << 30):
+    """run() in a child that caps its own address space at `cap` bytes,
+    2 GiB unless given."""
     script = ("import resource, sys; "
               "resource.setrlimit(resource.RLIMIT_AS, (%d, %d)); "
               "from charsum.cli import main; sys.exit(main(sys.argv[1:]))"
@@ -109,6 +139,21 @@ def test_out_of_memory_is_usage_error():
     assert r.returncode == 2
     assert r.stderr.startswith("error: out of memory: ")
     assert "Traceback" not in r.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["weil", "--poly", "(x^4000000000)^4000000000", "--prime", "7"],
+    ["dfi", "--poly", "(x^4000000000)^4000000000 + 1", "--xlimit", "10"],
+    ["weil", "--poly", "x^4294967295", "--prime", "7"],
+    ["mu0", "--system", "x^4000000000*y - 1", "--dim", "1", "--xlimit", "10"],
+], ids=["weil-overflow", "dfi-overflow", "weil-dense", "mu0-dense"])
+def test_huge_degree_is_refused_before_a_dense_form(argv):
+    # each parses, but its dense coefficient list would not fit in memory
+    r = run_capped(*argv, cap=1 << 30)
+    assert r.returncode == 2
+    assert "exceeds the dense-form cap 2^24" in r.stderr
+    assert "Traceback" not in r.stderr
+    assert "out of memory" not in r.stderr
 
 
 @pytest.mark.parametrize("argv", [
@@ -275,6 +320,19 @@ def test_boxcount_warns_on_hyperplane(tmp_path):
                 "--box", "0:52,0:52", "--dim", "1")
     assert clean.returncode == 0
     assert "WARNING" not in clean.stdout
+
+
+def test_hyperplane_search_stops_when_the_samples_span_the_space():
+    # the samples of the moment curve span F_q^5, so no candidate needs a
+    # look; scanning every vector of height <= 20 takes about a minute
+    start = time.perf_counter()
+    r = subprocess.run(BASE + [
+        "boxcount", "--system", "y - x^2; z - x^3; u - x^4; v - x^5",
+        "--prime", "53", "--box", "0:20,0:20,0:20,0:20,0:20", "--dim", "1"],
+        capture_output=True, text=True, timeout=30)
+    assert time.perf_counter() - start < 5
+    assert r.returncode == 0
+    assert "WARNING" not in r.stdout
 
 
 def test_boxcount_flags_a_cylinder_but_not_two_axes():
@@ -563,6 +621,21 @@ def test_parse_system_parses_each_polynomial_once(monkeypatch):
         cli._parse_system("x*y + ", nvars=1)
     with pytest.raises(CharsumError, match="--nvars 1 is below the 2"):
         cli._parse_system("x*y", nvars=1)
+
+
+def test_kappa_builds_each_polynomial_once(monkeypatch, capsys):
+    from charsum import parser
+    read, builds = parser._read, []
+
+    def counting(tokens, index, nvars, build):
+        builds.append(build)
+        return read(tokens, index, nvars, build)
+
+    monkeypatch.setattr(parser, "_read", counting)
+    assert main(["kappa", "--p-poly", "y^3 - b*y - 1", "--q-poly", "y^2 + y",
+                 "--point", "2", "--prime", "3", "--ext", "4"]) == 0
+    assert builds.count(True) == 2
+    assert "variables: b, y (root variable: y)" in capsys.readouterr().out
 
 
 def test_fourier_needs_exactly_one_source():

@@ -4,7 +4,8 @@ shows whichever of them is loaded first.  Only `angles` reads the table
 of p-th roots of unity; every other module goes through its kernels.
 F_p consumers read the point matrix, not the tuples of
 `enumerate_points`.  Each kernel step has one copy: the one-variable
-solve, the line sum's budget guard and the Weil verdict.  Report values
+solve, the line sum's budget guard and the Weil verdict.  One reader
+turns a one-variable polynomial into coefficients.  Report values
 are turned into text in one walk, by the writer.  Only `measure` calls
 numpy's FFT.  The parser does not recurse.  No module, in the package or
 among the tests, imports a name it never uses."""
@@ -112,6 +113,20 @@ def test_only_the_line_sum_guards_a_line():
                   ast.parse((PACKAGE / (name + ".py")).read_text()),
                   _one_point_budget_check)}
     assert guards == {("weil", "_line_sum")}
+
+
+def test_one_reader_for_one_variable_polynomials():
+    # parser.univariate is the one place that turns a polynomial into its
+    # coefficient list; the readers it replaced stay gone
+    calls = {(name, fn) for name in MODULES
+             for fn, _ in _calls_by_function(
+                 ast.parse((PACKAGE / (name + ".py")).read_text()),
+                 "univariate_coeffs")}
+    assert calls == {("parser", "univariate")}
+    for path in SOURCES:
+        names = {alias.name for node in ast.walk(ast.parse(path.read_text()))
+                 if isinstance(node, ast.ImportFrom) for alias in node.names}
+        assert "_as_rational_coeffs" not in names, path
 
 
 # (module, function) pairs that may test for Fraction: the report writer

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from charsum import (MPoly, NFElem, build_extension, discriminant, nf_build,
                      prime_field, resultant)
 from charsum import fppoly
-from charsum.errors import BadPrimeError, CharsumError
+from charsum.errors import BadPrimeError, BudgetError, CharsumError
 from charsum.mpoly import (Lowered, frac_mod, gauss_jordan, poly_add,
                            poly_derivative, poly_divmod, poly_gcd,
                            poly_monic, poly_mul, poly_powmod, poly_rem,
@@ -93,6 +93,17 @@ def test_univariate_coeffs_rejects_extra_variables():
     y = MPoly.variable(1, 2)
     with pytest.raises(CharsumError):
         (x * y).univariate_coeffs(0)
+
+
+def test_dense_forms_refuse_a_huge_degree_before_allocating():
+    # each would be a list of 2^32 entries
+    x = MPoly(2, {(1 << 32, 0): 1, (0, 0): 1})
+    for build in (lambda: x.univariate_coeffs(0),
+                  lambda: x.as_univariate_in(0), lambda: Lowered([x])):
+        with pytest.raises(BudgetError, match="degree 4294967296 exceeds"):
+            build()
+    top = MPoly(1, {(1 << 24,): 1})
+    assert len(top.univariate_coeffs()) == (1 << 24) + 1
 
 
 def test_as_univariate_in_reassembles():

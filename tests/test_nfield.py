@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from charsum import (Angle, NFElem, hnf, lattice_basis, nf_build, nf_reduce,
-                     qlin_relations, value_set)
+                     parse_polynomial, qlin_relations, value_set)
 from charsum.errors import CharsumError
 from charsum.nfield import _poly_str, _refuse_rational_root
 
@@ -20,6 +20,19 @@ def test_certificates_by_degree():
     desc = nf_build([1, 1, 0, 0, 1])  # x^4 + x + 1
     assert desc.certificate == "irreducible mod 2"
     assert desc.degree == 4
+
+
+def test_defining_polynomial_is_read_like_the_sweeps_read_it():
+    padded = parse_polynomial("y^3 + y + 1 + 0*x")
+    expect = nf_build([1, 1, 0, 1])
+    for f in (padded, padded.poly, "y^3 + y + 1 + 0*x", "y^3 + y + 1",
+              parse_polynomial("y^3 + y + 1").poly):
+        got = nf_build(f)
+        assert got == expect and repr(got) == repr(expect)
+    with pytest.raises(CharsumError, match="not univariate"):
+        nf_build("x*y + 1")
+    with pytest.raises(CharsumError, match="degree >= 1"):
+        nf_build("5")
 
 
 def test_reducible_inputs_are_refused():

@@ -3,7 +3,8 @@ from fractions import Fraction
 import pytest
 
 from charsum import MPoly, parse_polynomial, poly_to_string, print_polynomial
-from charsum.errors import ParseError
+from charsum.errors import CharsumError, ParseError
+from charsum.parser import univariate
 
 
 def test_basic_parse():
@@ -87,3 +88,23 @@ def test_expression_equality_ignores_spelling():
     assert parse_polynomial("x + 0*y") != parse_polynomial("x + y")
     # unused names do not count
     assert parse_polynomial("x + 0*y") == parse_polynomial("x")
+
+
+def test_one_reader_for_one_variable_inputs():
+    cubic = [Fraction(1), Fraction(1), Fraction(0), Fraction(1)]
+    for f in ("y^3 + y + 1", "y^3 + y + 1 + 0*x", "x^3 + x + 1",
+              parse_polynomial("t^3 + t + 1"),
+              parse_polynomial("y^3 + y + 1", variables=("a", "y", "z")).poly,
+              [1, 1, 0, 1], (Fraction(1), 1, 0, Fraction(1))):
+        assert univariate(f) == cubic
+    # a constant, the zero polynomial included, is a one-entry list
+    assert univariate("5") == [5]
+    assert univariate("x - x") == [0]
+    assert univariate(MPoly.constant(Fraction(1, 2), 3)) == [Fraction(1, 2)]
+    assert all(type(c) is Fraction for c in univariate([1, 2]))
+    with pytest.raises(CharsumError, match="not univariate"):
+        univariate("x*y + 1")
+    with pytest.raises(CharsumError, match="cannot read the element"):
+        univariate(7, what="the element")
+    with pytest.raises(ParseError):
+        univariate("x^")

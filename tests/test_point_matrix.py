@@ -55,6 +55,21 @@ def curves(draw):
     return system, n, p, box
 
 
+@st.composite
+def graphs(draw):
+    """(system, n, None, None): the curve x -> (x, g_2(x), ..., g_n(x)) in
+    4 or 5 variables, each g_v of degree at most 3 with small integer
+    coefficients, so that some of these curves lie in a hyperplane."""
+    n = draw(st.integers(4, 5))
+    system = []
+    for v in range(1, n):
+        g = draw(st.lists(st.integers(-3, 3), min_size=1, max_size=4))
+        terms = {(k,) + (0,) * (n - 1): c for k, c in enumerate(g) if c}
+        terms[tuple(int(i == v) for i in range(n))] = -1
+        system.append(MPoly(n, terms))
+    return system, n, None, None
+
+
 def bits(moments):
     """The moments with each float as its exact bit pattern."""
     return [(m, v.real.hex(), v.imag.hex()) for m, v in moments]
@@ -232,7 +247,8 @@ def with_oracle(call, *args, **kw):
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
-@given(curves(), st.integers(1, 3), st.booleans(), st.data())
+@given(st.one_of(curves(), graphs()), st.integers(1, 3), st.booleans(),
+       st.data())
 def test_hyperplane_search_matches_the_scalar_scan(case, m, in_plane, data):
     system, n, _, _ = case
     if in_plane:  # also a plane a.x = c, whose height may exceed m
@@ -244,6 +260,17 @@ def test_hyperplane_search_matches_the_scalar_scan(case, m, in_plane, data):
         system = system + [MPoly(n, terms)]
     assert outcome(hyperplane_height_test, system, m, nvars=n) == \
         with_oracle(hyperplane_height_test, system, m, nvars=n)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.sampled_from([2, 3, 5]), st.integers(1, 4), st.data())
+def test_rank_mod_counts_the_span(q, n, data):
+    rows = data.draw(st.lists(st.lists(st.integers(-9, 9), min_size=n,
+                                       max_size=n), max_size=4))
+    span = {tuple(sum(c * r[j] for c, r in zip(cs, rows)) % q
+                  for j in range(n))
+            for cs in product(range(q), repeat=len(rows))}
+    assert q ** weil._rank_mod([list(r) for r in rows], q) == len(span)
 
 
 @pytest.mark.parametrize("texts, vector, constant, exact", [

@@ -332,18 +332,30 @@ def test_common_denominator_residues_match_frac_mod():
 
 
 def test_weil_check_lowers_each_polynomial_once():
-    weil._lowered_poly.cache_clear()
+    weil._lowered_coeffs.cache_clear()
     f = poly("x^3 + 1/2*x + 5")
     primes = primes_in(200)[2:]  # 2 divides a denominator, 3 the degree
     records = [weil_check(f, p) for p in primes]
-    info = weil._lowered_poly.cache_info()
+    info = weil._lowered_coeffs.cache_info()
     assert (info.misses, info.hits) == (1, len(primes) - 1)
-    # a list goes through MPoly.from_univariate, so an equal list hits too
+    # the cache is keyed by the coefficients, so an equal list hits too
     coeffs = [Fraction(5), Fraction(1, 2), 0, 1]
     assert [weil_check(coeffs, p) for p in primes] == records
-    assert weil._lowered_poly.cache_info().misses == 1
+    assert weil._lowered_coeffs.cache_info().misses == 1
     assert records == [weil._weil_record(
         Lowered.univariate(f.univariate_coeffs()), p, 1) for p in primes]
+
+
+def test_an_unused_variable_does_not_change_a_weil_record():
+    # the one reader drops the unused x, as the root-angle sweeps do
+    padded, plain = poly("y^3 + y + 1 + 0*x"), poly("y^3 + y + 1")
+    assert padded.nvars == 2
+    primes = primes_in(300)
+    for p in primes[2:]:
+        assert weil_check(padded, p) == weil_check(plain, p)
+    assert weil_sweep(padded, primes) == weil_sweep(plain, primes)
+    assert weil_sweep("y^3 + y + 1 + 0*x", primes, 5) == \
+        weil_sweep([1, 1, 0, 1], primes, 5)
 
 
 def test_quadratic_gauss_sum_near_a_million():
