@@ -8,7 +8,7 @@ turn); complex floats appear only when angles are finally summed.
 
 from ._version import __version__
 from .angles import (Angle, CharacterDesc, psi_p, standard_character,
-                     trivial_character, twisted_character, unit_roots)
+                     twisted_character, unit_roots)
 from .equidist import (SPReport, SweepReport, dfi_extended_sweep, dfi_sweep,
                        ks_statistic, multi_weyl, sample_histogram, sp_check,
                        weyl_sum)
@@ -28,17 +28,15 @@ from .points import count_points, enumerate_points, sample_points
 from .polyroots import poly_roots_fq, roots_mod_p
 from .primes import is_prime, next_prime, primes_in
 from .rootsums import (PsiSymTerm, kappa_eval, make_term, psisym_add,
-                       psisym_conj, psisym_eval, psisym_mul, rational_roots,
-                       term_from_rational_coeffs)
+                       psisym_conj, psisym_eval, psisym_mul, rational_roots)
 from .weil import (BoxCountResult, HyperplaneResult, SupResult, WeilRecord,
-                   axiom3_sup, box_count, exp_sum, exp_sum_points,
-                   hyperplane_height_test, weil_check, weil_check_curve,
-                   weil_sweep)
+                   axiom3_sup, box_count, exp_sum, hyperplane_height_test,
+                   weil_check, weil_check_curve, weil_sweep)
 
 __all__ = [
     "__version__",
     "Angle", "CharacterDesc", "psi_p", "standard_character",
-    "trivial_character", "twisted_character", "unit_roots",
+    "twisted_character", "unit_roots",
     "SPReport", "SweepReport", "dfi_extended_sweep", "dfi_sweep",
     "ks_statistic", "multi_weyl", "sample_histogram", "sp_check", "weyl_sum",
     "BadPrimeError", "BudgetError", "CharsumError", "ParseError",
@@ -57,8 +55,7 @@ __all__ = [
     "is_prime", "next_prime", "primes_in",
     "PsiSymTerm", "kappa_eval", "make_term", "psisym_add", "psisym_conj",
     "psisym_eval", "psisym_mul", "rational_roots",
-    "term_from_rational_coeffs",
     "BoxCountResult", "HyperplaneResult", "SupResult", "WeilRecord",
-    "axiom3_sup", "box_count", "exp_sum", "exp_sum_points",
-    "hyperplane_height_test", "weil_check", "weil_check_curve", "weil_sweep",
+    "axiom3_sup", "box_count", "exp_sum", "hyperplane_height_test",
+    "weil_check", "weil_check_curve", "weil_sweep",
 ]

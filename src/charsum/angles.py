@@ -117,10 +117,6 @@ def twisted_character(field: ExtFieldDesc, c) -> CharacterDesc:
     return CharacterDesc(field, field.element(c))
 
 
-def trivial_character(field: ExtFieldDesc) -> CharacterDesc:
-    return CharacterDesc(field, field.zero())
-
-
 # Bytes of root tables kept between calls.  A sweep over the 303 primes
 # up to 2000 needs 4.4 MB; one table near p = 10^6 (16 MB) is larger and
 # is returned without being kept, so it does not outlive its operation.

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .errors import BadPrimeError, BudgetError, CharsumError
 
-DEGREE_CAP = 1 << 24  # degree of a dense coefficient list
+DEGREE_CAP = 1 << 20  # degree of a dense coefficient list
 
 
 def _as_fraction(c):
@@ -32,7 +32,7 @@ def _dense(d):
     """d, the degree of a dense form of d + 1 entries; above DEGREE_CAP
     it is refused before any of them is allocated."""
     if d > DEGREE_CAP:
-        raise BudgetError("degree %d exceeds the dense-form cap 2^24" % d)
+        raise BudgetError("degree %d exceeds the dense-form cap 2^20" % d)
     return d
 
 

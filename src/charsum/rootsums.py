@@ -109,11 +109,6 @@ def psisym_mul(t1: PsiSymTerm, t2: PsiSymTerm) -> PsiSymTerm:
     return _term_of(field, poly)
 
 
-def term_from_rational_coeffs(field, coeffs) -> PsiSymTerm:
-    """Reduce rational (or integer) coefficients into the field."""
-    return PsiSymTerm(field, tuple(field.rational(c) for c in coeffs))
-
-
 def kappa_eval(P: MPoly, Q: MPoly, b, field: ExtFieldDesc, root_var=None):
     """The common Q-value over the roots of P(b, .), else zero.
 

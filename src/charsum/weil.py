@@ -4,11 +4,14 @@ detection, and box counts.
 Every sum over the affine line F_p goes through `_line_sum`: the
 enumeration budget checked for p points, then Horner evaluation of the
 twisted, reduced polynomial at all of F_p, summed by
-`angles.character_sum`.  `weil_check` makes one Weil record at one
-prime; `weil_sweep` makes them along a prime list, splitting the
-polynomial's coefficients over one common denominator once, so each
-prime costs one inverse.  Every record, on the line or on a curve, is
-built by `_record`, which holds the one pass/fail rule.
+`angles.character_sum`.  Every other F_p point set is read from the
+point matrix, where `polyroots.horner` evaluates f for the same kernel;
+both evaluate in int64, so F_p sums need p < 2^31.  `weil_check` makes
+one Weil record at one prime; `weil_sweep` makes them along a prime
+list, splitting the polynomial's coefficients over one common
+denominator once, so each prime costs one inverse.  Every record, on the
+line or on a curve, is built by `_record`, which holds the one pass/fail
+rule.
 """
 
 from __future__ import annotations
@@ -24,12 +27,13 @@ from .angles import CharacterDesc, character_sum, standard_character
 from .errors import BadPrimeError, CharsumError
 from .ffield import prime_field
 from .laurent import LaurentPoly
-from .mpoly import Lowered, MPoly
+from .measure import _check_table_size
+from .mpoly import Lowered, MPoly, check_int64_modulus
 from .parser import univariate
 from .points import (_CHUNK, DEFAULT_BUDGET, _check_budget, _field_coeffs,
                      _free_grid, _point_matrix, _sample_matrix,
                      _system_nvars, enumerate_points, lower)
-from .polyroots import eval_many
+from .polyroots import eval_many, horner
 from .primes import next_prime
 from .rootsums import psi_sum
 
@@ -49,35 +53,36 @@ class WeilRecord:
     heuristic: bool = False
 
 
-def exp_sum_points(points, f: MPoly, char: CharacterDesc) -> complex:
-    """Sum of Psi(f(x)) over an explicit point set (exact angles, summed
-    with compensated float addition)."""
-    field = char.field
-    coeff = _field_coeffs(field, [f])
-    return psi_sum([f.evaluate([field.element(v) for v in x], coeff)
-                    for x in points], char)
-
-
 def exp_sum(system, f: MPoly, char: CharacterDesc, box=None,
             budget=DEFAULT_BUDGET) -> complex:
     """Sum of Psi(f(x)) over the zero set of `system` (empty system: all
-    of affine space)."""
+    of affine space).  Over F_p (p < 2^31) any point set but the bare
+    line is read from the point matrix and summed over a table of p
+    values, refused above 2^24; over F_q each point is an exact angle."""
     field = char.field
     n = f.nvars
-    if (field.e == 1 and not system and n == 1 and box is None
-            and field.p < 1 << 31):
-        p = field.p
-        return _line_sum(_lowered(f).residues(p), p, char.twist.residue(),
-                         budget)
-    pts = enumerate_points(system, field, nvars=n, box=box, budget=budget)
-    return exp_sum_points(pts, f, char)
+    if field.e > 1:
+        pts = enumerate_points(system, field, nvars=n, box=box, budget=budget)
+        coeff = _field_coeffs(field, [f])
+        return psi_sum([f.evaluate(x, coeff) for x in pts], char)
+    p = field.p
+    twist = char.twist.residue()
+    if not system and n == 1 and box is None:
+        return _line_sum(_lowered(f).residues(p), p, twist, budget)
+    _check_table_size(p, 1)  # character_sum reads a table of p values
+    mat = _point_matrix(system, p, n, box, budget)
+    lowered = Lowered([f])
+    twisted = [c * twist % p for c in lowered.residues(p)]
+    vals = horner(lowered.trees[0], twisted, p, dict(enumerate(mat.T)))
+    return character_sum(np.broadcast_to(vals, len(mat)), p)
 
 
 def _line_sum(red, p, twist, budget=DEFAULT_BUDGET):
     """Sum of e(twist * g(x) / p) over x in F_p, where red holds the
     residues of g's coefficients, little-endian; p points must fit the
-    enumeration budget."""
+    enumeration budget, and p < 2^31 the int64 evaluation."""
     _check_budget(p, 1, budget)
+    check_int64_modulus(p)
     twisted = [c * twist % p for c in red]
     return character_sum(eval_many(twisted, p,
                                    np.arange(p, dtype=np.int64)), p)

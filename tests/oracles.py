@@ -1,6 +1,7 @@
-"""Plain scalar evaluators the tests check the package's kernels against,
-and the converter to JSON's own types that the report writer is checked
-against; none of them is reached by the package itself."""
+"""Plain scalar evaluators and the exact-angle sum the tests check the
+package's kernels against, and the converter to JSON's own types that
+the report writer is checked against; none of them is reached by the
+package itself."""
 
 import dataclasses
 from fractions import Fraction
@@ -9,6 +10,8 @@ import numpy as np
 
 from charsum.angles import Angle
 from charsum.mpoly import frac_mod
+from charsum.points import _field_coeffs
+from charsum.rootsums import psi_sum
 
 
 def eval_mod(f, p, point):
@@ -22,6 +25,15 @@ def eval_mod(f, p, point):
                 t = t * pow(int(x), k, p) % p
         total = (total + t) % p
     return total
+
+
+def exp_sum_points(points, f, char):
+    """Sum of Psi(f(x)) over an explicit point set: each value an exact
+    angle, the real and imaginary parts summed with math.fsum."""
+    field = char.field
+    coeff = _field_coeffs(field, [f])
+    return psi_sum([f.evaluate([field.element(v) for v in x], coeff)
+                    for x in points], char)
 
 
 def jsonable(obj):

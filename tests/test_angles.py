@@ -7,7 +7,7 @@ import pytest
 
 from charsum import (Angle, build_extension, next_prime, prime_field,
                      primes_in, psi_p, standard_character,
-                     trivial_character, twisted_character, unit_roots)
+                     twisted_character, unit_roots)
 from charsum import angles
 from charsum.angles import character_sum, character_values
 from charsum.errors import CharsumError
@@ -97,7 +97,7 @@ def test_twists_exhaust_characters():
 
 def test_trivial_character_is_constant_one():
     F = build_extension(5, 2)
-    char = trivial_character(F)
+    char = twisted_character(F, 0)
     assert all(char.psi(x) == Angle(0) for x in F.elements())
 
 

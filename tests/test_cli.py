@@ -146,12 +146,15 @@ def test_out_of_memory_is_usage_error():
     ["dfi", "--poly", "(x^4000000000)^4000000000 + 1", "--xlimit", "10"],
     ["weil", "--poly", "x^4294967295", "--prime", "7"],
     ["mu0", "--system", "x^4000000000*y - 1", "--dim", "1", "--xlimit", "10"],
-], ids=["weil-overflow", "dfi-overflow", "weil-dense", "mu0-dense"])
+    ["weil", "--poly", "x^16777216", "--prime", "7"],
+    ["mu0", "--system", "x^16777216*y - 1", "--dim", "1", "--xlimit", "10"],
+], ids=["weil-overflow", "dfi-overflow", "weil-dense", "mu0-dense",
+        "weil-2^24", "mu0-2^24"])
 def test_huge_degree_is_refused_before_a_dense_form(argv):
     # each parses, but its dense coefficient list would not fit in memory
     r = run_capped(*argv, cap=1 << 30)
     assert r.returncode == 2
-    assert "exceeds the dense-form cap 2^24" in r.stderr
+    assert "exceeds the dense-form cap 2^20" in r.stderr
     assert "Traceback" not in r.stderr
     assert "out of memory" not in r.stderr
 

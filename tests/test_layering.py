@@ -3,12 +3,13 @@ the package's __init__ runs, so an import cycle between two modules
 shows whichever of them is loaded first.  Only `angles` reads the table
 of p-th roots of unity; every other module goes through its kernels.
 F_p consumers read the point matrix, not the tuples of
-`enumerate_points`.  Each kernel step has one copy: the one-variable
-solve, the line sum's budget guard and the Weil verdict.  One reader
-turns a one-variable polynomial into coefficients.  Report values
-are turned into text in one walk, by the writer.  Only `measure` calls
-numpy's FFT.  The parser does not recurse.  No module, in the package or
-among the tests, imports a name it never uses."""
+`enumerate_points`, and sum through the table, not with `psi_sum`.
+Each kernel step has one copy: the one-variable solve, the line sum's
+budget guard and the Weil verdict.  One reader turns a one-variable
+polynomial into coefficients.  Report values are turned into text in
+one walk, by the writer.  Only `measure` calls numpy's FFT.  The parser
+does not recurse.  No module, in the package or among the tests,
+imports a name it never uses."""
 
 import ast
 import subprocess
@@ -49,8 +50,8 @@ def test_only_angles_calls_unit_roots(name):
     assert name == "angles" or not calls, calls
 
 
-# (module, function) pairs that may call enumerate_points: exact-angle
-# sums, also over F_q, and count_points' F_q branch
+# (module, function) pairs that may call enumerate_points: the F_q
+# branches of exp_sum and count_points
 TUPLE_POINT_CALLERS = {("weil", "exp_sum"), ("points", "count_points")}
 
 
@@ -81,6 +82,20 @@ def test_fp_consumers_read_the_point_matrix(name):
              for fn, line in _calls_by_function(tree, "enumerate_points")
              if (name, fn) not in TUPLE_POINT_CALLERS]
     assert not calls, calls
+
+
+# (module, function) pairs that may sum exact angles with `psi_sum`: the
+# root sums of `psisym` and the F_q branch of exp_sum; every F_p sum goes
+# through `angles.character_sum`
+EXACT_ANGLE_SUMS = {("rootsums", "psisym_eval"), ("cli", "cmd_psisym"),
+                    ("weil", "exp_sum")}
+
+
+def test_only_exact_angle_sums_call_psi_sum():
+    calls = {(name, fn) for name in MODULES
+             for fn, _ in _calls_by_function(
+                 ast.parse((PACKAGE / (name + ".py")).read_text()), "psi_sum")}
+    assert calls == EXACT_ANGLE_SUMS
 
 
 # (module, what, the one function that may do it): root finding for one

@@ -102,8 +102,10 @@ def test_dense_forms_refuse_a_huge_degree_before_allocating():
                   lambda: x.as_univariate_in(0), lambda: Lowered([x])):
         with pytest.raises(BudgetError, match="degree 4294967296 exceeds"):
             build()
-    top = MPoly(1, {(1 << 24,): 1})
-    assert len(top.univariate_coeffs()) == (1 << 24) + 1
+    top = MPoly(1, {(1 << 20,): 1})
+    assert len(top.univariate_coeffs()) == (1 << 20) + 1
+    with pytest.raises(BudgetError, match=r"dense-form cap 2\^20"):
+        MPoly(1, {((1 << 20) + 1,): 1}).univariate_coeffs()
 
 
 def test_as_univariate_in_reassembles():

@@ -1,20 +1,24 @@
 import cmath
 import math
 import random
+import subprocess
+import sys
+import time
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
-from charsum import (axiom3_sup, box_count, exp_sum, exp_sum_points,
-                     hyperplane_height_test, laurent_from_expression,
-                     parse_polynomial, prime_field, primes_in,
-                     standard_character, twisted_character, weil_check,
-                     weil_check_curve, weil_sweep)
-from charsum import weil
+from charsum import (axiom3_sup, box_count, build_extension,
+                     enumerate_points, exp_sum, hyperplane_height_test,
+                     laurent_from_expression, parse_polynomial, prime_field,
+                     primes_in, standard_character, twisted_character,
+                     weil_check, weil_check_curve, weil_sweep)
+from charsum import points, weil
 from charsum.errors import BadPrimeError, CharsumError
-from charsum.mpoly import Lowered, frac_mod
+from charsum.mpoly import Lowered, MPoly, frac_mod
 from charsum.weil import _candidate_vectors
+from oracles import exp_sum_points
 
 TOL = 1e-9
 
@@ -95,6 +99,131 @@ def test_exp_sum_points_agrees_with_fast_line_path():
     fast = exp_sum([], f, char)
     slow = exp_sum_points([(x,) for x in range(p)], f, char)
     assert abs(fast - slow) < TOL
+
+
+CURVES = ("x^2 + y^2 - 1", "x*y - 1", "y - x^2", "y^2 - x^3 - x - 1",
+          "x + 0*y", "(x-1)^2")
+SUMMANDS = ("x + 2*y", "3", "x^2*y + 1/3*y", "x*y^2 - 5*y + x")
+
+
+def test_exp_sum_on_curves_matches_the_exact_angle_oracle():
+    # the point-matrix route against exact angles summed with fsum
+    rng = random.Random(22)
+    odd = primes_in(3000)[1:]
+    worst = 0.0
+    for _ in range(120):
+        p = rng.choice(odd[:40] if rng.random() < 0.5 else odd)
+        system = [poly(rng.choice(CURVES), ("x", "y"))]
+        f = poly(rng.choice(SUMMANDS), ("x", "y"))
+        char = twisted_character(prime_field(p), rng.randrange(p))
+        box = None
+        if rng.random() < 0.4:
+            box = [sorted((rng.randrange(p + 1), rng.randrange(p + 1)))
+                   for _ in range(2)]
+        try:
+            expect = exp_sum_points(enumerate_points(system, p, box=box),
+                                    f, char)
+        except BadPrimeError:
+            with pytest.raises(BadPrimeError):
+                exp_sum(system, f, char, box=box)
+            continue
+        worst = max(worst, abs(exp_sum(system, f, char, box=box) - expect))
+    assert worst < 1e-10
+
+
+def test_exp_sum_raises_where_p_divides_a_denominator():
+    system = [poly("y - x^2", ("x", "y"))]
+    f = poly("x^2*y + 1/3*y", ("x", "y"))
+    char = standard_character(prime_field(3))
+    with pytest.raises(BadPrimeError):
+        exp_sum_points(enumerate_points(system, 3), f, char)
+    with pytest.raises(BadPrimeError):
+        exp_sum(system, f, char)
+
+
+def test_curve_sum_near_a_hundred_thousand_is_fast():
+    # the per-point route took 3.3 s here on a 2-vCPU host
+    p = 100003
+    system = [poly("y^2 - x^3 - x - 1", ("x", "y"))]
+    f = poly("x + 2*y", ("x", "y"))
+    char = standard_character(prime_field(p))
+    start = time.perf_counter()
+    value = exp_sum(system, f, char, budget=10 ** 11)
+    assert time.perf_counter() - start < 1.0
+    pts = enumerate_points(system, p, budget=10 ** 11)
+    assert abs(value - exp_sum_points(pts, f, char)) < 1e-9
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("the exact per-point route was taken")
+
+
+def test_exp_sum_over_fp_reads_the_point_matrix(monkeypatch):
+    names = ("x", "y")
+    system = [poly("x*y - 1", names)]
+    f = poly("x + y", names)
+    char = standard_character(prime_field(37))
+    box = [(0, 20), (3, 37)]
+    expect = [exp_sum(system, f, char), exp_sum(system, f, char, box=box)]
+    for module in (points, weil):
+        monkeypatch.setattr(module, "enumerate_points", _refuse)
+    monkeypatch.setattr(MPoly, "evaluate", _refuse)
+    assert [exp_sum(system, f, char),
+            exp_sum(system, f, char, box=box)] == expect
+    # over a proper extension every point is still evaluated exactly
+    with pytest.raises(AssertionError, match="per-point route"):
+        exp_sum(system, f, standard_character(build_extension(3, 2)))
+
+
+def test_exp_sum_over_fq_matches_the_exact_angle_oracle():
+    names = ("x", "y")
+    system = [poly("x*y - 1", names)]
+    for F in (build_extension(3, 2), build_extension(2, 3)):
+        for f in (poly("x + y", names), poly("x^2*y + 3", names)):
+            char = standard_character(F)
+            expect = exp_sum_points(enumerate_points(system, F), f, char)
+            assert exp_sum(system, f, char) == expect
+
+
+def test_line_exp_sum_is_weil_check_bit_for_bit():
+    rng = random.Random(41)
+    for p in (101, 1009, 100003):
+        for twist in (1, 2, p - 1):
+            f = poly("x^3 + %d*x^2 + %d"
+                     % (rng.randrange(p), rng.randrange(p)))
+            char = twisted_character(prime_field(p), twist)
+            assert exp_sum([], f, char) == weil_check(f, p, char).value
+
+
+RUN_CAPPED = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from charsum import (exp_sum, parse_polynomial, prime_field,
+                     standard_character)
+from charsum.errors import CharsumError
+p = 2147483659
+char = standard_character(prime_field(p))
+line = parse_polynomial("x^3 + 2").poly
+curve, g = (parse_polynomial(text, variables=("x", "y")).poly
+            for text in ("y^2 - x^3 - 1", "x + 2*y"))
+for system, f in (([], line), ([curve], g)):
+    try:
+        exp_sum(system, f, char, budget=2 ** 64)
+    except CharsumError as exc:
+        print(type(exc).__name__, exc)
+"""
+
+
+def test_fp_sums_refuse_p_above_2_31_before_allocating():
+    # the int64 kernels need p < 2^31; the line refuses before its
+    # p-long arange, so a 1 GiB child sees no MemoryError
+    r = subprocess.run([sys.executable, "-c", RUN_CAPPED],
+                       capture_output=True, text=True, timeout=60)
+    assert r.returncode == 0, r.stderr
+    lines = r.stdout.splitlines()
+    assert len(lines) == 2, r.stdout
+    assert "requires p < 2^31" in lines[0]
+    assert "MemoryError" not in r.stdout + r.stderr
 
 
 def test_kloosterman_sum_within_classical_bound():
