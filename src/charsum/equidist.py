@@ -16,7 +16,6 @@ values.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -27,8 +26,7 @@ import numpy as np
 from .angles import Angle
 from .errors import CharsumError
 from .fppoly import evaluate
-from .mpoly import (Lowered, discriminant, poly_rem, poly_trim,
-                    primitive_integers)
+from .mpoly import Lowered, poly_rem, poly_trim, primitive_integers
 from .nfield import (_monic_companion, _poly_str, _refuse_rational_root,
                      nf_build)
 from .parallel import pmap
@@ -41,30 +39,27 @@ WEYL_DEPTH = 5
 
 def ks_statistic(values) -> float:
     """Kolmogorov-Smirnov distance between the empirical distribution of
-    the values and the uniform distribution on [0, 1)."""
-    s = sorted(float(v) for v in values)
+    the values (a sequence of reals) and the uniform distribution on
+    [0, 1)."""
+    s = np.sort(np.asarray(values, dtype=np.float64))
     n = len(s)
     if n == 0:
         raise CharsumError("no samples")
-    d = 0.0
-    for i, x in enumerate(s):
-        d = max(d, x - i / n, (i + 1) / n - x)
-    return d
+    i = np.arange(n)
+    return float(max(0.0, (s - i / n).max(), ((i + 1) / n - s).max()))
 
 
 def weyl_sum(values, h) -> complex:
-    """Normalized exponential sum (1/N) sum exp(2 pi i h s).
+    """Normalized exponential sum (1/N) sum exp(2 pi i h s) over a
+    sequence of reals s.
 
     The phase is 2*pi*h*s with no reduction mod 1, so negating h
     conjugates every term (and hence the sum) exactly.
     """
-    values = list(values)
-    if not values:
+    s = np.asarray(values, dtype=np.float64)
+    if not len(s):
         raise CharsumError("no samples")
-    total = 0j
-    for s in values:
-        total += cmath.exp(2j * math.pi * h * float(s))
-    return total / len(values)
+    return complex(np.exp(2j * math.pi * h * s).sum()) / len(s)
 
 
 def sample_histogram(samples, bins):
@@ -105,12 +100,14 @@ def _certify_irreducible(ints):
     return nf_build(_monic_companion(ints))
 
 
-def _good_primes(ints, xlimit, congruence, den):
+def _good_primes(ints, disc, xlimit, congruence, den):
     """Primes up to xlimit in the congruence class, split into usable
-    primes and (prime, reason) skips; den is the common denominator of
-    the derived element's coefficients."""
+    primes and (prime, reason) skips.  disc is the discriminant of the
+    monic companion lc^(d-1) f(y / lc), which is lc^((d-1)(d-2)) times
+    f's, so once the primes dividing lc are skipped it has f's prime
+    divisors; den is the common denominator of the derived element's
+    coefficients."""
     lc = ints[-1]
-    disc = discriminant(ints)
     good, skipped = [], []
     for p in primes_in(xlimit, congruence):
         if lc % p == 0:
@@ -127,7 +124,7 @@ def _good_primes(ints, xlimit, congruence, den):
 def _summarize(samples, weyl_depth):
     if not samples:
         return None, ()
-    floats = [r / p for p, r, _ in samples]
+    floats = np.array([r / p for p, r, _ in samples])
     ks = ks_statistic(floats)
     weyl = tuple((h, weyl_sum(floats, h)) for h in range(1, weyl_depth + 1))
     return ks, weyl
@@ -166,7 +163,7 @@ def _element_sweep(command, ints, gq, xlimit, congruence, split_only,
                            "degree at least 2")
     cert = _certify_irreducible(ints)
     g = Lowered.univariate(gq)
-    good, skipped = _good_primes(ints, xlimit, congruence, g.den)
+    good, skipped = _good_primes(ints, cert.disc, xlimit, congruence, g.den)
     samples = []
     for p, values in pmap(partial(_value_worker, ints, g), good, jobs):
         if split_only and len(values) != deg:

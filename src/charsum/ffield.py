@@ -251,6 +251,9 @@ class FqElem:
     def is_zero(self):
         return all(c == 0 for c in self.coeffs)
 
+    def __bool__(self):
+        return not self.is_zero()
+
     def in_prime_field(self):
         return all(c == 0 for c in self.coeffs[1:])
 

@@ -15,7 +15,6 @@ import numpy as np
 
 from .angles import character_values
 from .errors import CharsumError
-from .measure import _check_table_size
 from .parser import parse_polynomial
 
 
@@ -66,10 +65,10 @@ class LaurentPoly:
         """Real values of h(Psi(x_1), ..., Psi(x_n)) for the rows x of
         mat, an (N, n) int array of residues; requires real mode.  All
         exponent vectors, reduced mod p, meet the points in one matrix
-        product."""
+        product.  The caller checks p against the table budget before it
+        builds mat."""
         if not self.is_real_mode():
             raise CharsumError("Laurent polynomial is not real-valued")
-        _check_table_size(p, 1)  # character_values reads a table of p values
         if mat.shape[1] != self.nvars:
             raise CharsumError("points have %d coordinates, h has %d "
                                "variables" % (mat.shape[1], self.nvars))

@@ -6,7 +6,7 @@ shared across worker processes freely.  `Lowered` is the one integer form
 for work mod many primes: integer numerators over one denominator, each
 polynomial a Horner tree.  Also here: `power`, the one square-and-multiply;
 a univariate toolkit over any exact field; `gauss_jordan`, the one exact
-elimination over Q.
+elimination, over Q or F_q.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from fractions import Fraction
 from .errors import BadPrimeError, BudgetError, CharsumError
 
 DEGREE_CAP = 1 << 20  # degree of a dense coefficient list
+SYLVESTER_CAP = 1 << 22  # cells of a Sylvester matrix
 
 
 def _as_fraction(c):
@@ -425,14 +426,15 @@ def poly_powmod(f, e, m):
 
 
 def gauss_jordan(rows):
-    """Reduce a matrix of Fractions (a list of equal-length row lists) in
-    place to reduced row echelon form by exact Gauss-Jordan elimination.
+    """Reduce a matrix of Fractions or FqElems (a list of equal-length row
+    lists) in place to reduced row echelon form by exact Gauss-Jordan
+    elimination.
 
     Returns (pivot columns, signed product of the pivots): the sign flips
     with each row swap, so when every column of a square matrix has a
     pivot the product is its determinant.
     """
-    pivots, det = [], Fraction(1)
+    pivots, det = [], 1
     for col in range(len(rows[0]) if rows else 0):
         r = len(pivots)
         piv = next((i for i in range(r, len(rows)) if rows[i][col]), None)
@@ -457,12 +459,16 @@ def gauss_jordan(rows):
 def resultant(f, g):
     """Resultant of two rational univariate polynomials: the determinant
     of their Sylvester matrix (f0^m when f = f0 is constant and g has
-    degree m)."""
+    degree m).  A matrix of more than SYLVESTER_CAP cells is refused
+    before any row is built."""
     f = [_as_fraction(c) for c in poly_trim(f)]
     g = [_as_fraction(c) for c in poly_trim(g)]
     n, m = len(f) - 1, len(g) - 1
     if n < 0 or m < 0:
         return Fraction(0)
+    if (n + m) ** 2 > SYLVESTER_CAP:
+        raise BudgetError("Sylvester matrix budget exceeded: %d^2 cells > "
+                          "2^22" % (n + m))
     zero = [Fraction(0)]
     rows = ([zero * i + f[::-1] + zero * (m - 1 - i) for i in range(m)]
             + [zero * i + g[::-1] + zero * (n - 1 - i) for i in range(n)])

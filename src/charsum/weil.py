@@ -6,19 +6,19 @@ enumeration budget checked for p points, then Horner evaluation of the
 twisted, reduced polynomial at all of F_p, summed by
 `angles.character_sum`.  Every other F_p point set is read from the
 point matrix, where `polyroots.horner` evaluates f for the same kernel;
-both evaluate in int64, so F_p sums need p < 2^31.  `weil_check` makes
-one Weil record at one prime; `weil_sweep` makes them along a prime
-list, splitting the polynomial's coefficients over one common
-denominator once, so each prime costs one inverse.  Every record, on the
-line or on a curve, is built by `_record`, which holds the one pass/fail
-rule.
+both evaluate in int64, so F_p sums need p < 2^31, and both read a table
+of p character values, so they need p <= 2^24, checked before any point
+is built.  `weil_check` makes one Weil record at one prime; `weil_sweep`
+makes them along a prime list, splitting the polynomial's coefficients
+over one common denominator once, so each prime costs one inverse.
+Every record, on the line or on a curve, is built by `_record`, which
+holds the one pass/fail rule.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from math import gcd
 
 import numpy as np
@@ -28,7 +28,7 @@ from .errors import BadPrimeError, CharsumError
 from .ffield import prime_field
 from .laurent import LaurentPoly
 from .measure import _check_table_size
-from .mpoly import Lowered, MPoly, check_int64_modulus
+from .mpoly import Lowered, MPoly, check_int64_modulus, gauss_jordan
 from .parser import univariate
 from .points import (_CHUNK, DEFAULT_BUDGET, _check_budget, _field_coeffs,
                      _free_grid, _point_matrix, _sample_matrix,
@@ -80,9 +80,11 @@ def exp_sum(system, f: MPoly, char: CharacterDesc, box=None,
 def _line_sum(red, p, twist, budget=DEFAULT_BUDGET):
     """Sum of e(twist * g(x) / p) over x in F_p, where red holds the
     residues of g's coefficients, little-endian; p points must fit the
-    enumeration budget, and p < 2^31 the int64 evaluation."""
+    enumeration budget, p < 2^31 the int64 evaluation, and p values the
+    character table."""
     _check_budget(p, 1, budget)
     check_int64_modulus(p)
+    _check_table_size(p, 1)
     twisted = [c * twist % p for c in red]
     return character_sum(eval_many(twisted, p,
                                    np.arange(p, dtype=np.int64)), p)
@@ -90,13 +92,8 @@ def _line_sum(red, p, twist, budget=DEFAULT_BUDGET):
 
 def _lowered(f):
     """f (anything `parser.univariate` reads) as the one-variable
-    `Lowered`, so that reducing it mod a prime costs one inverse.  The
-    last 16 are kept by coefficients, so a caller checking one polynomial
-    prime by prime lowers it once."""
-    return _lowered_coeffs(tuple(univariate(f)))
-
-
-_lowered_coeffs = lru_cache(maxsize=16)(Lowered.univariate)
+    `Lowered`, so that reducing it mod a prime costs one inverse."""
+    return Lowered.univariate(univariate(f))
 
 
 def _weil_record(coeffs, p, twist) -> WeilRecord:
@@ -197,6 +194,7 @@ def axiom3_sup(system, h: LaurentPoly, p, nvars=None,
     if h.has_constant_term():
         raise CharsumError("h must have no constant term")
     n = nvars or h.nvars
+    _check_table_size(p, 1)  # character_values reads a table of p values
     mat = _point_matrix(system, p, n, None, budget)
     if not len(mat):
         raise CharsumError("no points on the curve mod %d" % p)
@@ -242,9 +240,12 @@ def _constant_on_samples(n, m, samples):
     candidates meets a prime's samples in one matrix product.  Nothing is
     scanned when one prime's sample differences span F_q^n: only the zero
     vector is constant there, and a candidate's entries are below q."""
-    if any(_rank_mod((pts[1:] - pts[0]).tolist(), q) == n
-           for q, pts in samples.items()):
-        return
+    for q, pts in samples.items():
+        field = prime_field(q)
+        diffs = [[field.element(a) for a in row]
+                 for row in (pts[1:] - pts[0]).tolist()]
+        if len(gauss_jordan(diffs)[0]) == n:
+            return
     for vecs in _candidate_vectors(n, m):
         consts = np.zeros((len(vecs), 0), dtype=np.int64)
         for q, pts in samples.items():
@@ -255,20 +256,6 @@ def _constant_on_samples(n, m, samples):
             if not len(vecs):
                 break
         yield from zip(map(tuple, vecs.tolist()), consts.tolist())
-
-
-def _rank_mod(rows, q):
-    """The rank mod the prime q of a matrix given as a list of int rows."""
-    rank = 0
-    while rows:
-        top = rows.pop()
-        col = next((j for j, a in enumerate(top) if a % q), None)
-        if col is not None:  # clear that column from the other rows
-            inv = pow(top[col], -1, q)
-            rows = [[(a - r[col] * inv * b) % q for a, b in zip(r, top)]
-                    for r in rows]
-            rank += 1
-    return rank
 
 
 def hyperplane_height_test(system, m, nvars=None):

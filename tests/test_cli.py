@@ -134,8 +134,11 @@ def run_capped(*args, cap=2 << 30):
 
 
 def test_out_of_memory_is_usage_error():
-    # inside the line budget, but the evaluation array alone is 2.4 GB
-    r = run_capped("weil", "--poly", "x^3 + 1", "--prime", "300000007")
+    # inside the point and table budgets, but the 10007^2 grid of the
+    # plane is 764 MiB per int64 coordinate array
+    r = run_capped("boxcount", "--system", "0", "--nvars", "2", "--prime",
+                   "10007", "--box", "0:10007,0:10007", "--dim", "2",
+                   "--flag-height", "0")
     assert r.returncode == 2
     assert r.stderr.startswith("error: out of memory: ")
     assert "Traceback" not in r.stderr
@@ -162,13 +165,33 @@ def test_huge_degree_is_refused_before_a_dense_form(argv):
 @pytest.mark.parametrize("argv", [
     ["pushforward", "--system", "x^2-2", "--prime", "999999937"],
     ["axiom3", "--system", "x^2 - 2", "--laurent", "z1 + zb1", "--prime",
-     "999999937"]], ids=["pushforward", "axiom3"])
+     "999999937"],
+    ["pushforward", "--system", "0", "--nvars", "1", "--prime", "999999937"],
+    ["axiom3", "--system", "0", "--nvars", "1", "--laurent", "z1 + zb1",
+     "--prime", "999999937"],
+    ["weil", "--poly", "x^3 + 1", "--prime", "50000017"],
+], ids=["pushforward", "axiom3", "pushforward-line", "axiom3-line", "weil"])
 def test_character_table_over_budget_is_refused_before_allocation(argv):
-    # two points pass the point budget, but the p-long table of character
-    # values would take 14.9 GiB
-    r = run_capped(*argv)
+    # each passes the point budget, but the p-long table of character
+    # values would take 14.9 GiB (763 MiB for weil); on the whole line the
+    # check must also come before the p points are built
+    r = run_capped(*argv, cap=1 << 30)
     assert r.returncode == 2
     assert "budget exceeded" in r.stderr
+    assert "Traceback" not in r.stderr
+    assert "out of memory" not in r.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["dfi", "--poly", "x^65536 + 1", "--xlimit", "10"],
+    ["latbasis", "--poly", "x^4096 + 3", "--elems", "x"],
+], ids=["dfi", "latbasis"])
+def test_sylvester_matrix_over_cap_is_refused_before_allocation(argv):
+    # the discriminant's Sylvester matrix would hold 131071^2 and 8191^2
+    # cells, against the cap of 2^22
+    r = run_capped(*argv, cap=1 << 30)
+    assert r.returncode == 2
+    assert "Sylvester matrix budget exceeded" in r.stderr
     assert "Traceback" not in r.stderr
     assert "out of memory" not in r.stderr
 

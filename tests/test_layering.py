@@ -5,11 +5,12 @@ of p-th roots of unity; every other module goes through its kernels.
 F_p consumers read the point matrix, not the tuples of
 `enumerate_points`, and sum through the table, not with `psi_sum`.
 Each kernel step has one copy: the one-variable solve, the line sum's
-budget guard and the Weil verdict.  One reader turns a one-variable
-polynomial into coefficients.  Report values are turned into text in
-one walk, by the writer.  Only `measure` calls numpy's FFT.  The parser
-does not recurse.  No module, in the package or among the tests,
-imports a name it never uses."""
+budget guard and the Weil verdict.  Every F_p sum refuses a character
+table over budget before it builds its points.  One reader turns a
+one-variable polynomial into coefficients.  Report values are turned
+into text in one walk, by the writer.  Only `measure` calls numpy's
+FFT.  The parser does not recurse.  No module, in the package or among
+the tests, imports a name it never uses."""
 
 import ast
 import subprocess
@@ -128,6 +129,30 @@ def test_only_the_line_sum_guards_a_line():
                   ast.parse((PACKAGE / (name + ".py")).read_text()),
                   _one_point_budget_check)}
     assert guards == {("weil", "_line_sum")}
+
+
+# (module, function) pairs that sum over a table of p character values:
+# each checks p against the table budget before its first point matrix or
+# arange of F_p
+TABLE_CHECKED = [("weil", "exp_sum"), ("weil", "_line_sum"),
+                 ("weil", "axiom3_sup"), ("measure", "pushforward_weyl")]
+
+
+@pytest.mark.parametrize("module, function", TABLE_CHECKED,
+                         ids=[fn for _, fn in TABLE_CHECKED])
+def test_table_check_comes_before_the_points(module, function):
+    tree = ast.parse((PACKAGE / (module + ".py")).read_text())
+    fn = next(node for node in ast.walk(tree)
+              if isinstance(node, ast.FunctionDef) and node.name == function)
+
+    def first(*names):
+        return min(((node.lineno, node.col_offset) for node in ast.walk(fn)
+                    if any(_is_call(node, name) for name in names)),
+                   default=None)
+
+    check = first("_check_table_size")
+    points = first("_point_matrix", "arange")
+    assert check is not None and points is not None and check < points
 
 
 def test_one_reader_for_one_variable_polynomials():

@@ -12,10 +12,12 @@ from hypothesis import given, settings, strategies as st
 
 from charsum import (LaurentPoly, MPoly, ValueTable, box_count, count_points,
                      enumerate_points, hyperplane_height_test,
-                     parse_polynomial, primes_in, pushforward_weyl)
+                     parse_polynomial, prime_field, primes_in,
+                     pushforward_weyl)
 from charsum import measure, weil
 from charsum.angles import character_sum, character_values
 from charsum.errors import BudgetError, CharsumError
+from charsum.mpoly import gauss_jordan
 from charsum.points import DEFAULT_BUDGET, _point_matrix
 from charsum.weil import _candidate_vectors
 from oracles import eval_mod
@@ -265,12 +267,16 @@ def test_hyperplane_search_matches_the_scalar_scan(case, m, in_plane, data):
 @settings(derandomize=True, max_examples=100, deadline=None)
 @given(st.sampled_from([2, 3, 5]), st.integers(1, 4), st.data())
 def test_rank_mod_counts_the_span(q, n, data):
+    # the hyperplane search's span test: the pivots of gauss_jordan over
+    # F_q elements
     rows = data.draw(st.lists(st.lists(st.integers(-9, 9), min_size=n,
                                        max_size=n), max_size=4))
     span = {tuple(sum(c * r[j] for c, r in zip(cs, rows)) % q
                   for j in range(n))
             for cs in product(range(q), repeat=len(rows))}
-    assert q ** weil._rank_mod([list(r) for r in rows], q) == len(span)
+    field = prime_field(q)
+    pivots, _ = gauss_jordan([[field.element(a) for a in r] for r in rows])
+    assert q ** len(pivots) == len(span)
 
 
 @pytest.mark.parametrize("texts, vector, constant, exact", [
