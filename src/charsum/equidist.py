@@ -26,7 +26,8 @@ import numpy as np
 from .angles import Angle
 from .errors import CharsumError
 from .fppoly import evaluate
-from .mpoly import Lowered, poly_rem, poly_trim, primitive_integers
+from .mpoly import (Lowered, check_sylvester, poly_rem, poly_trim,
+                    primitive_integers)
 from .nfield import (_monic_companion, _poly_str, _refuse_rational_root,
                      nf_build)
 from .parallel import pmap
@@ -83,10 +84,12 @@ class SweepReport:
 
 def _integer_form(coeffs):
     """Scale rational coefficients to a primitive integer list with a
-    positive leading coefficient (same roots, cleaner arithmetic)."""
+    positive leading coefficient (same roots, cleaner arithmetic); a
+    degree whose discriminant is over the Sylvester cap is refused first."""
     coeffs = poly_trim(list(coeffs))
     if not coeffs:
         raise CharsumError("zero polynomial")
+    check_sylvester(len(coeffs) - 1, len(coeffs) - 2)
     ints = primitive_integers(coeffs)
     if ints[-1] < 0:
         ints = [-c for c in ints]

@@ -3,8 +3,9 @@ packed tables for small fields.
 
 An extension is represented by its canonical modulus: the monic
 irreducible of degree e whose coefficient vector (read from the x^{e-1}
-coefficient down to the constant) is lexicographically smallest.  Elements
-are immutable coefficient vectors in the power basis of that modulus.
+coefficient down to the constant) is lexicographically smallest, found
+by a Frobenius walk x^(p^k) mod each candidate that stops at its first
+factor.  Elements are immutable coefficient vectors in the power basis.
 
 For q <= TABLE_LIMIT (2^16), `packed_field` gives numpy tables on packed
 elements: the integer whose base-p digits are the coefficients, c_0 the
@@ -52,19 +53,16 @@ def _prime_divisors(n):
 
 
 def _is_irreducible_mod(coeffs, p):
-    """Rabin's criterion for a monic polynomial over F_p."""
-    e = len(coeffs) - 1
-    if e < 1:
-        return False
+    """Ben-Or's test for a monic f over F_p: a reducible f of degree e has
+    an irreducible factor of degree k <= e/2, which divides x^(p^k) - x;
+    walk h = x^(p^k) mod f and stop at the first gcd(h - x, f) != 1."""
     f = [c % p for c in coeffs]
-    x = [0, 1]
-    for r in _prime_divisors(e):
-        h = fppoly.powmod_x(p ** (e // r), f, p)
-        g = fppoly.gcd(fppoly.sub(h, x, p), f, p)
-        if fppoly.degree(g) != 0:
+    x = h = [0, 1]
+    for _ in range((len(f) - 1) // 2):
+        h = fppoly.powmod(h, p, f, p)
+        if fppoly.degree(fppoly.gcd(fppoly.sub(h, x, p), f, p)) != 0:
             return False
-    h = fppoly.powmod_x(p ** e, f, p)
-    return fppoly.sub(h, x, p) == []
+    return len(f) > 1
 
 
 class ExtFieldDesc:

@@ -4,8 +4,8 @@ Polynomials are little-endian lists of ints in [0, p).  These are the
 low-level kernels shared by field construction and root finding; callers
 normalize their own inputs.  This is the int fast path beside the
 `mpoly` toolkit: `powmod` runs on `mpoly.power`, the one
-square-and-multiply, and `powmod_x` is the left-to-right form for powers
-of x.
+square-and-multiply, so a power of x (or of any linear polynomial)
+costs O(deg m) per set bit of the exponent beside its squarings.
 """
 
 from .mpoly import power
@@ -37,8 +37,8 @@ def mul(f, g, p):
     out = [0] * (len(f) + len(g) - 1)
     for i, a in enumerate(f):
         if a:
-            for j, b in enumerate(g):
-                out[i + j] = (out[i + j] + a * b) % p
+            for j, b in enumerate(g, i):
+                out[j] = (out[j] + a * b) % p
     return trim(out)
 
 
@@ -59,8 +59,8 @@ def divmod_poly(f, g, p):
         c = f[-1] * inv_lead % p
         k = len(f) - 1 - dg
         q[k] = c
-        for i, b in enumerate(g):
-            f[k + i] = (f[k + i] - c * b) % p
+        for i, b in enumerate(g, k):
+            f[i] = (f[i] - c * b) % p
         trim(f)
     return trim(q), f
 
@@ -84,25 +84,15 @@ def gcd(f, g, p):
 
 
 def mulmod(f, g, m, p):
-    return mod(mul(f, g, p), m, p)
+    return divmod_poly(mul(f, g, p), m, p)[1]
 
 
 def powmod(f, e, m, p):
     """f^e mod (m, p); [1] at e = 0."""
     if e == 0:
         return [1]
-    return power(mod(list(f), m, p), e, lambda a, b: mulmod(a, b, m, p))
-
-
-def powmod_x(e, m, p):
-    """x^e mod (m, p), left to right: each step squares, and a set bit
-    multiplies by x, which is a shift and one reduction step."""
-    out = [1]
-    for bit in bin(e)[2:]:
-        out = mulmod(out, out, m, p)
-        if bit == "1" and out:
-            out = mod([0] + out, m, p)
-    return out
+    # power's second factor is the base: the outer loop of mul runs over it
+    return power(mod(list(f), m, p), e, lambda a, b: mulmod(b, a, m, p))
 
 
 def evaluate(f, x, p):

@@ -39,17 +39,16 @@ def _dense(d):
 
 def power(x, e, mul):
     """x^e for e >= 1 under the product `mul`, by the binary method read
-    right to left: it never multiplies by one and never squares after the
-    last bit.  The one square-and-multiply; callers handle e <= 0 and
-    reduce the base."""
-    out = None
-    while True:
-        if e & 1:
-            out = x if out is None else mul(out, x)
-        e >>= 1
-        if not e:
-            return out
-        x = mul(x, x)
+    left to right: each step squares, and a set bit multiplies by the
+    base x, always as the second factor.  It never multiplies by one and
+    never squares after the last bit.  The one square-and-multiply;
+    callers handle e <= 0 and reduce the base."""
+    out = x
+    for bit in bin(e)[3:]:
+        out = mul(out, out)
+        if bit == "1":
+            out = mul(out, x)
+    return out
 
 
 class MPoly:
@@ -124,12 +123,18 @@ class MPoly:
                          {e: c * other for e, c in self.terms.items()})
         if self.nvars != other.nvars:
             raise ValueError("variable count mismatch")
+        # integer numerators: one Fraction per term of the product
+        den = math.lcm(*(c.denominator for f in (self, other)
+                         for c in f.terms.values()))
+        left, right = ([(e, c.numerator * den // c.denominator)
+                        for e, c in f.terms.items()] for f in (self, other))
         terms = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
+        for e1, n1 in left:
+            for e2, n2 in right:
                 e = tuple(map(operator.add, e1, e2))
-                terms[e] = terms.get(e, Fraction(0)) + c1 * c2
-        return MPoly(self.nvars, terms)
+                terms[e] = terms.get(e, 0) + n1 * n2
+        return MPoly(self.nvars, {e: Fraction(n, den * den)
+                                  for e, n in terms.items()})
 
     __rmul__ = __mul__
 
@@ -456,6 +461,14 @@ def gauss_jordan(rows):
     return pivots, det
 
 
+def check_sylvester(n, m):
+    """Refuse a Sylvester matrix of degrees n and m over SYLVESTER_CAP
+    cells; a discriminant of degree d needs (d, d - 1)."""
+    if (n + m) ** 2 > SYLVESTER_CAP:
+        raise BudgetError("Sylvester matrix budget exceeded: %d^2 cells > "
+                          "2^22" % (n + m))
+
+
 def resultant(f, g):
     """Resultant of two rational univariate polynomials: the determinant
     of their Sylvester matrix (f0^m when f = f0 is constant and g has
@@ -466,9 +479,7 @@ def resultant(f, g):
     n, m = len(f) - 1, len(g) - 1
     if n < 0 or m < 0:
         return Fraction(0)
-    if (n + m) ** 2 > SYLVESTER_CAP:
-        raise BudgetError("Sylvester matrix budget exceeded: %d^2 cells > "
-                          "2^22" % (n + m))
+    check_sylvester(n, m)
     zero = [Fraction(0)]
     rows = ([zero * i + f[::-1] + zero * (m - 1 - i) for i in range(m)]
             + [zero * i + g[::-1] + zero * (n - 1 - i) for i in range(n)])

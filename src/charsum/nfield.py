@@ -17,9 +17,9 @@ from math import gcd
 from . import fppoly
 from .errors import CharsumError
 from .ffield import _is_irreducible_mod
-from .mpoly import (Lowered, MPoly, discriminant, frac_mod, gauss_jordan,
-                    poly_derivative, poly_gcd, poly_mul, poly_rem, poly_trim,
-                    power, primitive_integers)
+from .mpoly import (Lowered, MPoly, check_sylvester, discriminant, frac_mod,
+                    gauss_jordan, poly_derivative, poly_gcd, poly_mul,
+                    poly_rem, poly_trim, power, primitive_integers)
 from .parser import poly_to_string, univariate
 from .polyroots import roots_mod_p
 from .primes import EXACT_LIMIT, next_prime, primes_in
@@ -30,10 +30,12 @@ CERT_PRIME_COUNT = 25
 
 def _int_coeffs(f):
     """Little-endian integer coefficients of a monic defining polynomial,
-    given as anything `parser.univariate` reads."""
+    given as anything `parser.univariate` reads; a degree whose
+    discriminant is over the Sylvester cap is refused first."""
     coeffs = poly_trim(univariate(f, "defining polynomial"))
     if len(coeffs) < 2:
         raise CharsumError("defining polynomial must have degree >= 1")
+    check_sylvester(len(coeffs) - 1, len(coeffs) - 2)
     if coeffs[-1] != 1:
         raise CharsumError("defining polynomial must be monic")
     if any(c.denominator != 1 for c in coeffs):

@@ -1,8 +1,8 @@
 """Roots of univariate polynomials over finite fields.
 
 Over F_p every prime takes one path: degrees 1 and 2 in closed form,
-higher degrees by gcd with x^p - x (x^p by shifting) and equal-degree
-splitting (Cantor-Zassenhaus).  Over a proper extension F_q with
+higher degrees by gcd with x^p - x and equal-degree splitting
+(Cantor-Zassenhaus).  Over a proper extension F_q with
 q <= TABLE_LIMIT (2^16) one numpy Horner pass over all q packed elements
 (`ffield.packed_field`) finds the roots, and one synthetic division over
 all of them at once per round gives their multiplicities.  Larger q take
@@ -82,17 +82,10 @@ def horner(tree, res, p, cols):
 def _multiplicities(f, roots, p):
     out = []
     for r in roots:
-        g = list(f)
-        m = 0
-        while True:
-            q, rem = fppoly.deflate_root(g, r, p)
-            if rem != 0:
-                break
-            m += 1
-            g = q
-            if not g:
-                break
-        out.extend([r] * m)
+        q, rem = fppoly.deflate_root(f, r, p)
+        while rem == 0:
+            out.append(r)
+            q, rem = fppoly.deflate_root(q, r, p)
     return out
 
 
@@ -144,7 +137,7 @@ def roots_mod_p(coeffs, p) -> list:
     fm = fppoly.monic(f, p)
     if fppoly.degree(fm) <= 2:
         return _split_linear(fm, p, None)
-    xp = fppoly.powmod_x(p, fm, p)
+    xp = fppoly.powmod([0, 1], p, fm, p)
     g = fppoly.gcd(fppoly.sub(xp, [0, 1], p), fm, p)
     if fppoly.degree(g) <= 0:
         return []

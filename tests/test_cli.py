@@ -196,6 +196,16 @@ def test_sylvester_matrix_over_cap_is_refused_before_allocation(argv):
     assert "out of memory" not in r.stderr
 
 
+def test_irreducibility_certificate_fails_in_seconds():
+    # x^160 + x + 1 is reducible mod each of the 25 primes tried, and the
+    # Frobenius walk stops at the first factor it meets at each
+    r = subprocess.run(BASE + ["dfi", "--poly", "x^160 + x + 1",
+                               "--xlimit", "10"],
+                       capture_output=True, text=True, timeout=20)
+    assert r.returncode == 2
+    assert "certificate not found" in r.stderr
+
+
 def test_pushforward_moment_count_is_refused_before_any_moment(tmp_path):
     # 36M nonzero moments against 1012 points, over the 10^9 budget
     out = tmp_path / "moments.json"

@@ -1,12 +1,14 @@
 import random
+from itertools import product
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from charsum import (build_extension, fq_trace, frobenius, prime_field,
-                     sqrt_mod)
+from charsum import (build_extension, fppoly, fq_trace, frobenius,
+                     prime_field, sqrt_mod)
 from charsum.errors import CharsumError
-from charsum.ffield import ExtFieldDesc, packed_field
+from charsum.ffield import ExtFieldDesc, _is_irreducible_mod, packed_field
 
 PACKED_FIELDS = ((2, 2), (2, 3), (2, 6), (3, 2), (3, 4), (5, 2), (7, 2),
                  (13, 2))
@@ -237,6 +239,34 @@ def test_modulus_is_the_first_irreducible_in_written_order():
                      for upper in product(range(p), repeat=e)
                      if _is_irreducible_mod(list(upper[::-1]) + [1], p))
         assert build_extension(p, e).modulus == first
+
+
+def _has_a_factor(f, p):
+    """Trial division: whether a monic f over F_p has a monic factor of
+    degree 1 ... deg(f)/2."""
+    return any(fppoly.mod(f, list(low) + [1], p) == []
+               for d in range(1, (len(f) - 1) // 2 + 1)
+               for low in product(range(p), repeat=d))
+
+
+@pytest.mark.parametrize("p, top", [(2, 8), (3, 5), (5, 4), (7, 3)])
+def test_frobenius_walk_agrees_with_trial_division(p, top):
+    # every monic polynomial of degree 1 ... top over F_p
+    for e in range(1, top + 1):
+        for low in product(range(p), repeat=e):
+            f = list(low) + [1]
+            assert _is_irreducible_mod(f, p) != _has_a_factor(f, p), f
+
+
+def test_frobenius_walk_stops_at_the_first_factor():
+    # x^160 + x + 1 has the root 1 mod 3, seen at x^3; an irreducible of
+    # degree 10 takes the whole walk, x^(2^k) for k = 1 ... 5
+    modulus = list(build_extension(2, 10).modulus)
+    for f, p, steps, verdict in (([1, 1] + [0] * 158 + [1], 3, 1, False),
+                                 (modulus, 2, 5, True)):
+        with mock.patch.object(fppoly, "powmod", wraps=fppoly.powmod) as pm:
+            assert _is_irreducible_mod(f, p) is verdict
+        assert pm.call_count == steps
 
 
 def test_large_extension_scans_candidates_lazily():

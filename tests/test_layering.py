@@ -7,10 +7,11 @@ F_p consumers read the point matrix, not the tuples of
 Each kernel step has one copy: the one-variable solve, the line sum's
 budget guard and the Weil verdict.  Every F_p sum refuses a character
 table over budget before it builds its points.  One reader turns a
-one-variable polynomial into coefficients.  Report values are turned
-into text in one walk, by the writer.  Only `measure` calls numpy's
-FFT.  The parser does not recurse.  No module, in the package or among
-the tests, imports a name it never uses."""
+one-variable polynomial into coefficients.  Only `mpoly.power` walks the
+bits of an exponent.  Report values are turned into text in one walk,
+by the writer.  Only `measure` calls numpy's FFT.  The parser does not
+recurse.  No module, in the package or among the tests, imports a name
+it never uses."""
 
 import ast
 import subprocess
@@ -167,6 +168,21 @@ def test_one_reader_for_one_variable_polynomials():
         names = {alias.name for node in ast.walk(ast.parse(path.read_text()))
                  if isinstance(node, ast.ImportFrom) for alias in node.names}
         assert "_as_rational_coeffs" not in names, path
+
+
+def _walks_bits(node):
+    """A `bin(...)` call or a `>>=`: reading a number bit by bit."""
+    return _is_call(node, "bin") or (isinstance(node, ast.AugAssign)
+                                     and isinstance(node.op, ast.RShift))
+
+
+def test_only_power_walks_the_bits_of_an_exponent():
+    # every square-and-multiply goes through mpoly.power
+    walks = {(name, fn) for name in MODULES
+             for fn, _ in _by_function(
+                 ast.parse((PACKAGE / (name + ".py")).read_text()),
+                 _walks_bits)}
+    assert walks == {("mpoly", "power")}
 
 
 # (module, function) pairs that may test for Fraction: the report writer

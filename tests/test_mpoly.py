@@ -58,6 +58,31 @@ def test_ring_laws_against_exact_evaluation():
         assert (-f).evaluate(pt) == -fv
 
 
+def _termwise_product(f, g):
+    """f * g summed one Fraction product per pair of terms, zeros
+    dropped: the oracle for the integer-numerator product."""
+    terms = {}
+    for e1, c1 in f.terms.items():
+        for e2, c2 in g.terms.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            terms[e] = terms.get(e, Fraction(0)) + c1 * c2
+    return [(e, c) for e, c in terms.items() if c]
+
+
+def test_product_matches_the_termwise_fraction_product():
+    # same terms in the same order; x*y cancels in (x + y)(x - y)
+    rng = random.Random(11)
+    x, y = MPoly.variable(0, 2), MPoly.variable(1, 2)
+    pairs = [(x + y, x - y), (x * Fraction(1, 3) + 1, MPoly(2)),
+             (MPoly(2), x)]
+    for _ in range(60):
+        n = rng.randint(1, 3)
+        pairs.append((random_poly(rng, n), random_poly(rng, n)))
+    for f, g in pairs:
+        assert list((f * g).terms.items()) == _termwise_product(f, g)
+    assert (x + y) * (x - y) == x ** 2 - y ** 2
+
+
 def test_constant_and_variable_builders():
     c = MPoly.constant(Fraction(5, 3), 2)
     assert c.is_constant() and c.constant_value() == Fraction(5, 3)
@@ -541,8 +566,31 @@ def test_power_never_multiplies_by_one_nor_squares_after_the_last_bit(e):
 
     assert power(3, e, mul) == pow(3, e, _P)
     # a square per bit after the first, a product per set bit after the
-    # lowest: one more would be a product by one or a last squaring
+    # highest: one more would be a product by one or a last squaring
     assert len(calls) == e.bit_length() - 1 + bin(e).count("1") - 1
+
+
+class _Tracked:
+    """A residue with an identity, so a product's operands can be told
+    apart from equal values."""
+
+    def __init__(self, v):
+        self.v = v
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.integers(1, 10 ** 9))
+def test_power_multiplies_by_the_base_as_second_factor(e):
+    # so a power of x (or of a linear polynomial) never makes a full
+    # product beside its squarings
+    base, operands = _Tracked(3), []
+
+    def mul(a, b):
+        operands.append((a, b))
+        return _Tracked(a.v * b.v % _P)
+
+    assert power(base, e, mul).v == pow(3, e, _P)
+    assert all(a is b or b is base for a, b in operands)
 
 
 def test_power_wrappers_keep_their_edge_cases():

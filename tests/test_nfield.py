@@ -2,13 +2,15 @@ import random
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import gcd, isqrt
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from charsum import (Angle, NFElem, hnf, lattice_basis, nf_build, nf_reduce,
-                     parse_polynomial, qlin_relations, value_set)
-from charsum.errors import CharsumError
+from charsum import (Angle, NFElem, dfi_sweep, equidist, hnf, lattice_basis,
+                     mpoly, nf_build, nf_reduce, parse_polynomial,
+                     qlin_relations, value_set)
+from charsum.errors import BudgetError, CharsumError
 from charsum.nfield import _poly_str, _refuse_rational_root
 
 
@@ -46,6 +48,19 @@ def test_reducible_inputs_are_refused():
     # honest answer is that no certificate of this kind exists
     with pytest.raises(CharsumError, match="certificate not found"):
         nf_build([1, 0, 0, 0, 1])
+
+
+@pytest.mark.parametrize("build", [nf_build, lambda f: dfi_sweep(f, 10)],
+                         ids=["nf_build", "dfi_sweep"])
+def test_sylvester_cap_is_checked_from_the_degree(build):
+    # degree 1025: the discriminant's matrix would have 2049^2 cells; the
+    # refusal comes before any coefficient is scaled or differentiated
+    f = [1] + [0] * 1024 + [1]
+    with mock.patch.object(equidist, "primitive_integers") as scale, \
+            mock.patch.object(mpoly, "poly_derivative") as derive:
+        with pytest.raises(BudgetError, match=r"2049\^2 cells > 2\^22"):
+            build(f)
+    assert not scale.called and not derive.called
 
 
 def test_rational_root_refusal_names_the_smallest_integer_root():

@@ -52,6 +52,13 @@ def test_small_cases():
     assert roots_mod_p([1, 1, 1], 2) == []
 
 
+def test_zero_polynomial_is_an_error():
+    # zero as given, and zero once reduced mod p
+    for coeffs, p in (([0], 5), ([7, 14], 7)):
+        with pytest.raises(CharsumError, match="zero polynomial"):
+            roots_mod_p(coeffs, p)
+
+
 def test_random_polynomials_against_brute_force():
     rng = random.Random(41)
     for _ in range(150):
