@@ -19,7 +19,7 @@ from .laurent import LaurentPoly, laurent_from_expression
 from .measure import (MeasureSeries, PushforwardMoments, ValueTable,
                       constant_table, delta_table, fourier_table, mu0_sweep,
                       mu1_sweep, pushforward_weyl)
-from .mpoly import MPoly, discriminant, resultant
+from .mpoly import MPoly
 from .nfield import (LatticeBasis, NFElem, NumberFieldDesc, ValueSetDesc,
                      hnf, lattice_basis, nf_build, nf_reduce, qlin_relations,
                      value_set)
@@ -46,7 +46,7 @@ __all__ = [
     "MeasureSeries", "PushforwardMoments", "ValueTable", "constant_table",
     "delta_table", "fourier_table", "mu0_sweep", "mu1_sweep",
     "pushforward_weyl",
-    "MPoly", "discriminant", "resultant",
+    "MPoly",
     "LatticeBasis", "NFElem", "NumberFieldDesc", "ValueSetDesc", "hnf",
     "lattice_basis", "nf_build", "nf_reduce", "qlin_relations", "value_set",
     "PolyExpr", "parse_polynomial", "poly_to_string", "print_polynomial",

@@ -26,10 +26,10 @@ import numpy as np
 from .angles import Angle
 from .errors import CharsumError
 from .fppoly import evaluate
-from .mpoly import (Lowered, check_sylvester, poly_rem, poly_trim,
-                    primitive_integers)
-from .nfield import (_monic_companion, _poly_str, _refuse_rational_root,
-                     nf_build)
+from .mpoly import Lowered, poly_rem, poly_trim, primitive_integers
+from .nfield import (_certificate, _check_degree, _divides_disc,
+                     _monic_companion, _poly_str, _refuse_rational_root,
+                     _refuse_repeated_factor)
 from .parallel import pmap
 from .parser import univariate
 from .polyroots import roots_mod_p
@@ -85,11 +85,11 @@ class SweepReport:
 def _integer_form(coeffs):
     """Scale rational coefficients to a primitive integer list with a
     positive leading coefficient (same roots, cleaner arithmetic); a
-    degree whose discriminant is over the Sylvester cap is refused first."""
+    degree over the number-field cap is refused first."""
     coeffs = poly_trim(list(coeffs))
     if not coeffs:
         raise CharsumError("zero polynomial")
-    check_sylvester(len(coeffs) - 1, len(coeffs) - 2)
+    _check_degree(len(coeffs) - 1)
     ints = primitive_integers(coeffs)
     if ints[-1] < 0:
         ints = [-c for c in ints]
@@ -98,24 +98,26 @@ def _integer_form(coeffs):
 
 def _certify_irreducible(ints):
     """Irreducibility certificate for a primitive integer polynomial of
-    degree >= 2, via its monic companion lc^(d-1) f(y / lc)."""
+    degree >= 2, via its monic companion lc^(d-1) f(y / lc), whose rational
+    roots are named as f's."""
     _refuse_rational_root(ints)
-    return nf_build(_monic_companion(ints))
+    g = _monic_companion(ints)
+    _refuse_repeated_factor(g)
+    return _certificate(g)
 
 
-def _good_primes(ints, disc, xlimit, congruence, den):
+def _good_primes(ints, xlimit, congruence, den):
     """Primes up to xlimit in the congruence class, split into usable
-    primes and (prime, reason) skips.  disc is the discriminant of the
-    monic companion lc^(d-1) f(y / lc), which is lc^((d-1)(d-2)) times
-    f's, so once the primes dividing lc are skipped it has f's prime
-    divisors; den is the common denominator of the derived element's
-    coefficients."""
+    primes and (prime, reason) skips.  A prime not dividing lc divides the
+    discriminant of the squarefree f when f mod p has a repeated factor;
+    den is the common denominator of the derived element's coefficients."""
     lc = ints[-1]
+    divides_disc = _divides_disc(ints)
     good, skipped = [], []
     for p in primes_in(xlimit, congruence):
         if lc % p == 0:
             skipped.append((p, "bad prime: divides leading coefficient"))
-        elif disc.numerator % p == 0:
+        elif divides_disc(p):
             skipped.append((p, "bad prime: divides discriminant"))
         elif den % p == 0:
             skipped.append((p, "bad prime: divides a coefficient denominator"))
@@ -166,7 +168,7 @@ def _element_sweep(command, ints, gq, xlimit, congruence, split_only,
                            "degree at least 2")
     cert = _certify_irreducible(ints)
     g = Lowered.univariate(gq)
-    good, skipped = _good_primes(ints, cert.disc, xlimit, congruence, g.den)
+    good, skipped = _good_primes(ints, xlimit, congruence, g.den)
     samples = []
     for p, values in pmap(partial(_value_worker, ints, g), good, jobs):
         if split_only and len(values) != deg:
@@ -178,7 +180,7 @@ def _element_sweep(command, ints, gq, xlimit, congruence, split_only,
     ks, weyl = _summarize(samples, weyl_depth)
     params = {"poly": _poly_str(ints), "xlimit": xlimit,
               "congruence": list(congruence) if congruence else None,
-              "weyl_depth": weyl_depth, "certificate": cert.certificate,
+              "weyl_depth": weyl_depth, "certificate": cert,
               **params_extra}
     return SweepReport(command=command, params=params,
                        nsamples=len(samples), ks=ks, weyl=weyl,

@@ -83,6 +83,16 @@ def gcd(f, g, p):
     return monic(a, p)
 
 
+def is_squarefree(f, p):
+    """Whether gcd(f, f') = 1 mod p, by Euclid up to the first remainder of
+    degree below 1; not when f' = 0 mod p (a p-th power)."""
+    a = trim([c % p for c in f])
+    b = trim([k * c % p for k, c in enumerate(a)][1:])
+    while len(b) > 1:
+        a, b = b, mod(a, b, p)
+    return len(b) == 1
+
+
 def mulmod(f, g, m, p):
     return divmod_poly(mul(f, g, p), m, p)[1]
 

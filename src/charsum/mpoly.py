@@ -18,7 +18,6 @@ from fractions import Fraction
 from .errors import BadPrimeError, BudgetError, CharsumError
 
 DEGREE_CAP = 1 << 20  # degree of a dense coefficient list
-SYLVESTER_CAP = 1 << 22  # cells of a Sylvester matrix
 
 
 def _as_fraction(c):
@@ -459,42 +458,3 @@ def gauss_jordan(rows):
                     row[j] -= c * top[j]
         pivots.append(col)
     return pivots, det
-
-
-def check_sylvester(n, m):
-    """Refuse a Sylvester matrix of degrees n and m over SYLVESTER_CAP
-    cells; a discriminant of degree d needs (d, d - 1)."""
-    if (n + m) ** 2 > SYLVESTER_CAP:
-        raise BudgetError("Sylvester matrix budget exceeded: %d^2 cells > "
-                          "2^22" % (n + m))
-
-
-def resultant(f, g):
-    """Resultant of two rational univariate polynomials: the determinant
-    of their Sylvester matrix (f0^m when f = f0 is constant and g has
-    degree m).  A matrix of more than SYLVESTER_CAP cells is refused
-    before any row is built."""
-    f = [_as_fraction(c) for c in poly_trim(f)]
-    g = [_as_fraction(c) for c in poly_trim(g)]
-    n, m = len(f) - 1, len(g) - 1
-    if n < 0 or m < 0:
-        return Fraction(0)
-    check_sylvester(n, m)
-    zero = [Fraction(0)]
-    rows = ([zero * i + f[::-1] + zero * (m - 1 - i) for i in range(m)]
-            + [zero * i + g[::-1] + zero * (n - 1 - i) for i in range(n)])
-    pivots, det = gauss_jordan(rows)
-    return det if len(pivots) == n + m else Fraction(0)
-
-
-def discriminant(f):
-    """Discriminant of a rational univariate polynomial of degree >= 1."""
-    f = poly_trim([_as_fraction(c) for c in f])
-    d = len(f) - 1
-    if d < 1:
-        raise CharsumError("discriminant needs degree >= 1")
-    if d == 1:
-        return Fraction(1)
-    res = resultant(f, poly_derivative(f))
-    sign = -1 if (d * (d - 1) // 2) % 2 else 1
-    return sign * res / f[-1]

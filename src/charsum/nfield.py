@@ -5,37 +5,46 @@ integer-lattice calculations on coordinate vectors.
 Everything here is Fraction arithmetic; nothing is floated.  Elements
 multiply on the `mpoly` toolkit (product, then remainder by the defining
 polynomial) and take powers through `mpoly.power`; Q-linear relations
-come from `mpoly.gauss_jordan`.
+come from `mpoly.gauss_jordan`.  The discriminant is never computed:
+squarefreeness and bad primes are read from gcd(f, f') mod p.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import filterfalse, islice
 from math import gcd
 
 from . import fppoly
-from .errors import CharsumError
+from .errors import BudgetError, CharsumError
 from .ffield import _is_irreducible_mod
-from .mpoly import (Lowered, MPoly, check_sylvester, discriminant, frac_mod,
-                    gauss_jordan, poly_derivative, poly_gcd, poly_mul,
-                    poly_rem, poly_trim, power, primitive_integers)
+from .mpoly import (Lowered, MPoly, frac_mod, gauss_jordan, poly_derivative,
+                    poly_gcd, poly_mul, poly_rem, poly_trim, power,
+                    primitive_integers)
 from .parser import poly_to_string, univariate
 from .polyroots import roots_mod_p
 from .primes import EXACT_LIMIT, next_prime, primes_in
 from .angles import Angle
 
 CERT_PRIME_COUNT = 25
+NF_DEGREE_CAP = 1024  # bounds memory, not the time of the Frobenius walk
+
+
+def _check_degree(d):
+    if d > NF_DEGREE_CAP:
+        raise BudgetError("degree %d exceeds the number-field degree cap %d"
+                          % (d, NF_DEGREE_CAP))
 
 
 def _int_coeffs(f):
     """Little-endian integer coefficients of a monic defining polynomial,
-    given as anything `parser.univariate` reads; a degree whose
-    discriminant is over the Sylvester cap is refused first."""
+    given as anything `parser.univariate` reads; a degree over the cap is
+    refused first."""
     coeffs = poly_trim(univariate(f, "defining polynomial"))
     if len(coeffs) < 2:
         raise CharsumError("defining polynomial must have degree >= 1")
-    check_sylvester(len(coeffs) - 1, len(coeffs) - 2)
+    _check_degree(len(coeffs) - 1)
     if coeffs[-1] != 1:
         raise CharsumError("defining polynomial must be monic")
     if any(c.denominator != 1 for c in coeffs):
@@ -81,11 +90,45 @@ def _refuse_rational_root(ints):
                            % _poly_str([-min(roots), 1]))
 
 
+def _refuse_repeated_factor(ints):
+    """Refuse a monic integer f with a repeated factor, named as gcd(f, f')
+    over Q; f squarefree mod one prime below 30 proves there is none."""
+    if not any(fppoly.is_squarefree(ints, p) for p in primes_in(30)):
+        f = [Fraction(c) for c in ints]
+        rep = poly_gcd(f, poly_derivative(f))
+        if len(rep) > 1:
+            raise CharsumError("reducible: repeated factor %s"
+                               % _poly_str(rep))
+
+
+def _divides_disc(ints):
+    """The test p -> (p divides disc(f)) for squarefree integer f and primes
+    p not dividing lc(f): f mod p has a repeated factor.  No prime above
+    Mahler's bound d^d ||f||_2^(2d-2) on |disc(f)| divides it."""
+    d = len(ints) - 1
+    bound = d ** d * sum(c * c for c in ints) ** (d - 1)
+    return lambda p: p <= bound and not fppoly.is_squarefree(ints, p)
+
+
+def _certificate(ints):
+    """Irreducibility certificate for a monic squarefree integer f of degree
+    >= 2 with no rational root: that alone up to degree 3, else irreducible
+    mod one of the first CERT_PRIME_COUNT primes not dividing disc(f)."""
+    deg = len(ints) - 1
+    if deg <= 3:
+        return "no rational roots (degree %d)" % deg
+    good = filterfalse(_divides_disc(ints), primes_in(10 ** 4))
+    for p in islice(good, CERT_PRIME_COUNT):
+        if _is_irreducible_mod([c % p for c in ints], p):
+            return "irreducible mod %d" % p
+    raise CharsumError("certificate not found: no irreducibility proof "
+                       "within %d primes" % CERT_PRIME_COUNT)
+
+
 @dataclass(frozen=True)
 class NumberFieldDesc:
     coeffs: tuple       # little-endian integer, monic
     degree: int
-    disc: Fraction
     certificate: str
 
     def __repr__(self):
@@ -102,29 +145,11 @@ def nf_build(f) -> NumberFieldDesc:
     """
     coeffs = _int_coeffs(f)
     deg = len(coeffs) - 1
-    disc = discriminant(coeffs)
-    if disc == 0:
-        f = [Fraction(c) for c in coeffs]
-        rep = poly_gcd(f, poly_derivative(f))
-        raise CharsumError("reducible: repeated factor %s" % _poly_str(rep))
+    _refuse_repeated_factor(coeffs)
     if deg == 1:
-        return NumberFieldDesc(tuple(coeffs), 1, disc, "degree 1")
+        return NumberFieldDesc(tuple(coeffs), 1, "degree 1")
     _refuse_rational_root(coeffs)
-    if deg <= 3:
-        return NumberFieldDesc(tuple(coeffs), deg, disc,
-                               "no rational roots (degree %d)" % deg)
-    tried = 0
-    for p in primes_in(10 ** 4):
-        if disc.numerator % p == 0:
-            continue
-        tried += 1
-        if _is_irreducible_mod([c % p for c in coeffs], p):
-            return NumberFieldDesc(tuple(coeffs), deg, disc,
-                                   "irreducible mod %d" % p)
-        if tried >= CERT_PRIME_COUNT:
-            break
-    raise CharsumError("certificate not found: no irreducibility proof "
-                       "within %d primes" % CERT_PRIME_COUNT)
+    return NumberFieldDesc(tuple(coeffs), deg, _certificate(coeffs))
 
 
 class NFElem:

@@ -1,7 +1,8 @@
 """Plain scalar evaluators and the exact-angle sum the tests check the
-package's kernels against, and the converter to JSON's own types that
-the report writer is checked against; none of them is reached by the
-package itself."""
+package's kernels against, the exact resultant and discriminant that the
+squarefree test mod p is checked against, and the converter to JSON's
+own types that the report writer is checked against; none of them is
+reached by the package itself."""
 
 import dataclasses
 from fractions import Fraction
@@ -9,7 +10,7 @@ from fractions import Fraction
 import numpy as np
 
 from charsum.angles import Angle
-from charsum.mpoly import frac_mod
+from charsum.mpoly import frac_mod, gauss_jordan, poly_derivative, poly_trim
 from charsum.points import _field_coeffs
 from charsum.rootsums import psi_sum
 
@@ -34,6 +35,33 @@ def exp_sum_points(points, f, char):
     coeff = _field_coeffs(field, [f])
     return psi_sum([f.evaluate([field.element(v) for v in x], coeff)
                     for x in points], char)
+
+
+def resultant(f, g):
+    """Resultant of two rational univariate polynomials: the determinant
+    of their Sylvester matrix (f0^m when f = f0 is constant and g has
+    degree m)."""
+    f = [Fraction(c) for c in poly_trim(f)]
+    g = [Fraction(c) for c in poly_trim(g)]
+    n, m = len(f) - 1, len(g) - 1
+    if n < 0 or m < 0:
+        return Fraction(0)
+    zero = [Fraction(0)]
+    rows = ([zero * i + f[::-1] + zero * (m - 1 - i) for i in range(m)]
+            + [zero * i + g[::-1] + zero * (n - 1 - i) for i in range(n)])
+    pivots, det = gauss_jordan(rows)
+    return det if len(pivots) == n + m else Fraction(0)
+
+
+def discriminant(f):
+    """Discriminant of a rational univariate polynomial of degree >= 1."""
+    f = poly_trim([Fraction(c) for c in f])
+    d = len(f) - 1
+    if d == 1:
+        return Fraction(1)
+    res = resultant(f, poly_derivative(f))
+    sign = -1 if (d * (d - 1) // 2) % 2 else 1
+    return sign * res / f[-1]
 
 
 def jsonable(obj):

@@ -185,15 +185,37 @@ def test_character_table_over_budget_is_refused_before_allocation(argv):
 @pytest.mark.parametrize("argv", [
     ["dfi", "--poly", "x^65536 + 1", "--xlimit", "10"],
     ["latbasis", "--poly", "x^4096 + 3", "--elems", "x"],
-], ids=["dfi", "latbasis"])
+    ["dfi", "--poly", "x^1025 + 1", "--xlimit", "10"],
+    ["latbasis", "--poly", "x^1025 + 3", "--elems", "x"],
+], ids=["dfi", "latbasis", "dfi-1025", "latbasis-1025"])
 def test_sylvester_matrix_over_cap_is_refused_before_allocation(argv):
-    # the discriminant's Sylvester matrix would hold 131071^2 and 8191^2
-    # cells, against the cap of 2^22
+    # every degree over the number-field cap of 1024 is refused from the
+    # degree alone
     r = run_capped(*argv, cap=1 << 30)
     assert r.returncode == 2
-    assert "Sylvester matrix budget exceeded" in r.stderr
+    assert "exceeds the number-field degree cap 1024" in r.stderr
     assert "Traceback" not in r.stderr
     assert "out of memory" not in r.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["dfi", "--poly", "x^1024 - 1", "--xlimit", "10"],
+    ["latbasis", "--poly", "x^1024 - 1", "--elems", "x"],
+], ids=["dfi", "latbasis"])
+def test_degree_at_the_cap_is_admitted(argv):
+    r = run_capped(*argv, cap=1 << 30)
+    assert r.returncode == 2
+    assert r.stderr == "error: reducible: divisible by x + 1\n"
+
+
+def test_trinomial_of_degree_512_fails_its_certificate_in_seconds():
+    # reducible mod each of the 25 primes tried; its bad primes are read
+    # mod p, with no Sylvester matrix of 1023^2 cells eliminated
+    r = subprocess.run(BASE + ["dfi", "--poly", "x^512 + x + 1",
+                               "--xlimit", "10"],
+                       capture_output=True, text=True, timeout=10)
+    assert r.returncode == 2
+    assert "certificate not found" in r.stderr
 
 
 def test_irreducibility_certificate_fails_in_seconds():

@@ -1,10 +1,11 @@
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
-from charsum import (dfi_extended_sweep, dfi_sweep, ks_statistic, multi_weyl,
-                     sample_histogram, sp_check, weyl_sum)
+from charsum import (dfi_extended_sweep, dfi_sweep, equidist, ks_statistic,
+                     multi_weyl, nfield, sample_histogram, sp_check, weyl_sum)
 from charsum.errors import CharsumError
 
 
@@ -138,6 +139,16 @@ def test_reducible_non_monic_input_names_its_rational_factor():
         dfi_extended_sweep("6*x^2 + x - 1", "x", 100)
     with pytest.raises(CharsumError, match="divisible by x$"):
         multi_weyl("x^3 - x^2", 100, (1,))
+
+
+@pytest.mark.parametrize("poly", ["x^5 - x - 1", "2*x^4 + x + 1"])
+def test_a_sweep_runs_one_rational_root_test(poly):
+    test = mock.Mock(wraps=nfield._refuse_rational_root)
+    with mock.patch.object(equidist, "_refuse_rational_root", test), \
+            mock.patch.object(nfield, "_refuse_rational_root", test):
+        assert dfi_sweep(poly, 100).params["certificate"].startswith(
+            "irreducible mod ")
+    assert test.call_count == 1
 
 
 def test_dfiext_values_are_g_of_root():

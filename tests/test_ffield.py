@@ -5,7 +5,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from charsum import (build_extension, fppoly, fq_trace, frobenius,
+from charsum import (build_extension, ffield, fppoly, fq_trace, frobenius,
                      prime_field, sqrt_mod)
 from charsum.errors import CharsumError
 from charsum.ffield import ExtFieldDesc, _is_irreducible_mod, packed_field
@@ -43,7 +43,7 @@ def test_bad_modulus_rejected():
         ExtFieldDesc(7, 0)
     with pytest.raises(CharsumError):
         ExtFieldDesc(7, 2)  # no modulus given
-    with pytest.raises(CharsumError):
+    with pytest.raises(CharsumError, match="modulus is reducible"):
         ExtFieldDesc(2, 2, (0, 0, 1))  # x^2 is reducible
 
 
@@ -232,13 +232,16 @@ def test_modulus_has_no_prime_field_roots():
 
 
 def test_modulus_is_the_first_irreducible_in_written_order():
-    from itertools import product
-    from charsum.ffield import _is_irreducible_mod
     for p, e in ((2, 2), (2, 4), (3, 3), (5, 2), (7, 3)):
         first = next(tuple(upper[::-1]) + (1,)
                      for upper in product(range(p), repeat=e)
                      if _is_irreducible_mod(list(upper[::-1]) + [1], p))
-        assert build_extension(p, e).modulus == first
+        with mock.patch.object(ffield, "_is_irreducible_mod",
+                               wraps=_is_irreducible_mod) as test:
+            assert build_extension.__wrapped__(p, e).modulus == first
+        # one test for each candidate up to the modulus, itself included
+        assert test.call_count == 1 + sum(c * p ** k
+                                          for k, c in enumerate(first[:-1]))
 
 
 def _has_a_factor(f, p):

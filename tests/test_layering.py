@@ -9,7 +9,9 @@ budget guard and the Weil verdict.  Every F_p sum refuses a character
 table over budget before it builds its points.  One reader turns a
 one-variable polynomial into coefficients.  Only `mpoly.power` walks the
 bits of an exponent.  Report values are turned into text in one walk,
-by the writer.  Only `measure` calls numpy's FFT.  The parser does not
+by the writer.  Only `measure` calls numpy's FFT.  No module computes a
+discriminant: bad primes and squarefreeness are read mod p, and the
+resultant lives among the test oracles.  The parser does not
 recurse.  No module, in the package or among the tests, imports a name
 it never uses."""
 
@@ -228,6 +230,31 @@ def test_only_measure_calls_the_fft(name):
     tree = ast.parse((PACKAGE / (name + ".py")).read_text())
     lines = [node.lineno for node in ast.walk(tree) if _uses_fft(node)]
     assert bool(lines) == (name == "measure"), lines
+
+
+def _exact_discriminant_names(tree):
+    """(name, line) of each definition, import or use of the exact
+    discriminant, the resultant or a Sylvester matrix check."""
+    return [(name, node.lineno) for node in ast.walk(tree)
+            for name in (getattr(node, field, None)
+                         for field in ("name", "asname", "id", "attr"))
+            if isinstance(name, str)
+            and (name in ("discriminant", "resultant")
+                 or "sylvester" in name.lower())]
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_module_computes_an_exact_discriminant(name):
+    tree = ast.parse((PACKAGE / (name + ".py")).read_text())
+    assert _exact_discriminant_names(tree) == []
+
+
+def test_exact_discriminant_check_sees_an_import():
+    tree = ast.parse("from .mpoly import gauss_jordan as resultant\n"
+                     "from oracles import discriminant\n"
+                     "def check_sylvester(n):\n    return SYLVESTER_CAP\n")
+    assert {name for name, _ in _exact_discriminant_names(tree)} == {
+        "resultant", "discriminant", "check_sylvester", "SYLVESTER_CAP"}
 
 
 def _recursive_functions(tree):

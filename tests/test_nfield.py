@@ -5,13 +5,14 @@ from math import gcd, isqrt
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from charsum import (Angle, NFElem, dfi_sweep, equidist, hnf, lattice_basis,
-                     mpoly, nf_build, nf_reduce, parse_polynomial,
-                     qlin_relations, value_set)
+from charsum import (Angle, NFElem, dfi_sweep, equidist, fppoly, hnf,
+                     lattice_basis, mpoly, nf_build, nf_reduce, nfield,
+                     parse_polynomial, primes_in, qlin_relations, value_set)
 from charsum.errors import BudgetError, CharsumError
-from charsum.nfield import _poly_str, _refuse_rational_root
+from charsum.nfield import _divides_disc, _poly_str, _refuse_rational_root
+import oracles
 
 
 def test_certificates_by_degree():
@@ -22,6 +23,7 @@ def test_certificates_by_degree():
     desc = nf_build([1, 1, 0, 0, 1])  # x^4 + x + 1
     assert desc.certificate == "irreducible mod 2"
     assert desc.degree == 4
+    assert set(vars(desc)) == {"coeffs", "degree", "certificate"}
 
 
 def test_defining_polynomial_is_read_like_the_sweeps_read_it():
@@ -53,14 +55,18 @@ def test_reducible_inputs_are_refused():
 @pytest.mark.parametrize("build", [nf_build, lambda f: dfi_sweep(f, 10)],
                          ids=["nf_build", "dfi_sweep"])
 def test_sylvester_cap_is_checked_from_the_degree(build):
-    # degree 1025: the discriminant's matrix would have 2049^2 cells; the
-    # refusal comes before any coefficient is scaled or differentiated
+    # degree 1025 is over the number-field degree cap; the refusal comes
+    # before any coefficient is scaled or differentiated
     f = [1] + [0] * 1024 + [1]
     with mock.patch.object(equidist, "primitive_integers") as scale, \
             mock.patch.object(mpoly, "poly_derivative") as derive:
-        with pytest.raises(BudgetError, match=r"2049\^2 cells > 2\^22"):
+        with pytest.raises(BudgetError, match="degree 1025 exceeds the "
+                           "number-field degree cap 1024$"):
             build(f)
     assert not scale.called and not derive.called
+    # degree 1024 is admitted, and refused for its root -1
+    with pytest.raises(CharsumError, match="divisible by x \\+ 1$"):
+        build([-1] + [0] * 1023 + [1])
 
 
 def test_rational_root_refusal_names_the_smallest_integer_root():
@@ -70,6 +76,61 @@ def test_rational_root_refusal_names_the_smallest_integer_root():
         nf_build([0, -1, 0, 1])         # x(x-1)(x+1)
     with pytest.raises(CharsumError, match="repeated factor x\\^2 \\+ 2$"):
         nf_build([4, 0, 4, 0, 1])       # (x^2+2)^2
+
+
+@st.composite
+def poly_and_prime(draw):
+    """An integer polynomial of degree 1 to 10 and a prime below 60 that
+    does not divide its leading coefficient: f0 * s^2 with a planted
+    square s, or g(x^p) + p h(x), whose derivative vanishes mod p, or a
+    plain draw."""
+    p = draw(st.sampled_from(primes_in(60)))
+    small = st.integers(-6, 6)
+    top = small.filter(lambda c: c % p)
+    f = draw(st.lists(small, max_size=4)) + [draw(top)]
+    kind = draw(st.sampled_from(["plain", "square", "pth"]))
+    if kind == "square":
+        sq = draw(st.lists(small, min_size=1, max_size=2)) + [draw(top)]
+        f = _poly_mul(_poly_mul(f, sq), sq)
+    elif kind == "pth" and p <= 5:
+        g = draw(st.lists(small, min_size=1, max_size=2)) + [draw(top)]
+        f = [0] * (p * (len(g) - 1) + 1)
+        for k, c in enumerate(g):
+            f[p * k] = c
+        for k, c in enumerate(draw(st.lists(small, max_size=len(f) - 1))):
+            f[k] += p * c
+    assume(len(f) > 1)
+    return f, p
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(poly_and_prime())
+@example(([2, 0, 0, 0, 0, 1], 5))        # x^5 + 2: f' = 0 mod 5
+@example(([1, 0, 1], 2))                 # (x + 1)^2 mod 2
+@example(([1, 2, 1], 3))                 # (x + 1)^2
+def test_squarefree_mod_p_matches_the_discriminant(case):
+    f, p = case
+    disc = oracles.discriminant(f)
+    divides = disc.numerator % p == 0
+    assert fppoly.is_squarefree(f, p) is not divides
+    if disc:
+        assert _divides_disc(f)(p) is divides
+        # with every gcd failing, the test holds exactly up to the bound
+        with mock.patch.object(fppoly, "is_squarefree", return_value=False):
+            assert _divides_disc(f)(abs(disc))
+
+
+def test_certificate_search_builds_no_sylvester_matrix():
+    # the trinomial is reducible mod each of the 25 primes tried; at
+    # degree 512 an exact discriminant took seconds
+    with mock.patch.object(oracles, "discriminant",
+                           side_effect=AssertionError), \
+            mock.patch.object(mpoly, "gauss_jordan",
+                              side_effect=AssertionError), \
+            mock.patch.object(nfield, "gauss_jordan",
+                              side_effect=AssertionError):
+        with pytest.raises(CharsumError, match="certificate not found"):
+            nf_build("x^512 + x + 1")
 
 
 @pytest.mark.parametrize("coeffs,text", [
