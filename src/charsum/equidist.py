@@ -1,12 +1,13 @@
 """Equidistribution experiments for root angles mod p.
 
-A sweep takes an irreducible integer polynomial, walks the primes up to a
-limit, collects the normalized values g(r)/p of a derived element g at
-the roots r mod p, and summarizes them with a Kolmogorov-Smirnov distance
-and a ladder of Weyl sums.  All three sweeps share that one body: dfi is
-the sweep with g = x, and multiweyl relabels its first Weyl sum.  Primes
-are only ever skipped for a stated reason; the skip list is part of the
-report.
+A sweep takes an irreducible integer polynomial, takes the primes up to
+a limit as one int64 array, collects the normalized values g(r)/p of a
+derived element g at the roots r mod p, found for a block of primes at
+once (`polyroots.roots_mod_many`), and summarizes them with a
+Kolmogorov-Smirnov distance and a ladder of Weyl sums.  All three sweeps
+share that one body: dfi is the sweep with g = x, and multiweyl relabels
+its first Weyl sum.  Primes are only ever skipped for a stated reason;
+the skip list is part of the report.
 
 Angles enter the float world exactly once, as residue / p.  Joint Weyl
 sums reduce the integer dot product mod p before that division, so a
@@ -25,14 +26,15 @@ import numpy as np
 
 from .angles import Angle
 from .errors import CharsumError
-from .fppoly import evaluate
 from .mpoly import Lowered, poly_rem, poly_trim, primitive_integers
-from .nfield import (_certificate, _check_degree, _divides_disc,
+from .nfield import (_certificate, _check_degree, _disc_bound,
                      _monic_companion, _poly_str, _refuse_rational_root,
                      _refuse_repeated_factor)
 from .parallel import pmap
 from .parser import univariate
-from .polyroots import roots_mod_p
+from .points import _CHUNK
+from .polyroots import (eval_many, inverse_many, residues, roots_mod_many,
+                        squarefree_many)
 from .primes import primes_in
 
 WEYL_DEPTH = 5
@@ -106,24 +108,28 @@ def _certify_irreducible(ints):
     return _certificate(g)
 
 
+_SKIPS = ("bad prime: divides leading coefficient",
+          "bad prime: divides discriminant",
+          "bad prime: divides a coefficient denominator")
+
+
 def _good_primes(ints, xlimit, congruence, den):
-    """Primes up to xlimit in the congruence class, split into usable
-    primes and (prime, reason) skips.  A prime not dividing lc divides the
-    discriminant of the squarefree f when f mod p has a repeated factor;
-    den is the common denominator of the derived element's coefficients."""
-    lc = ints[-1]
-    divides_disc = _divides_disc(ints)
-    good, skipped = [], []
-    for p in primes_in(xlimit, congruence):
-        if lc % p == 0:
-            skipped.append((p, "bad prime: divides leading coefficient"))
-        elif divides_disc(p):
-            skipped.append((p, "bad prime: divides discriminant"))
-        elif den % p == 0:
-            skipped.append((p, "bad prime: divides a coefficient denominator"))
-        else:
-            good.append(p)
-    return good, skipped
+    """Primes up to xlimit in the congruence class, split into an int64
+    array of usable primes and (prime, reason) skips, each test on the
+    whole array, the first that applies named.  A prime not dividing lc
+    divides the discriminant of the squarefree f when f mod p has a
+    repeated factor, which no prime above `_disc_bound` does; den is the
+    common denominator of the derived element's coefficients."""
+    primes = np.array(primes_in(xlimit, congruence), dtype=np.int64)
+    lc = residues(ints[-1], primes) == 0
+    disc = np.zeros(len(primes), dtype=bool)
+    test = ~lc & (primes <= min(_disc_bound(ints), xlimit))
+    disc[test] = ~squarefree_many(ints, primes[test])
+    reason = np.select([lc, disc, residues(den, primes) == 0], [0, 1, 2], -1)
+    bad = reason >= 0
+    skipped = [(p, _SKIPS[r]) for p, r in zip(primes[bad].tolist(),
+                                               reason[bad].tolist())]
+    return primes[~bad], skipped
 
 
 def _summarize(samples, weyl_depth):
@@ -151,17 +157,23 @@ def dfi_sweep(f, xlimit, congruence=None, weyl_depth=WEYL_DEPTH,
                           weyl_depth, jobs, {})
 
 
-def _value_worker(ints, g, p):
-    """(p, [g(r) mod p for each root r of f mod p]), g `Lowered`."""
-    red = g.residues(p)
-    return p, [evaluate(red, r, p) for r in roots_mod_p(ints, p)]
+def _value_worker(ints, g, block):
+    """(lanes, values) over an int64 array of primes: the roots r of f mod
+    every prime of the block at once, by `roots_mod_many`, and g(r) mod p
+    at all of them in one `eval_many`, for g `Lowered`."""
+    lane, roots = roots_mod_many(ints, block)
+    inv = inverse_many(residues(g.den, block), block)
+    coeffs = [(residues(n, block) * inv % block)[lane] for n in g.nums]
+    return lane, eval_many(coeffs, block[lane], roots)
 
 
 def _element_sweep(command, ints, gq, xlimit, congruence, split_only,
                    weyl_depth, jobs, params_extra):
     """The one body of every root-angle sweep: samples are g(root) mod p
     over the roots of f mod p, for f in `_integer_form` and g given by
-    rational coefficients."""
+    rational coefficients.  The good primes go to the workers in blocks
+    of at most _CHUNK // (2 deg) lanes; a sweep of one block runs
+    in-process."""
     deg = len(ints) - 1
     if deg < 2:
         raise CharsumError("degenerate: need an irreducible polynomial of "
@@ -169,13 +181,18 @@ def _element_sweep(command, ints, gq, xlimit, congruence, split_only,
     cert = _certify_irreducible(ints)
     g = Lowered.univariate(gq)
     good, skipped = _good_primes(ints, xlimit, congruence, g.den)
+    size = _CHUNK // (2 * deg)
+    blocks = [good[i:i + size] for i in range(0, len(good), size)]
     samples = []
-    for p, values in pmap(partial(_value_worker, ints, g), good, jobs):
-        if split_only and len(values) != deg:
-            skipped.append((p, "not split"))
-            continue
-        for v in values:
-            samples.append((p, v, Fraction(v, p)))
+    for block, (lane, values) in zip(
+            blocks, pmap(partial(_value_worker, ints, g), blocks, jobs)):
+        if split_only:
+            count = np.bincount(lane, minlength=len(block))
+            skipped += [(p, "not split") for p in block[count != deg].tolist()]
+            keep = count[lane] == deg
+            lane, values = lane[keep], values[keep]
+        samples += [(p, v, Fraction(v, p)) for p, v in
+                    zip(block[lane].tolist(), values.tolist())]
     skipped.sort()
     ks, weyl = _summarize(samples, weyl_depth)
     params = {"poly": _poly_str(ints), "xlimit": xlimit,

@@ -4,9 +4,10 @@ Terms map exponent tuples to nonzero Fractions; the zero polynomial has no
 terms.  Everything is immutable after construction, so instances can be
 shared across worker processes freely.  `Lowered` is the one integer form
 for work mod many primes: integer numerators over one denominator, each
-polynomial a Horner tree.  Also here: `power`, the one square-and-multiply;
-a univariate toolkit over any exact field; `gauss_jordan`, the one exact
-elimination, over Q or F_q.
+polynomial a Horner tree.  Also here: `power`, the one square-and-multiply,
+and `power_lanes`, its twin with one exponent per lane; a univariate
+toolkit over any exact field; `gauss_jordan`, the one exact elimination,
+over Q or F_q.
 """
 
 from __future__ import annotations
@@ -14,6 +15,8 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
+
+import numpy as np
 
 from .errors import BadPrimeError, BudgetError, CharsumError
 
@@ -47,6 +50,21 @@ def power(x, e, mul):
         out = mul(out, out)
         if bit == "1":
             out = mul(out, x)
+    return out
+
+
+def power_lanes(x, es, mul, one):
+    """x^e lane by lane, for an int64 array es >= 0 of exponents, one
+    per row of the array x: the binary method of `power` read left to
+    right from the top bit of the largest exponent.  Every lane starts at
+    `one` and squares, and a lane whose exponent has the bit set then
+    multiplies by x, as the second factor."""
+    out = one
+    for k in range(int(es.max(initial=0)).bit_length() - 1, -1, -1):
+        out = mul(out, out)
+        bit = (es >> k) & 1 == 1
+        out = np.where(bit.reshape(bit.shape + (1,) * (out.ndim - 1)),
+                       mul(out, x), out)
     return out
 
 

@@ -101,12 +101,18 @@ def _refuse_repeated_factor(ints):
                                % _poly_str(rep))
 
 
+def _disc_bound(ints):
+    """Mahler's bound d^d ||f||_2^(2d-2) on |disc(f)|: no prime above it
+    divides a nonzero discriminant."""
+    d = len(ints) - 1
+    return d ** d * sum(c * c for c in ints) ** (d - 1)
+
+
 def _divides_disc(ints):
     """The test p -> (p divides disc(f)) for squarefree integer f and primes
-    p not dividing lc(f): f mod p has a repeated factor.  No prime above
-    Mahler's bound d^d ||f||_2^(2d-2) on |disc(f)| divides it."""
-    d = len(ints) - 1
-    bound = d ** d * sum(c * c for c in ints) ** (d - 1)
+    p not dividing lc(f): f mod p has a repeated factor, at p up to
+    `_disc_bound`."""
+    bound = _disc_bound(ints)
     return lambda p: p <= bound and not fppoly.is_squarefree(ints, p)
 
 

@@ -7,7 +7,7 @@ import time
 import numpy as np
 import pytest
 
-from charsum import primes_in
+from charsum import equidist, primes_in
 from charsum.cli import main
 
 BASE = [sys.executable, "-m", "charsum"]
@@ -480,6 +480,47 @@ def test_fourier_verdict_and_exit_code_agree_on_nan(capsys, monkeypatch):
     assert "inversion error: nan -> FAIL" in capsys.readouterr().out
 
 
+SCALES = ["1e-12", "1e-6", "1", "1e6", "1e12", "1e15"]
+
+
+@pytest.mark.parametrize("const", SCALES)
+def test_fourier_verify_passes_rounding_at_every_scale(const, capsys):
+    # at 1e12 the inversion error is 3.6e-9, rounding of values near 1e6
+    assert main(["fourier", "--prime", "1009", "--nvars", "2", "--const",
+                 const, "--verify"]) == 0
+    assert "-> PASS" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("scale", SCALES)
+def test_fourier_verify_passes_a_csv_table_at_every_scale(scale, tmp_path,
+                                                          capsys):
+    # a real table with values from 1 to 49 times the scale
+    table = tmp_path / "t.csv"
+    table.write_text("x1,x2,re,im\n" + "".join(
+        "%d,%d,%r,0\n" % (i, j, (7 * i + j + 1) * float(scale))
+        for i in range(7) for j in range(7)))
+    assert main(["fourier", "--prime", "7", "--nvars", "2", "--input",
+                 str(table), "--verify"]) == 0
+    assert "-> PASS" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("const", SCALES)
+def test_fourier_verify_fails_one_corrupted_cell_at_every_scale(
+        const, capsys, monkeypatch):
+    from charsum import measure
+    inversion_error = measure.inversion_error
+
+    def corrupted(table, back):
+        values = back.values.copy()
+        values.flat[3] *= 1 + 1e-6
+        return inversion_error(table, measure.ValueTable._adopt(
+            back.p, back.n, values))
+    monkeypatch.setattr(measure, "inversion_error", corrupted)
+    assert main(["fourier", "--prime", "7", "--nvars", "2", "--const",
+                 const, "--verify"]) == 1
+    assert "-> FAIL" in capsys.readouterr().out
+
+
 def test_weil_congruence_needs_a_limit(capsys):
     assert main(["weil", "--poly", "x^3+x+1", "--prime", "7", "--mod", "4",
                  "--res", "1"]) == 2
@@ -722,6 +763,42 @@ def test_dfi_json_and_determinism_across_jobs(tmp_path):
     doc = json.loads(a.read_text())
     assert doc["records"], "dump-samples must emit records"
     assert doc["aggregate"]["ks"] is not None
+
+
+# one of each root-angle sweep on a congruence class: a quadratic, a
+# split-only cubic and a quintic, whose roots take every path of the lanes
+CLASS_SWEEPS = {
+    "dfi": ("dfi", "--poly", "x^2 + 1", "--xlimit", "3000", "--mod", "4",
+            "--res", "1"),
+    "dfiext": ("dfiext", "--poly", "x^3 - 2", "--g", "2*x + 3*x^2",
+               "--xlimit", "3000", "--split-only", "--mod", "3", "--res", "1"),
+    "multiweyl": ("multiweyl", "--poly", "x^5 - x - 1", "--h", "1,0,2",
+                  "--xlimit", "3000", "--mod", "5", "--res", "2"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLASS_SWEEPS))
+def test_sweep_reports_match_across_jobs_and_blocks(name, tmp_path,
+                                                    monkeypatch, capsys):
+    # one block runs in-process; with the blocks shrunk to a few lanes the
+    # sweep takes the pool at --jobs 2, and every report is the same bytes
+    def report(jobs):
+        path = tmp_path / "out.json"
+        assert main(list(CLASS_SWEEPS[name]) + [
+            "--dump-samples", "--jobs", jobs, "--json", str(path)]) == 0
+        return path.read_bytes()
+
+    whole = report("1")
+    assert json.loads(whole)["records"]
+    blocks = []
+    pmap = equidist.pmap
+    monkeypatch.setattr(equidist, "_CHUNK", 96)
+    monkeypatch.setattr(equidist, "pmap", lambda fn, items, jobs: (
+        blocks.append(len(items)) or pmap(fn, items, jobs)))
+    assert report("1") == whole
+    assert report("2") == whole
+    assert min(blocks) > 1
+    capsys.readouterr()
 
 
 def test_dfi_histogram_option():

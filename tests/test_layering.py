@@ -7,11 +7,13 @@ F_p consumers read the point matrix, not the tuples of
 Each kernel step has one copy: the one-variable solve, the line sum's
 budget guard and the Weil verdict.  Every F_p sum refuses a character
 table over budget before it builds its points.  One reader turns a
-one-variable polynomial into coefficients.  Only `mpoly.power` walks the
-bits of an exponent.  Report values are turned into text in one walk,
-by the writer.  Only `measure` calls numpy's FFT.  No module computes a
-discriminant: bad primes and squarefreeness are read mod p, and the
-resultant lives among the test oracles.  The parser does not
+one-variable polynomial into coefficients.  Only `mpoly.power`, and its
+lane twin `power_lanes`, walks the bits of an exponent.  The root-angle
+sweeps find roots on lanes of primes, never with a scalar root finder or
+evaluator called prime by prime.  Report values are turned into text in
+one walk, by the writer.  Only `measure` calls numpy's FFT.  No module
+computes a discriminant: bad primes and squarefreeness are read mod p,
+and the resultant lives among the test oracles.  The parser does not
 recurse.  No module, in the package or among the tests, imports a name
 it never uses."""
 
@@ -173,18 +175,60 @@ def test_one_reader_for_one_variable_polynomials():
 
 
 def _walks_bits(node):
-    """A `bin(...)` call or a `>>=`: reading a number bit by bit."""
-    return _is_call(node, "bin") or (isinstance(node, ast.AugAssign)
-                                     and isinstance(node.op, ast.RShift))
+    """A `bin(...)` call, a `>>=` or a `>>`: reading a number bit by
+    bit."""
+    return _is_call(node, "bin") or (
+        isinstance(node, (ast.AugAssign, ast.BinOp))
+        and isinstance(node.op, ast.RShift))
 
 
 def test_only_power_walks_the_bits_of_an_exponent():
-    # every square-and-multiply goes through mpoly.power
+    # every square-and-multiply goes through mpoly.power, or through its
+    # twin power_lanes when each lane has its own exponent
     walks = {(name, fn) for name in MODULES
              for fn, _ in _by_function(
                  ast.parse((PACKAGE / (name + ".py")).read_text()),
                  _walks_bits)}
-    assert walks == {("mpoly", "power")}
+    assert walks == {("mpoly", "power"), ("mpoly", "power_lanes")}
+
+
+def test_bit_walk_check_sees_a_shift():
+    tree = ast.parse("def f(e):\n    return (e >> 3) & 1\n"
+                     "def g(e):\n    e >>= 1\n    return e\n"
+                     "def h(e):\n    return bin(e)\n"
+                     "def k(e):\n    return e << 1\n")
+    assert {fn for fn, _ in _by_function(tree, _walks_bits)} == {
+        "f", "g", "h"}
+
+
+# the scalar root finder and evaluator, which no root-angle sweep may call
+# once per prime: the sweeps find roots and values on lanes of primes
+SCALAR_ROOT_STEPS = ("roots_mod_p", "evaluate")
+
+
+def _per_prime_calls(tree):
+    """(name, line) of each call of a scalar root step inside a loop or a
+    comprehension."""
+    loops = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp,
+             ast.GeneratorExp)
+    return sorted({(name, node.lineno) for loop in ast.walk(tree)
+                   if isinstance(loop, loops) for node in ast.walk(loop)
+                   for name in SCALAR_ROOT_STEPS if _is_call(node, name)})
+
+
+def test_sweeps_find_roots_on_lanes():
+    tree = ast.parse((PACKAGE / "equidist.py").read_text())
+    assert _per_prime_calls(tree) == []
+    assert {fn for fn, _ in _calls_by_function(tree, "roots_mod_many")} == {
+        "_value_worker"}
+
+
+def test_per_prime_check_sees_a_loop():
+    tree = ast.parse("def f(ps):\n    return [roots_mod_p(g, p) for p in ps]\n"
+                     "def g(ps):\n    for p in ps:\n"
+                     "        fppoly.evaluate(g, 1, p)\n"
+                     "def h(p):\n    return roots_mod_p(g, p)\n")
+    assert _per_prime_calls(tree) == [("evaluate", 5), ("roots_mod_p", 2)]
 
 
 # (module, function) pairs that may test for Fraction: the report writer

@@ -14,7 +14,7 @@ from charsum.mpoly import (Lowered, frac_mod, gauss_jordan, poly_add,
                            poly_derivative, poly_divmod, poly_gcd,
                            poly_monic, poly_mul, poly_powmod, poly_rem,
                            poly_sub, poly_trim, pow_mod_array, power,
-                           primitive_integers)
+                           power_lanes, primitive_integers)
 from charsum.polyroots import horner
 from oracles import discriminant, eval_mod, resultant
 
@@ -365,6 +365,32 @@ def test_pow_mod_array_matches_pow():
         for e in {1, 2, 3, p - 2} - {0}:
             assert pow_mod_array(a, e, p).tolist() == \
                 [pow(int(x), e, p) for x in a]
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from([2, 3, 101, 65537, 2 ** 31 - 1]),
+                          st.integers(0, 2 ** 31 - 2),
+                          st.integers(0, 2 ** 40)),
+                min_size=1, max_size=8))
+def test_power_lanes_matches_pow(lanes):
+    # exponents of every bit length side by side, 0 among them
+    p, a, e = (np.array(v, dtype=np.int64) for v in zip(*lanes))
+    a %= p
+    got = power_lanes(a, e, lambda x, y: x * y % p, np.ones_like(a))
+    assert got.tolist() == [pow(int(x), int(k), int(q))
+                            for x, k, q in zip(a, e, p)]
+
+
+def test_power_lanes_multiplies_by_the_base_second():
+    seen = []
+
+    def mul(x, y):
+        seen.append(y is base)
+        return x * y
+    base = np.array([[2], [3]], dtype=np.int64)
+    got = power_lanes(base, np.array([5, 2]), mul, np.ones_like(base))
+    assert got.tolist() == [[32], [9]]
+    assert seen == [False, True] * 3
 
 
 # -- the univariate toolkit, shared by Q and F_q ---------------------------

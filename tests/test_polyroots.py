@@ -3,13 +3,14 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from charsum import (build_extension, next_prime, poly_roots_fq, prime_field,
-                     primes_in)
+from charsum import (build_extension, fppoly, is_prime, next_prime,
+                     poly_roots_fq, prime_field, primes_in)
 from charsum import polyroots
 from charsum.errors import CharsumError
-from charsum.polyroots import eval_many, roots_mod_p
+from charsum.polyroots import (eval_many, residues, roots_mod_many,
+                               roots_mod_p, squarefree_many)
 
 SMALL_PRIMES = primes_in(199)
 
@@ -277,3 +278,119 @@ def test_eval_many_stays_inside_int64():
     big = next_prime(1 << 31)
     with pytest.raises(CharsumError):
         eval_many(coeffs, big, np.array([big - 1], dtype=np.int64))
+
+
+# -- many primes at once ---------------------------------------------------
+
+# the largest primes below 2^31, where a product of two residues nears 2^62
+TOP_PRIMES = [p for p in range((1 << 31) - 1, (1 << 31) - 200, -1)
+              if is_prime(p)]
+
+
+def lane_roots(coeffs, primes):
+    """roots_mod_many regrouped as one sorted list per prime."""
+    lane, root = roots_mod_many(coeffs, np.array(primes, dtype=np.int64))
+    assert lane.dtype == root.dtype == np.int64
+    out = [[] for _ in primes]
+    for i, r in zip(lane.tolist(), root.tolist()):
+        out[i].append(r)
+    return out
+
+
+@st.composite
+def polys_and_primes(draw):
+    """(coeffs, primes): degree 0-8 with coefficients of either size, or a
+    scaled product of linear factors so that repeated roots are common
+    mod every prime; primes at and below the degree, small, and just
+    below 2^31, none dividing the leading coefficient."""
+    big = st.integers(-(1 << 80), 1 << 80)
+    if draw(st.booleans()):
+        coeffs = draw(st.lists(st.integers(-300, 300) | big, min_size=1,
+                               max_size=9))
+    else:
+        coeffs = [draw(st.integers(1, 40) | big)]
+        for r in draw(st.lists(st.integers(-4, 4), max_size=8)):
+            # times (x - r)
+            coeffs = [a - r * b for a, b in zip([0] + coeffs, coeffs + [0])]
+    if not coeffs[-1]:
+        coeffs[-1] = 1
+    primes = draw(st.lists(st.sampled_from(SMALL_PRIMES)
+                           | st.sampled_from(TOP_PRIMES), max_size=12))
+    return coeffs, [p for p in primes if coeffs[-1] % p]
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(polys_and_primes())
+@example(([-2, 0, 0, 1], SMALL_PRIMES))
+@example(([1, 0, 1], TOP_PRIMES))
+@example(([1 << 64, 3, 1], [2, 3, 5] + TOP_PRIMES[:2]))
+@example(([-8, 36, -54, 27], [2, 5, 7, 11]))     # (3x - 2)^3
+def test_roots_mod_many_is_roots_mod_p_prime_by_prime(case):
+    coeffs, primes = case
+    assert lane_roots(coeffs, primes) == [roots_mod_p(coeffs, p)
+                                          for p in primes]
+
+
+def test_roots_mod_many_over_a_sweep():
+    # the three polynomials of the root-angle benchmark sweeps and a
+    # quintic, at every prime to 3000 that does not divide lc
+    primes = primes_in(3000)
+    for coeffs in ([1, 0, 1], [-2, 0, 0, 1], [1, 1, 0, 0, 2],
+                   [-1, -1, 0, 0, 0, 1]):
+        ok = [p for p in primes if coeffs[-1] % p]
+        assert lane_roots(coeffs, ok) == [roots_mod_p(coeffs, p) for p in ok]
+
+
+def test_lane_kernels_refuse_what_they_cannot_take():
+    with pytest.raises(CharsumError, match="prime 3 divides the leading"):
+        roots_mod_many([1, 1, 3], np.array([5, 3, 7]))
+    for lanes in (roots_mod_many, squarefree_many):
+        with pytest.raises(CharsumError, match="below 2\\^31"):
+            lanes([1, 1, 1], np.array([5, next_prime(1 << 31)]))
+    with pytest.raises(CharsumError, match="zero polynomial"):
+        roots_mod_many([0, 0], np.array([5]))
+    lane, root = roots_mod_many([1, 0, 1], np.zeros(0, dtype=np.int64))
+    assert lane.tolist() == root.tolist() == []
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(polys_and_primes())
+def test_squarefree_many_is_is_squarefree(case):
+    coeffs, primes = case
+    assume(len(coeffs) > 1)
+    got = squarefree_many(coeffs, np.array(primes, dtype=np.int64))
+    assert got.tolist() == [fppoly.is_squarefree(coeffs, p) for p in primes]
+
+
+@st.composite
+def lane_horner_cases(draw):
+    """(coeffs, primes, xs): a prime and a residue per lane, coefficients
+    ints of any size or int64 arrays aligned with the lanes."""
+    primes = draw(st.lists(st.sampled_from(HORNER_PRIMES)
+                           | st.sampled_from(TOP_PRIMES), min_size=1,
+                           max_size=8))
+    xs = [draw(st.integers(0, p - 1)) for p in primes]
+    coeff = (st.integers(-(1 << 80), 1 << 80)
+             | st.lists(st.integers(-(1 << 62), 1 << 62), min_size=len(xs),
+                        max_size=len(xs))
+             .map(lambda v: np.array(v, dtype=np.int64)))
+    return draw(st.lists(coeff, max_size=9)), primes, xs
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(lane_horner_cases())
+def test_eval_many_with_a_modulus_per_lane(case):
+    coeffs, primes, xs = case
+    got = eval_many(coeffs, np.array(primes, dtype=np.int64),
+                    np.array(xs, dtype=np.int64))
+    assert got.dtype == np.int64
+    assert got.tolist() == [
+        fppoly.evaluate([int(c if isinstance(c, int) else c[i]) % p
+                         for c in coeffs], x, p)
+        for i, (p, x) in enumerate(zip(primes, xs))]
+
+
+def test_residues_of_any_size():
+    primes = np.array([2, 3, 65537] + TOP_PRIMES[:3], dtype=np.int64)
+    for c in (0, -1, 1 << 63, -(1 << 63) - 5, 3 ** 200, -(7 ** 90)):
+        assert residues(c, primes).tolist() == [c % int(p) for p in primes]
