@@ -12,13 +12,17 @@ the gcd-and-split path on `FqElem` polynomials, with multiplicities from
 repeated gcds.  The splitting randomness is seeded from (p, f) so
 repeated runs and parallel sweeps agree.
 
-The one mod-p array evaluator lives here too: `eval_many`, lazy-reduction
-Horner in one variable with one modulus or one per lane, and `horner`,
-which runs it at every node of an `mpoly.Lowered` tree.
+The mod-p array evaluators live here too: `eval_many`, lazy-reduction
+Horner in one variable with one modulus or one per lane; `horner`, which
+runs it at every node of an `mpoly.Lowered` tree; and `line_values`, f
+at every x of F_p, which above GRID_MIN takes Taylor shifts on a
+sqrt(p) x sqrt(p) grid of x in exact float64 products, and otherwise
+`eval_many`.
 """
 
 from __future__ import annotations
 
+import math
 import random
 import zlib
 
@@ -86,6 +90,70 @@ def eval_many(coeffs, p, xs):
         bound = bound * top + top
     acc %= p
     return acc
+
+
+# The least p at which `line_values` takes the grid, and the points in
+# one of its blocks of rows (256 KiB of int64).  On a 2-vCPU x86 host the
+# two paths are about even near p = 6000 at degrees 2-6; the grid is
+# about 2x slower at p = 997 and 3-6x faster near 10^6.
+GRID_MIN = 1 << 13
+_GRID_BLOCK = 1 << 15
+
+
+def _powers(xs, n, p):
+    """The (len(xs), n) int64 array of xs[i]^k mod p, k < n."""
+    out = np.ones((len(xs), n), dtype=np.int64)
+    for k in range(1, n):
+        out[:, k] = out[:, k - 1] * xs % p
+    return out
+
+
+def line_values(coeffs, p):
+    """f(x) mod p at x = 0, 1, ..., p - 1, as an int64 array, for a
+    prime p below 2^31 and f a little-endian list of ints (trailing zeros
+    allowed; the empty list is the zero polynomial).
+
+    With d the degree of f mod p and m = ceil(sqrt p), p >= GRID_MIN,
+    d + 1 <= m and (d + 1)(p - 1)^2 < 2^53, x is written a*m + b with
+    0 <= b < m, and f(a*m + b) = sum_j t_j(a) b^j, where the Taylor
+    coefficients t_j(a) = sum_k C(k + j, j) f_(k+j) (a*m)^k form the
+    product of the powers of a*m with the Hankel-like matrix of
+    C(k + j, j) f_(k+j) mod p.  Both products run in float64 on residues,
+    so every partial sum is an integer below 2^53 and exact; the Taylor
+    coefficients are reduced once, and then each block of rows of
+    values, a*m + b for a few a and every b, is multiplied out into the
+    int64 result and reduced mod p once per point.  Any other input
+    takes `eval_many` over arange(p).  Both paths give the same residues.
+    """
+    if p < GRID_MIN:
+        return eval_many(coeffs, p, np.arange(p, dtype=np.int64))
+    check_int64_modulus(p)
+    red = [c % p for c in coeffs]
+    while red and red[-1] == 0:
+        red.pop()
+    n, m = len(red), math.isqrt(p - 1) + 1
+    if n > m or n * (p - 1) ** 2 >= 1 << 53:
+        return eval_many(red, p, np.arange(p, dtype=np.int64))
+    rows = -(-p // m)
+    hankel = np.zeros((n, n))
+    for k in range(n):
+        for j in range(n - k):
+            hankel[k, j] = math.comb(k + j, j) * red[k + j] % p
+    shifts = _powers(np.arange(0, rows * m, m, dtype=np.int64) % p, n, p)
+    taylor = (shifts.astype(np.float64) @ hankel).astype(np.int64) % p
+    taylor = taylor.astype(np.float64)
+    steps = _powers(np.arange(m, dtype=np.int64), n, p).T.astype(np.float64)
+    out = np.empty((rows, m), dtype=np.int64)
+    step = max(1, _GRID_BLOCK // m)
+    quot = np.empty((min(step, rows), m), dtype=np.int64)
+    for r in range(0, rows, step):
+        block = out[r:r + step]
+        block[...] = taylor[r:r + step] @ steps
+        q = quot[:len(block)]
+        np.floor_divide(block, p, out=q)  # by a constant, unlike %
+        q *= p
+        block -= q
+    return out.reshape(-1)[:p]
 
 
 def horner(tree, res, p, cols):

@@ -2,11 +2,12 @@
 detection, and box counts.
 
 Every sum over the affine line F_p goes through `_line_sum`: the
-enumeration budget checked for p points, then Horner evaluation of the
-twisted, reduced polynomial at all of F_p, summed by
+enumeration budget checked for p points, then the twisted, reduced
+polynomial at every x of F_p by `polyroots.line_values` (Horner below
+its crossover, exact float64 Taylor shifts on a grid above), summed by
 `angles.character_sum`.  Every other F_p point set is read from the
-point matrix, where `polyroots.horner` evaluates f for the same kernel;
-both evaluate in int64, so F_p sums need p < 2^31, and both read a table
+point matrix, where `polyroots.horner` evaluates f; both give int64
+residues, so F_p sums need p < 2^31, and both read a table
 of p character values, so they need p <= 2^24, checked before any point
 is built.  `weil_check` makes one Weil record at one prime; `weil_sweep`
 makes them along a prime list, splitting the polynomial's coefficients
@@ -33,7 +34,7 @@ from .parser import univariate
 from .points import (_CHUNK, DEFAULT_BUDGET, _check_budget, _field_coeffs,
                      _free_grid, _point_matrix, _sample_matrix,
                      _system_nvars, enumerate_points, lower)
-from .polyroots import eval_many, horner
+from .polyroots import horner, line_values
 from .primes import next_prime
 from .rootsums import psi_sum
 
@@ -85,9 +86,7 @@ def _line_sum(red, p, twist, budget=DEFAULT_BUDGET):
     _check_budget(p, 1, budget)
     check_int64_modulus(p)
     _check_table_size(p, 1)
-    twisted = [c * twist % p for c in red]
-    return character_sum(eval_many(twisted, p,
-                                   np.arange(p, dtype=np.int64)), p)
+    return character_sum(line_values([c * twist % p for c in red], p), p)
 
 
 def _lowered(f):

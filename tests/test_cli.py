@@ -3,6 +3,7 @@ import re
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -504,9 +505,9 @@ def test_fourier_verify_passes_a_csv_table_at_every_scale(scale, tmp_path,
     assert "-> PASS" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("const", SCALES)
-def test_fourier_verify_fails_one_corrupted_cell_at_every_scale(
-        const, capsys, monkeypatch):
+def corrupt_one_back_cell(monkeypatch):
+    """Make the inversion check see one cell of F(F(phi)) times
+    1 + 1e-6."""
     from charsum import measure
     inversion_error = measure.inversion_error
 
@@ -516,9 +517,63 @@ def test_fourier_verify_fails_one_corrupted_cell_at_every_scale(
         return inversion_error(table, measure.ValueTable._adopt(
             back.p, back.n, values))
     monkeypatch.setattr(measure, "inversion_error", corrupted)
+
+
+@pytest.mark.parametrize("const", SCALES)
+def test_fourier_verify_fails_one_corrupted_cell_at_every_scale(
+        const, capsys, monkeypatch):
+    corrupt_one_back_cell(monkeypatch)
     assert main(["fourier", "--prime", "7", "--nvars", "2", "--const",
                  const, "--verify"]) == 1
     assert "-> FAIL" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("p", [31, 37, 1009])
+def test_fourier_verify_fails_one_corrupted_cell_of_a_large_table(
+        p, capsys, monkeypatch):
+    # the back transform's values are phi / p^n, so its rounding scale
+    # shrinks with the table and a fixed relative error stays visible
+    corrupt_one_back_cell(monkeypatch)
+    assert main(["fourier", "--prime", str(p), "--nvars", "2", "--const",
+                 "1", "--verify"]) == 1
+    assert "-> FAIL" in capsys.readouterr().out
+
+
+def test_fourier_verify_passes_a_zero_table(capsys):
+    assert main(["fourier", "--prime", "1009", "--nvars", "2", "--const",
+                 "0", "--verify"]) == 0
+    assert "inversion error: 0 -> PASS" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("op, field, coeffs2", [
+    ("conj", ("13", "1"), None), ("add", ("13", "1"), "2,3"),
+    ("mul", ("13", "1"), "2,3"), ("mul", ("3", "4"), "1,2")])
+def test_psisym_verify_fails_an_identity_off_by_1e_12(op, field, coeffs2,
+                                                      capsys, monkeypatch):
+    from charsum import cli
+    psi_sum = cli.psi_sum
+    argv = ["psisym", "--prime", field[0], "--ext", field[1], "--coeffs",
+            "1,5", "--op", op, "--verify"]
+    argv += ["--coeffs2", coeffs2] if coeffs2 else []
+    assert main(argv) == 0
+    assert "-> PASS" in capsys.readouterr().out
+    monkeypatch.setattr(cli, "psi_sum",
+                        lambda roots, char: psi_sum(roots, char) + 1e-12)
+    assert main(argv) == 1
+    assert "-> FAIL" in capsys.readouterr().out
+
+
+def test_every_catalogue_psisym_verify_passes(capsys, monkeypatch):
+    # the root_angles benchmark's 168 --verify operations over F_2^6 and
+    # F_3^4, whose identity errors reach 6.6 u max(1, roots)
+    monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "bench"))
+    workloads = pytest.importorskip("workloads")
+    ops = [op for op in workloads.catalogue("root_angles")
+           if op.argv[0] == "psisym" and "--verify" in op.argv]
+    assert len(ops) == 168
+    for op in ops:
+        assert main(list(op.argv)) == 0, op.key
+    assert capsys.readouterr().out.count("-> PASS") == 168
 
 
 def test_weil_congruence_needs_a_limit(capsys):

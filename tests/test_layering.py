@@ -5,17 +5,18 @@ of p-th roots of unity; every other module goes through its kernels.
 F_p consumers read the point matrix, not the tuples of
 `enumerate_points`, and sum through the table, not with `psi_sum`.
 Each kernel step has one copy: the one-variable solve, the line sum's
-budget guard and the Weil verdict.  Every F_p sum refuses a character
-table over budget before it builds its points.  One reader turns a
-one-variable polynomial into coefficients.  Only `mpoly.power`, and its
-lane twin `power_lanes`, walks the bits of an exponent.  The root-angle
-sweeps find roots on lanes of primes, never with a scalar root finder or
-evaluator called prime by prime.  Report values are turned into text in
-one walk, by the writer.  Only `measure` calls numpy's FFT.  No module
-computes a discriminant: bad primes and squarefreeness are read mod p,
-and the resultant lives among the test oracles.  The parser does not
-recurse.  No module, in the package or among the tests, imports a name
-it never uses."""
+budget guard, its evaluation of f on the whole line and the Weil
+verdict.  Every F_p sum refuses a character table over budget before it
+builds its points.  One reader turns a one-variable polynomial into
+coefficients.  Only `mpoly.power`, and its lane twin `power_lanes`,
+walks the bits of an exponent.  The root-angle sweeps find roots on
+lanes of primes, never with a scalar root finder or evaluator called
+prime by prime.  Report values are turned into text in one walk, by the
+writer.  Only `measure` calls numpy's FFT.  No module computes a
+discriminant: bad primes and squarefreeness are read mod p, and the
+resultant lives among the test oracles.  The parser does not recurse.
+No module, in the package or among the tests, imports a name it never
+uses."""
 
 import ast
 import subprocess
@@ -105,17 +106,20 @@ def test_only_exact_angle_sums_call_psi_sum():
 
 
 # (module, what, the one function that may do it): root finding for one
-# free variable, building a Weil record and reading its pass/fail slack
+# free variable, building a Weil record, reading its pass/fail slack and
+# evaluating f on the whole line
 SINGLE_COPIES = [
     ("points", lambda node: _is_call(node, "roots_mod_p"), "_common_roots"),
     ("weil", lambda node: _is_call(node, "WeilRecord"), "_record"),
     ("weil", lambda node: getattr(node, "id", None) == "PASS_SLACK",
      "_record"),
+    ("weil", lambda node: _is_call(node, "line_values"), "_line_sum"),
 ]
 
 
 @pytest.mark.parametrize("module, match, owner", SINGLE_COPIES,
-                         ids=["roots_mod_p", "WeilRecord", "PASS_SLACK"])
+                         ids=["roots_mod_p", "WeilRecord", "PASS_SLACK",
+                              "line_values"])
 def test_each_kernel_step_has_one_copy(module, match, owner):
     tree = ast.parse((PACKAGE / (module + ".py")).read_text())
     assert {fn for fn, _ in _by_function(tree, match)} == {owner}
@@ -137,8 +141,8 @@ def test_only_the_line_sum_guards_a_line():
 
 
 # (module, function) pairs that sum over a table of p character values:
-# each checks p against the table budget before its first point matrix or
-# arange of F_p
+# each checks p against the table budget before its first point matrix,
+# arange of F_p or `line_values`, which builds all of F_p
 TABLE_CHECKED = [("weil", "exp_sum"), ("weil", "_line_sum"),
                  ("weil", "axiom3_sup"), ("measure", "pushforward_weyl")]
 
@@ -156,7 +160,7 @@ def test_table_check_comes_before_the_points(module, function):
                    default=None)
 
     check = first("_check_table_size")
-    points = first("_point_matrix", "arange")
+    points = first("_point_matrix", "arange", "line_values")
     assert check is not None and points is not None and check < points
 
 

@@ -1,3 +1,4 @@
+import math
 import random
 from unittest import mock
 
@@ -9,8 +10,8 @@ from charsum import (build_extension, fppoly, is_prime, next_prime,
                      poly_roots_fq, prime_field, primes_in)
 from charsum import polyroots
 from charsum.errors import CharsumError
-from charsum.polyroots import (eval_many, residues, roots_mod_many,
-                               roots_mod_p, squarefree_many)
+from charsum.polyroots import (eval_many, line_values, residues,
+                               roots_mod_many, roots_mod_p, squarefree_many)
 
 SMALL_PRIMES = primes_in(199)
 
@@ -278,6 +279,92 @@ def test_eval_many_stays_inside_int64():
     big = next_prime(1 << 31)
     with pytest.raises(CharsumError):
         eval_many(coeffs, big, np.array([big - 1], dtype=np.int64))
+
+
+# -- the whole line --------------------------------------------------------
+
+def grid_degree_limit(p):
+    """The largest degree `line_values` takes on the grid at p: d + 1 at
+    most ceil(sqrt p), and (d + 1)(p - 1)^2 below 2^53."""
+    return min(math.isqrt(p - 1) + 1, ((1 << 53) - 1) // (p - 1) ** 2) - 1
+
+
+def assert_is_eval_many(got, coeffs, p, piece=1 << 18):
+    """got is eval_many over arange(p), bit for bit: on all of F_p when
+    p <= 2^20, else on its first, a middle and its last `piece` points."""
+    assert got.dtype == np.int64 and got.shape == (p,)
+    starts = (0, p // 2, p - piece) if p > 1 << 20 else (0,)
+    for lo in starts:
+        hi = min(lo + piece, p) if p > 1 << 20 else p
+        assert np.array_equal(got[lo:hi], eval_many(
+            coeffs, p, np.arange(lo, hi, dtype=np.int64)))
+
+
+# the smallest primes, the crossover's neighbours, 2^15, near 10^5 and
+# 10^6, the largest prime below 2^24
+LINE_PRIMES = (2, 3, 8191, 8209, 32771, 100003, 1000003, 16777213)
+
+
+@st.composite
+def line_cases(draw):
+    bits = draw(st.integers(3, 24))
+    p = draw(st.one_of(
+        st.sampled_from(LINE_PRIMES),
+        st.integers(1 << (bits - 1), (1 << bits) - 4).map(next_prime)))
+    # past the grid's degree limit only where Horner over F_p is cheap
+    over = 2 if p < 1 << 20 else 0
+    d = draw(st.integers(-1, min(grid_degree_limit(p), 40) + over))
+    coeff = st.one_of(st.integers(0, p - 1), st.just(p - 1),
+                      st.integers(-(1 << 70), 1 << 70))
+    coeffs = draw(st.lists(coeff, min_size=d + 1, max_size=d + 1))
+    if coeffs and coeffs[-1] % p == 0:
+        coeffs[-1] = p - 1
+    return coeffs + [0, p, -p][:draw(st.integers(0, 3))], p
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(line_cases())
+@example(([], 1000003))
+@example(([0, 0], 100003))
+@example(([8208] * 92, 8209))
+@example(([8208] * 93 + [0], 8209))
+@example(([1000002] * 8 + [0, 0, 0], 1000003))
+@example(([16777212] * 32, 16777213))
+def test_line_values_is_eval_many_on_the_whole_line(case):
+    # on the grid and off it: degrees -1 to past the grid's limit, with
+    # trailing zeros as exp_sum passes them
+    coeffs, p = case
+    assert_is_eval_many(line_values(coeffs, p), coeffs, p)
+
+
+def test_line_values_at_the_exactness_limit(monkeypatch):
+    # d = 31 is the last degree whose float64 products stay exact below
+    # 2^24, on the grid; d = 32 takes Horner
+    p = 16777213
+    d = grid_degree_limit(p)
+    assert d == 31 and 32 * (p - 1) ** 2 < 1 << 53 <= 33 * (p - 1) ** 2
+    horner_degrees = []
+
+    def spy(coeffs, p, xs):
+        horner_degrees.append(len(coeffs) - 1)
+        return eval_many(coeffs, p, xs)
+
+    monkeypatch.setattr(polyroots, "eval_many", spy)
+    xs = [0, 1, 2, 4097, 4095 * 4096 + 3, p - 2, p - 1]
+    for deg in (d, d + 1):
+        coeffs = [p - 1 - 7 * k for k in range(deg + 1)]
+        got = line_values(coeffs, p)
+        assert [int(got[x]) for x in xs] == [horner(coeffs, p, x)
+                                             for x in xs]
+        assert horner_degrees == ([] if deg == d else [deg])
+        assert_is_eval_many(got, coeffs, p)
+        del got
+
+
+def test_line_values_refuses_p_above_2_31():
+    big = next_prime(1 << 31)
+    with pytest.raises(CharsumError):
+        line_values([1, 2, 3], big)
 
 
 # -- many primes at once ---------------------------------------------------

@@ -14,9 +14,10 @@ from charsum import (axiom3_sup, box_count, build_extension,
                      laurent_from_expression, parse_polynomial, prime_field,
                      primes_in, standard_character, twisted_character,
                      weil_check, weil_check_curve, weil_sweep)
-from charsum import points, weil
+from charsum import points, polyroots, weil
 from charsum.errors import BadPrimeError, CharsumError
 from charsum.mpoly import Lowered, MPoly, frac_mod
+from charsum.primes import next_prime
 from charsum.weil import _candidate_vectors
 from oracles import exp_sum_points
 
@@ -439,6 +440,37 @@ def test_weil_sweep_matches_per_prime_checks():
         assert records == expect_records
         assert skipped == expect_skipped
         assert any(reason in why for _, why in skipped), (text, skipped)
+
+
+def test_line_sums_on_the_grid_are_those_of_horner(monkeypatch):
+    # line_values takes the grid near 10^6 and on (10^5, 2*10^5), Horner
+    # when its crossover is out of reach; the records are the same
+    rng = random.Random(28)
+    singles, p = [], 1000003
+    for k in range(20):
+        coeffs = [rng.randrange(-30, 31) for _ in range(2 + k % 5)] + [1]
+        singles.append((coeffs, p))
+        p = next_prime(p + 997)
+    sweep = [p for p in primes_in(200000) if p > 100000][::21]
+    assert len(sweep) == 400
+    horner_calls = []
+    real = polyroots.eval_many
+
+    def spy(coeffs, p, xs):
+        horner_calls.append(p)
+        return real(coeffs, p, xs)
+
+    def run():
+        return ([weil_check(coeffs, p) for coeffs, p in singles],
+                weil_sweep("x^5 - 3*x^2 + 7*x + 11", sweep))
+
+    monkeypatch.setattr(polyroots, "eval_many", spy)
+    grid = run()
+    assert horner_calls == []
+    monkeypatch.setattr(polyroots, "GRID_MIN", 1 << 62)
+    assert run() == grid
+    assert len(horner_calls) == 420
+    assert not grid[1][1] and len(grid[1][0]) == 400
 
 
 def test_common_denominator_residues_match_frac_mod():
