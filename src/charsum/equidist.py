@@ -171,13 +171,17 @@ def _element_sweep(command, ints, gq, xlimit, congruence, split_only,
                    weyl_depth, jobs, params_extra):
     """The one body of every root-angle sweep: samples are g(root) mod p
     over the roots of f mod p, for f in `_integer_form` and g given by
-    rational coefficients.  The good primes go to the workers in blocks
-    of at most _CHUNK // (2 deg) lanes; a sweep of one block runs
-    in-process."""
+    rational coefficients.  g must not be constant modulo f: the values
+    of a rational element are forced.  The good primes go to the workers
+    in blocks of at most _CHUNK // (2 deg) lanes; a sweep of one block
+    runs in-process."""
     deg = len(ints) - 1
     if deg < 2:
         raise CharsumError("degenerate: need an irreducible polynomial of "
                            "degree at least 2")
+    if len(poly_rem(gq, [Fraction(c) for c in ints])) <= 1:
+        raise CharsumError("element is rational; equidistribution claim "
+                           "does not apply")
     cert = _certify_irreducible(ints)
     g = Lowered.univariate(gq)
     good, skipped = _good_primes(ints, xlimit, congruence, g.den)
@@ -214,10 +218,6 @@ def dfi_extended_sweep(f, g, xlimit, congruence=None, split_only=False,
     test."""
     gq = univariate(g, what="the derived element")
     ints = _integer_form(univariate(f))
-    rem = poly_rem(gq, [Fraction(c) for c in ints])
-    if len(rem) <= 1:
-        raise CharsumError("element is rational; equidistribution claim "
-                           "does not apply")
     return _element_sweep("dfiext", ints, gq, xlimit, congruence, split_only,
                           weyl_depth, jobs,
                           {"split_only": split_only, "g": _poly_str(gq)})

@@ -1,5 +1,5 @@
-"""Finite fields F_{p^e}: descriptors, elements, trace, Frobenius, and
-packed tables for small fields.
+"""Finite fields F_{p^e}: descriptors, elements, trace, Frobenius,
+packed tables for small fields, and square roots mod p.
 
 An extension is represented by its canonical modulus: the monic
 irreducible of degree e whose coefficient vector (read from the x^{e-1}
@@ -13,7 +13,8 @@ most significant, so that integer order is the canonical element order.
 They hold the digits of every element (addition digit-wise mod p, XOR
 over F_2) and exp/log tables of a primitive element (multiplication).
 The trace is the F_p-linear form sum c_i Tr(x^i), with Tr(x^i) taken
-once per field from the modulus by Newton's identities.
+once per field from the modulus by Newton's identities.  `sqrt_mod` is
+Cipolla's method on `mpoly.power`, with the rule of its lane twin.
 """
 
 from __future__ import annotations
@@ -382,33 +383,23 @@ def packed_field(field) -> PackedField:
 
 
 def sqrt_mod(a, p):
-    """A square root of a mod p (odd p), or None if a is a non-residue.
-    Tonelli-Shanks with a deterministic non-residue scan."""
+    """A square root of a mod p, or None if a is a non-residue.  Cipolla:
+    for the least t >= 0 with n = t^2 - a a non-residue, (t + w)^((p+1)/2)
+    in F_p[w]/(w^2 - n) lies in F_p and squares to a.
+    `polyroots._sqrt_many` takes the same t, so the same root."""
     a %= p
-    if a == 0:
-        return 0
-    if p == 2:
+    if a == 0 or p == 2:
         return a
-    if pow(a, (p - 1) // 2, p) != 1:
+    half = (p - 1) // 2
+    if pow(a, half, p) != 1:
         return None
-    if p % 4 == 3:
-        return pow(a, (p + 1) // 4, p)
-    q = p - 1
-    s = 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    z = 2
-    while pow(z, (p - 1) // 2, p) != p - 1:
-        z += 1
-    m, c, t, r = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
-    while t != 1:
-        i, t2 = 0, t
-        while t2 != 1:
-            t2 = t2 * t2 % p
-            i += 1
-        b = pow(c, 1 << (m - i - 1), p)
-        m, c = i, b * b % p
-        t = t * c % p
-        r = r * b % p
-    return r
+    t = 0
+    while pow(t * t - a, half, p) != p - 1:
+        t += 1
+    n = (t * t - a) % p
+
+    def mul(u, v):
+        return ((u[0] * v[0] + u[1] * v[1] % p * n) % p,
+                (u[0] * v[1] + u[1] * v[0]) % p)
+
+    return power((t, 1), (p + 1) // 2, mul)[0]

@@ -1,11 +1,12 @@
 """Dense univariate polynomial arithmetic over F_p.
 
 Polynomials are little-endian lists of ints in [0, p).  These are the
-low-level kernels shared by field construction and root finding; callers
-normalize their own inputs.  This is the int fast path beside the
-`mpoly` toolkit: `powmod` runs on `mpoly.power`, the one
-square-and-multiply, so a power of x (or of any linear polynomial)
-costs O(deg m) per set bit of the exponent beside its squarings.
+low-level kernels shared by field construction and root finding (whose
+division by x - r is `polyroots._deflation_count`); callers normalize
+their own inputs.  This is the int fast path beside the `mpoly` toolkit:
+`powmod` runs on `mpoly.power`, the one square-and-multiply, so a power
+of x (or of any linear polynomial) costs O(deg m) per set bit of the
+exponent beside its squarings.
 """
 
 from .mpoly import power
@@ -110,15 +111,3 @@ def evaluate(f, x, p):
     for c in reversed(f):
         acc = (acc * x + c) % p
     return acc
-
-
-def deflate_root(f, r, p):
-    """Divide f by (x - r); returns (quotient, remainder_value)."""
-    out = []
-    acc = 0
-    for c in reversed(f):
-        acc = (acc * r + c) % p
-        out.append(acc)
-    rem = out.pop()
-    out.reverse()
-    return trim(out), rem

@@ -23,6 +23,9 @@ from .points import (_CHUNK, DEFAULT_BUDGET, _check_budget, _free_grid,
 
 FOURIER_BUDGET = 1 << 24
 
+# the slope's distance from the declared dimension that sets dim_warning
+_DIM_GAP = 0.25
+
 
 @dataclass(frozen=True)
 class MeasureSeries:
@@ -77,7 +80,7 @@ def _count_series(systems, declared_dim, primes, budget, jobs, normalize):
             continue
         records.append((p, *counts, normalize(p, *counts)))
     slope = _slope([rec[:2] for rec in records])
-    warn = slope is not None and abs(slope - declared_dim) >= 0.25
+    warn = slope is not None and abs(slope - declared_dim) >= _DIM_GAP
     return MeasureSeries(declared_dim=declared_dim, records=tuple(records),
                          skipped=tuple(skipped), dim_estimate=slope,
                          dim_warning=warn)

@@ -293,12 +293,15 @@ def _fibre_points(coeffs, ev, p, rows):
     """(rows, ys) pieces, aligned: the roots y of c2 y^2 + c1 y + c0 over
     each of `rows` rows (arguments as for _fibre_count).  A degenerate
     row, all three coefficients zero, has every y; those come in pieces of
-    about _CHUNK points."""
-    c0, c1, c2, disc = (np.broadcast_to(ev(t), rows) for t in coeffs)
+    about _CHUNK points.  A coefficient that is one scalar for every row
+    is inverted once, before it is broadcast."""
+    values = [ev(t) for t in coeffs]
+    c0, c1, c2, disc = (np.broadcast_to(v, rows) for v in values)
     pieces = []
     quad = np.flatnonzero(c2)
     if len(quad):
-        a, b = c2[quad], c1[quad]
+        a = values[2] if np.ndim(values[2]) == 0 else c2[quad]
+        b = c1[quad]
         s = _sqrt_table(p)[disc[quad]]
         inv2a = _inv_mod_array(2 * a % p, p)
         has, two = s >= 0, s > 0
@@ -307,7 +310,8 @@ def _fibre_points(coeffs, ev, p, rows):
     flat = c2 == 0
     lin = np.flatnonzero(flat & (c1 != 0))
     if len(lin):
-        pieces.append((lin, -c0[lin] % p * _inv_mod_array(c1[lin], p) % p))
+        c = values[1] if np.ndim(values[1]) == 0 else c1[lin]
+        pieces.append((lin, -c0[lin] % p * _inv_mod_array(c, p) % p))
     full = np.flatnonzero(flat & (c1 == 0) & (c0 == 0))
     step = max(1, _CHUNK // p)
     for i in range(0, len(full), step):

@@ -6,11 +6,11 @@ higher degrees by gcd with x^p - x and equal-degree splitting
 primes below 2^31 at once, one prime per lane of int64 arrays, and gives
 what `roots_mod_p` gives prime by prime.  Over a proper extension F_q with
 q <= TABLE_LIMIT (2^16) one numpy Horner pass over all q packed elements
-(`ffield.packed_field`) finds the roots, and one synthetic division over
-all of them at once per round gives their multiplicities.  Larger q take
-the gcd-and-split path on `FqElem` polynomials, with multiplicities from
-repeated gcds.  The splitting randomness is seeded from (p, f) so
-repeated runs and parallel sweeps agree.
+(`ffield.packed_field`) finds the roots; larger q split gcd(x^q - x, f)
+on `FqElem` polynomials.  Every finder counts multiplicities at its
+distinct roots by synthetic division: `_deflation_counts` on int64 rows,
+its twin `_deflation_count` on lists.  The splitting randomness is
+seeded from (p, f) so repeated runs and parallel sweeps agree.
 
 The mod-p array evaluators live here too: `eval_many`, lazy-reduction
 Horner in one variable with one modulus or one per lane; `horner`, which
@@ -167,14 +167,43 @@ def horner(tree, res, p, cols):
     return eval_many([horner(k, res, p, cols) for k in kids], p, cols[v])
 
 
-def _multiplicities(f, roots, p):
-    out = []
-    for r in roots:
-        q, rem = fppoly.deflate_root(f, r, p)
-        while rem == 0:
-            out.append(r)
-            q, rem = fppoly.deflate_root(q, r, p)
-    return out
+def _deflation_count(f, r, axpy):
+    """How many times x - r divides f, for a root r of f: synthetic
+    division of a coefficient list until the remainder is nonzero, from
+    the top with acc <- axpy(c, acc, r) = c + acc r in f's field.  The
+    Python twin of `_deflation_counts`, for ints mod any p and for
+    `FqElem`s."""
+    k = 0
+    while len(f) > 1:
+        quot, acc = [], f[-1]
+        for c in reversed(f[:-1]):
+            quot.append(acc)
+            acc = axpy(c, acc, r)
+        if acc:
+            break
+        f, k = quot[::-1], k + 1
+    return k
+
+
+def _deflation_counts(rows, roots, axpy):
+    """How many times x - r divides each row of an int64 coefficient
+    matrix, r its entry of `roots` (a root, or a row of a root and what
+    its field needs, such as a lane's prime): one synthetic division of
+    every row still divisible per round, axpy(c, acc, r) = c + acc r on
+    the columns of those rows and their entries of `roots`."""
+    mult = np.zeros(len(rows), dtype=np.int64)
+    live = np.arange(len(rows))
+    while len(live) and rows.shape[1] > 1:
+        r = roots[live]
+        quot = np.empty((len(live), rows.shape[1] - 1), dtype=np.int64)
+        acc = rows[:, -1]
+        for i in range(rows.shape[1] - 2, -1, -1):
+            quot[:, i] = acc
+            acc = axpy(rows[:, i], acc, r)
+        divides = acc == 0
+        mult[live[divides]] += 1
+        live, rows = live[divides], quot[divides]
+    return mult
 
 
 def _quadratic_roots(b, c, p):
@@ -229,9 +258,9 @@ def roots_mod_p(coeffs, p) -> list:
     g = fppoly.gcd(fppoly.sub(xp, [0, 1], p), fm, p)
     if fppoly.degree(g) <= 0:
         return []
-    rng = _splitting_rng(p, f)
-    roots = _split_linear(g, p, rng)
-    return sorted(_multiplicities(f, roots, p))
+    roots = _split_linear(g, p, _splitting_rng(p, f))
+    return sorted(r for r in roots for _ in range(
+        _deflation_count(f, r, lambda c, acc, x: (c + acc * x) % p)))
 
 
 # -- many primes at once ----------------------------------------------------
@@ -339,51 +368,30 @@ def _powlin_many(a, e, m, P):
     return power_lanes(base, e, mul, one)
 
 
-def _two_order(t, m, p):
-    """The least i < m with t^(2^i) = 1 mod p, lane by lane, else m."""
-    i = np.where(t == 1, 0, m)
-    for j in range(1, int(m.max(initial=0))):
-        t = t * t % p
-        i = np.where((i == m) & (j < m) & (t == 1), j, i)
-    return i
-
-
 def _sqrt_many(a, p):
-    """A square root of each a mod p (odd p), or -1 for a non-residue:
-    Tonelli-Shanks lane by lane, with the least non-residue of each lane
-    as `ffield.sqrt_mod` scans for it.  For p - 1 = q 2^s with q odd,
-    r = a^((q+1)/2) and t = a^q; a nonzero a is a non-residue exactly
-    when t has order 2^s, and each round lowers the order of t until
-    t = 1, on the lanes still running."""
-    low = (p - 1) & -(p - 1)
-    q, s = (p - 1) // low, np.log2(low).astype(np.int64)
-    w = _pow_many(a, (q - 1) // 2, p)
-    r = w * a % p
-    t = r * w % p
-    i = _two_order(t, s, p)
-    out = np.where((a == 0) | (i < s), r, -1)
-    live = np.flatnonzero((a != 0) & (0 < i) & (i < s))
-    p, q, m, t, r, i = p[live], q[live], s[live], t[live], r[live], i[live]
-    z = np.full_like(p, 2)
+    """A square root of each a mod p (odd p, a in [0, p)), or -1 for a
+    non-residue: Cipolla as in `ffield.sqrt_mod`, with the same least t
+    per lane and so the same root.  One `power_lanes` over (n, 2) lanes
+    of pairs u + v w, w^2 = t^2 - a, raises t + w to (p + 1) / 2."""
+    half = (p - 1) // 2
+    out = np.where(a == 0, 0, -1)
+    live = np.flatnonzero(_pow_many(a, half, p) == 1)
+    a, p, half = a[live], p[live], half[live]
+    t = np.zeros_like(p)
     todo = np.arange(len(p))
     while len(todo):
-        todo = todo[_pow_many(z[todo], (p[todo] - 1) // 2, p[todo])
-                    != p[todo] - 1]
-        z[todo] += 1
-    c = _pow_many(z, q, p)
-    while len(live):
-        # b = c^(2^(m - i - 1)), whose square has the order of t
-        b, e = c, m - i - 1
-        for j in range(int(e.max())):
-            b = np.where(j < e, b * b % p, b)
-        c = b * b % p
-        m, t, r = i, t * c % p, r * b % p
-        i = _two_order(t, m, p)
-        done = i == 0
-        out[live[done]] = r[done]
-        run = ~done
-        live, p, m, t, r, i, c = (live[run], p[run], m[run], t[run], r[run],
-                                  i[run], c[run])
+        n = (t[todo] * t[todo] - a[todo]) % p[todo]
+        todo = todo[_pow_many(n, half[todo], p[todo]) != p[todo] - 1]
+        t[todo] += 1
+    n = (t * t - a) % p
+
+    def mul(u, v):
+        return np.stack([(u[:, 0] * v[:, 0] + u[:, 1] * v[:, 1] % p * n) % p,
+                         (u[:, 0] * v[:, 1] + u[:, 1] * v[:, 0]) % p], axis=1)
+
+    one, zero = np.ones_like(p), np.zeros_like(p)
+    out[live] = power_lanes(np.stack([t, one], axis=1), (p + 1) // 2, mul,
+                            np.stack([one, zero], axis=1))[:, 0]
     return out
 
 
@@ -439,25 +447,6 @@ def _split_many(pool, P, rng):
     return lanes, roots
 
 
-def _multiplicities_many(f, lane, roots, P):
-    """How many times x - r divides row `lane` of f, for each root r: one
-    synthetic division of every row still divisible per round."""
-    mult = np.zeros(len(roots), dtype=np.int64)
-    live = np.arange(len(roots))
-    g = f[lane]
-    while len(live) and g.shape[1] > 1:
-        r, p = roots[live], P[lane[live]]
-        quot = np.empty((len(live), g.shape[1] - 1), dtype=np.int64)
-        acc = g[:, -1]
-        for i in range(g.shape[1] - 2, -1, -1):
-            quot[:, i] = acc
-            acc = (g[:, i] + acc * r) % p
-        divides = acc == 0
-        mult[live[divides]] += 1
-        live, g = live[divides], quot[divides]
-    return mult
-
-
 def _lane_primes(primes):
     """The primes as an int64 array, refused unless each is below 2^31."""
     primes = np.asarray(primes, dtype=np.int64)
@@ -486,8 +475,8 @@ def roots_mod_many(ints, primes):
 
     Degrees 1 and 2 take closed forms in every lane.  Above, x^p mod f
     comes from `power_lanes`, one lane Euclid gives gcd(x^p - x, f), and
-    `_split_many` splits it; one deflation of f at all of the roots at
-    once counts their multiplicities.  p = 2 takes `roots_mod_p`.
+    `_split_many` splits it; `_deflation_counts` at all of the roots at
+    once gives their multiplicities.  p = 2 takes `roots_mod_p`.
     """
     f = poly_trim(ints)
     if not f:
@@ -519,7 +508,9 @@ def roots_mod_many(ints, primes):
     lane = np.concatenate(lanes + [np.zeros(0, dtype=np.int64)])
     root = np.concatenate(roots + [np.zeros(0, dtype=np.int64)])
     if d >= 3:
-        mult = _multiplicities_many(fm, lane, root, p)
+        mult = _deflation_counts(
+            fm[lane], np.stack([root, p[lane]], axis=1),
+            lambda c, acc, rp: (c + acc * rp[:, 0]) % rp[:, 1])
         lane, root = np.repeat(lane, mult), np.repeat(root, mult)
     lane = odd[lane]
     for i in np.flatnonzero(primes == 2):
@@ -563,8 +554,8 @@ def _split_fq(g, field, rng):
 
 def _packed_roots(f, field):
     """Sorted roots with multiplicity of f (degree >= 1) over F_q,
-    q <= TABLE_LIMIT: Horner over every packed element, then synthetic
-    division of f by (x - r) for all surviving roots r at once."""
+    q <= TABLE_LIMIT: Horner over every packed element, then
+    `_deflation_counts` of f at all of the roots it finds at once."""
     F = packed_field(field)
     coeffs = [F.pack(c) for c in f]
     xs = np.arange(field.order, dtype=np.int64)
@@ -572,25 +563,16 @@ def _packed_roots(f, field):
     for c in reversed(coeffs[:-1]):
         acc = F.add(F.mul(acc, xs), c)
     hits = np.flatnonzero(acc == 0)
-    mult = np.zeros(len(hits), dtype=np.int64)
-    live = np.arange(len(hits))
-    g = np.tile(np.array(coeffs, dtype=np.int64), (len(hits), 1))
-    while len(live) and g.shape[1] > 1:
-        r = hits[live]
-        quot = np.empty((len(live), g.shape[1] - 1), dtype=np.int64)
-        acc = g[:, -1]
-        for i in range(g.shape[1] - 2, -1, -1):
-            quot[:, i] = acc
-            acc = F.add(g[:, i], F.mul(acc, r))
-        divides = acc == 0
-        mult[live[divides]] += 1
-        live, g = live[divides], quot[divides]
+    mult = _deflation_counts(
+        np.tile(np.array(coeffs, dtype=np.int64), (len(hits), 1)), hits,
+        lambda c, acc, r: F.add(c, F.mul(acc, r)))
     return F.unpack(np.repeat(hits, mult))
 
 
 def poly_roots_fq(coeffs, field: ExtFieldDesc) -> list:
     """Sorted roots (with multiplicity, canonical element order) of a
-    univariate polynomial over F_q.  Coefficients may be ints or FqElems."""
+    univariate polynomial over F_q.  Coefficients may be ints or FqElems.
+    Above TABLE_LIMIT, f is deflated at each root of gcd(x^q - x, f)."""
     f = poly_trim(field.element(c) for c in coeffs)
     if not f:
         raise CharsumError("zero polynomial")
@@ -603,15 +585,8 @@ def poly_roots_fq(coeffs, field: ExtFieldDesc) -> list:
         return _packed_roots(f, field)
     fm = poly_monic(f)
     x = [field.zero(), field.one()]
-    layer = poly_gcd(poly_sub(poly_powmod(x, field.order, fm), x), fm)
-    rng = _splitting_rng(field.p, tuple(c.coeffs for c in f))
-    # layer k is the product of (x - r) over the roots r of multiplicity
-    # at least k; dividing it by the next layer leaves multiplicity k.
-    roots, rest, k = [], fm, 1
-    while len(layer) > 1:
-        rest = poly_divmod(rest, layer)[0]
-        deeper = poly_gcd(rest, layer)
-        exact = poly_divmod(layer, deeper)[0]
-        roots += _split_fq(exact, field, rng) * k
-        layer, k = deeper, k + 1
-    return sorted(roots)
+    g = poly_gcd(poly_sub(poly_powmod(x, field.order, fm), x), fm)
+    roots = _split_fq(g, field,
+                      _splitting_rng(field.p, tuple(c.coeffs for c in f)))
+    return sorted(r for r in roots for _ in range(
+        _deflation_count(fm, r, lambda c, acc, x: c + acc * x)))

@@ -880,6 +880,21 @@ def test_dfiext_and_multiweyl_agree(tmp_path):
     assert ext.read_bytes() == mw.read_bytes()
 
 
+@pytest.mark.parametrize("argv", [
+    ["multiweyl", "--poly", "x^2 + 1", "--h", "0,1"],
+    ["multiweyl", "--poly", "x^3 - 2", "--h", "0,0,1"],
+    ["dfiext", "--poly", "x^2 + 1", "--g", "x^2"]],
+    ids=["multiweyl-square", "multiweyl-cube", "dfiext"])
+def test_sweeps_refuse_a_rational_element(tmp_path, capsys, argv):
+    # x^2 = -1 and x^3 = 2 modulo f: every sample would be forced
+    report = tmp_path / "r.json"
+    assert main(argv + ["--xlimit", "100", "--json", str(report)]) == 2
+    assert capsys.readouterr().err == (
+        "error: element is rational; equidistribution claim does not "
+        "apply\n")
+    assert not report.exists()
+
+
 def test_spcheck_passes():
     r = run("spcheck", "--n", "3", "--xlimit", "500")
     assert r.returncode == 0

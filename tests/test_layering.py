@@ -3,10 +3,14 @@ the package's __init__ runs, so an import cycle between two modules
 shows whichever of them is loaded first.  Only `angles` reads the table
 of p-th roots of unity; every other module goes through its kernels.
 F_p consumers read the point matrix, not the tuples of
-`enumerate_points`, and sum through the table, not with `psi_sum`.
-Each kernel step has one copy: the one-variable solve, the line sum's
-budget guard, its evaluation of f on the whole line and the Weil
-verdict.  Every F_p sum refuses a character table over budget before it
+`enumerate_points`, and sum through the table, not with `psi_sum`.  Each
+kernel step has one copy: the one-variable solve, the line sum's budget
+guard, its evaluation of f on the whole line, the Weil verdict, the
+count of a root's multiplicity by synthetic division (a numpy kernel and
+its Python twin) and the square root mod p by a power (an int and a lane
+version; the fibre kernel reads a table of squares instead).
+No comparison has a bare float literal operand: each tolerance has a
+name.  Every F_p sum refuses a character table over budget before it
 builds its points.  One reader turns a one-variable polynomial into
 coefficients.  Only `mpoly.power`, and its lane twin `power_lanes`,
 walks the bits of an exponent.  The root-angle sweeps find roots on
@@ -105,24 +109,111 @@ def test_only_exact_angle_sums_call_psi_sum():
     assert calls == EXACT_ANGLE_SUMS
 
 
-# (module, what, the one function that may do it): root finding for one
-# free variable, building a Weil record, reading its pass/fail slack and
-# evaluating f on the whole line
+def _downward(loop):
+    """A for loop over reversed(...) or a range with a negative step: a
+    coefficient list read from the top."""
+    it = loop.iter
+    return _is_call(it, "reversed") or (
+        _is_call(it, "range") and len(it.args) == 3
+        and isinstance(it.args[2], ast.UnaryOp)
+        and isinstance(it.args[2].op, ast.USub))
+
+
+def _synthetic_division(node):
+    """A downward loop that keeps a running accumulator, rebound from an
+    expression that reads it, and stores it whole into a list or an
+    array: Horner that keeps its partial values, which are the quotient
+    by x - r."""
+    if not (isinstance(node, ast.For) and _downward(node)):
+        return False
+    running = {t.id for n in ast.walk(node) if isinstance(n, ast.Assign)
+               for t in n.targets if isinstance(t, ast.Name)
+               and any(getattr(m, "id", None) == t.id
+                       for m in ast.walk(n.value))}
+    stored = {n.value.id for n in ast.walk(node)
+              if isinstance(n, ast.Assign) and isinstance(n.value, ast.Name)
+              and any(isinstance(t, ast.Subscript) for t in n.targets)}
+    stored |= {n.args[0].id for n in ast.walk(node)
+               if _is_call(n, "append") and n.args
+               and isinstance(n.args[0], ast.Name)}
+    return bool(running & stored)
+
+
+POWERS = ("pow", "power", "power_lanes", "_pow_many", "pow_mod_array")
+
+
+def _square_root_power(node):
+    """A power of a residue to (m + 1) // 2, (m - 1) // 2 or a quarter:
+    Euler's criterion and the square-root steps of Cipolla, Tonelli-Shanks
+    and the p = 3 mod 4 shortcut."""
+    if not any(_is_call(node, name) for name in POWERS) or len(node.args) < 2:
+        return False
+    e = node.args[1]
+    return (isinstance(e, ast.BinOp) and isinstance(e.op, ast.FloorDiv)
+            and getattr(e.right, "value", None) in (2, 4)
+            and isinstance(e.left, ast.BinOp)
+            and isinstance(e.left.op, (ast.Add, ast.Sub))
+            and getattr(e.left.right, "value", None) == 1)
+
+
+# (modules, what, the functions that may do it): root finding for one
+# free variable, building a Weil record, reading its pass/fail slack,
+# evaluating f on the whole line, counting root multiplicities (the
+# numpy kernel and its Python twin) and taking square roots mod p (one
+# int and one lane version)
 SINGLE_COPIES = [
-    ("points", lambda node: _is_call(node, "roots_mod_p"), "_common_roots"),
-    ("weil", lambda node: _is_call(node, "WeilRecord"), "_record"),
-    ("weil", lambda node: getattr(node, "id", None) == "PASS_SLACK",
-     "_record"),
-    ("weil", lambda node: _is_call(node, "line_values"), "_line_sum"),
+    (["points"], lambda node: _is_call(node, "roots_mod_p"),
+     {("points", "_common_roots")}),
+    (["weil"], lambda node: _is_call(node, "WeilRecord"),
+     {("weil", "_record")}),
+    (["weil"], lambda node: getattr(node, "id", None) == "PASS_SLACK",
+     {("weil", "_record")}),
+    (["weil"], lambda node: _is_call(node, "line_values"),
+     {("weil", "_line_sum")}),
+    (MODULES, _synthetic_division,
+     {("polyroots", "_deflation_count"), ("polyroots", "_deflation_counts")}),
+    (MODULES, _square_root_power,
+     {("ffield", "sqrt_mod"), ("polyroots", "_sqrt_many")}),
 ]
 
 
-@pytest.mark.parametrize("module, match, owner", SINGLE_COPIES,
+@pytest.mark.parametrize("modules, match, owners", SINGLE_COPIES,
                          ids=["roots_mod_p", "WeilRecord", "PASS_SLACK",
-                              "line_values"])
-def test_each_kernel_step_has_one_copy(module, match, owner):
-    tree = ast.parse((PACKAGE / (module + ".py")).read_text())
-    assert {fn for fn, _ in _by_function(tree, match)} == {owner}
+                              "line_values", "synthetic_division",
+                              "square_root"])
+def test_each_kernel_step_has_one_copy(modules, match, owners):
+    assert {(name, fn) for name in modules
+            for fn, _ in _by_function(
+                ast.parse((PACKAGE / (name + ".py")).read_text()),
+                match)} == owners
+
+
+def test_kernel_step_checks_see_a_copy():
+    # a deflation and the Tonelli-Shanks steps; not Horner evaluation, a
+    # forward loop or the inverse of 2
+    tree = ast.parse("def deflate(f, r, p):\n    out, acc = [], 0\n"
+                     "    for c in reversed(f):\n"
+                     "        acc = (acc * r + c) % p\n"
+                     "        out.append(acc)\n"
+                     "def columns(g, r, p):\n"
+                     "    for i in range(len(g) - 2, -1, -1):\n"
+                     "        q[:, i] = acc\n"
+                     "        acc = (g[:, i] + acc * r) % p\n"
+                     "def evaluate(f, x, p):\n    acc = 0\n"
+                     "    for c in reversed(f):\n"
+                     "        acc = (acc * x + c) % p\n"
+                     "def forward(f, r):\n"
+                     "    for c in f:\n        acc = acc * r + c\n"
+                     "        out.append(acc)\n"
+                     "def tonelli(a, q, p):\n"
+                     "    return pow(a, (q + 1) // 2, p)\n"
+                     "def lanes(z, p):\n"
+                     "    return _pow_many(z, (p - 1) // 2, p)\n"
+                     "def half(p):\n    return (p + 1) // 2\n")
+    assert {fn for fn, _ in _by_function(tree, _synthetic_division)} == {
+        "deflate", "columns"}
+    assert {fn for fn, _ in _by_function(tree, _square_root_power)} == {
+        "tonelli", "lanes"}
 
 
 def _one_point_budget_check(node):
@@ -278,6 +369,28 @@ def test_only_measure_calls_the_fft(name):
     tree = ast.parse((PACKAGE / (name + ".py")).read_text())
     lines = [node.lineno for node in ast.walk(tree) if _uses_fft(node)]
     assert bool(lines) == (name == "measure"), lines
+
+
+def _float_literal_comparisons(tree):
+    """Line of each comparison with a float literal operand, signed or
+    not: a tolerance with no name and no scale."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Compare)
+            for side in (node.left, *node.comparators)
+            if isinstance(getattr(side, "operand", side), ast.Constant)
+            and isinstance(getattr(side, "operand", side).value, float)]
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_comparison_with_a_bare_float(name):
+    tree = ast.parse((PACKAGE / (name + ".py")).read_text())
+    assert _float_literal_comparisons(tree) == []
+
+
+def test_float_comparison_check_sees_one():
+    tree = ast.parse("ok = err <= 1e-9\nwarn = -0.5 < x < 2\n"
+                     "same = n == 2\nclose = err <= SLACK * 0.5\n")
+    assert _float_literal_comparisons(tree) == [1, 2]
 
 
 def _exact_discriminant_names(tree):

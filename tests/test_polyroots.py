@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from charsum import (build_extension, fppoly, is_prime, next_prime,
-                     poly_roots_fq, prime_field, primes_in)
+                     poly_roots_fq, prime_field, primes_in, sqrt_mod)
 from charsum import polyroots
 from charsum.errors import CharsumError
 from charsum.polyroots import (eval_many, line_values, residues,
@@ -16,28 +16,28 @@ from charsum.polyroots import (eval_many, line_values, residues,
 SMALL_PRIMES = primes_in(199)
 
 
+def deflations(f, r, p):
+    """How many times x - r divides f mod p: repeated synthetic division."""
+    m = 0
+    while len(f) > 1:
+        q = [0] * (len(f) - 1)
+        acc = 0
+        for k in range(len(f) - 1, 0, -1):
+            acc = (acc * r + f[k]) % p
+            q[k - 1] = acc
+        if (acc * r + f[0]) % p:
+            break
+        m, f = m + 1, q
+    return m
+
+
 def brute_roots(coeffs, p):
     """Reference root finder: trial evaluation, multiplicity by repeated
     synthetic division."""
     f = [c % p for c in coeffs]
     while f and f[-1] == 0:
         f.pop()
-    out = []
-    for r in range(p):
-        g = list(f)
-        while len(g) > 1:
-            # synthetic division of g by (x - r)
-            q = [0] * (len(g) - 1)
-            acc = 0
-            for k in range(len(g) - 1, 0, -1):
-                acc = (acc * r + g[k]) % p
-                q[k - 1] = acc
-            rem = (acc * r + g[0]) % p
-            if rem != 0:
-                break
-            out.append(r)
-            g = q
-    return sorted(out)
+    return [r for r in range(p) for _ in range(deflations(f, r, p))]
 
 
 def test_small_cases():
@@ -128,6 +128,24 @@ def test_large_prime_paths():
     assert roots_mod_p([0, 0, 0, 1], p) == [0, 0, 0]
     prod = [(-3 * 7) % p, 3 + 7, p - 1]  # -(x - 3)(x - 7) has lc p-1
     assert roots_mod_p(prod, p) == [3, 7]
+
+
+def linear_product(roots, p):
+    """Coefficients of the product of x - r over the roots, mod p."""
+    f = [1]
+    for r in roots:
+        f = [(a - r * b) % p for a, b in zip([0] + f, f + [0])]
+    return f
+
+
+@pytest.mark.parametrize("r, s", [(0, 1), (3, (1 << 61) - 2),
+                                  (123456789123456789, 987654321987654321)])
+def test_multiplicities_at_a_61_bit_prime(r, s):
+    # (x - r)^3 (x - s), scaled, at the Mersenne prime 2^61 - 1
+    p = (1 << 61) - 1
+    f = [5 * c % p for c in linear_product([r, r, r, s], p)]
+    assert [deflations(f, t, p) for t in (r, s)] == [3, 1]
+    assert roots_mod_p(f, p) == sorted([r, r, r, s])
 
 
 def fq_multiplicities(f, roots, field):
@@ -230,6 +248,23 @@ def test_fq_repeated_roots():
     for r in (g, g, F.one()):
         poly = times(poly, r)
     assert poly_roots_fq(poly, F) == sorted([g, g, F.one()])
+
+
+def test_fq_repeated_roots_above_the_tables():
+    # F_2^17 is above TABLE_LIMIT: x^q - x is split once, then each root
+    # is deflated; (x - g)^2 (x - 1)^3 (x - g^5) g^7
+    F = build_extension(2, 17)
+    assert F.order > polyroots.TABLE_LIMIT
+    g = F.generator()
+    roots = [g, g, F.one(), F.one(), F.one(), g ** 5]
+    poly = [F.one()]
+    for r in roots:
+        poly = [a - r * b for a, b in zip([F.zero()] + poly,
+                                          poly + [F.zero()])]
+    poly = [c * g ** 7 for c in poly]
+    expect = sorted(fq_multiplicities(poly, [g, F.one(), g ** 5], F))
+    assert expect == sorted(roots)
+    assert poly_roots_fq(poly, F) == expect
 
 
 # both sides of 2^11, near 10^6 and the largest prime eval_many accepts
@@ -438,6 +473,36 @@ def test_lane_kernels_refuse_what_they_cannot_take():
         roots_mod_many([0, 0], np.array([5]))
     lane, root = roots_mod_many([1, 0, 1], np.zeros(0, dtype=np.int64))
     assert lane.tolist() == root.tolist() == []
+
+
+# p - 1 = k 2^s with large s, from 16 to 27
+TWO_ADIC_PRIMES = [65537, 7340033, 469762049, 998244353, 2013265921]
+
+
+@st.composite
+def residues_and_primes(draw):
+    """(a, p) lanes: odd primes from 3 to just below 2^31, with 0, 1,
+    p - 1 or any residue."""
+    primes = draw(st.lists(st.sampled_from(SMALL_PRIMES[1:])
+                           | st.sampled_from(TWO_ADIC_PRIMES)
+                           | st.sampled_from(TOP_PRIMES), min_size=1,
+                           max_size=12))
+    return [draw(st.sampled_from([0, 1, p - 1]) | st.integers(0, p - 1))
+            for p in primes], primes
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(residues_and_primes())
+@example(([0, 0, 1, 2], [3, 3, 3, 3]))
+@example(([0, 1, 3, 5], [65537, 2013265921, 2013265921, 998244353]))
+def test_sqrt_many_is_sqrt_mod_lane_by_lane(case):
+    a, primes = case
+    got = polyroots._sqrt_many(np.array(a, dtype=np.int64),
+                               np.array(primes, dtype=np.int64))
+    assert got.tolist() == [-1 if r is None else r
+                            for r in map(sqrt_mod, a, primes)]
+    assert all(r * r % p == x for r, x, p in zip(got.tolist(), a, primes)
+               if r >= 0)
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
